@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .errors import IncompatibleStep
-from .model import Production, Word
+from .model import Production, Symbol, Word
 
 #: count_step_assignments clamps here instead of returning a larger exact value.
 COUNT_CEILING = 2**63 - 1
@@ -95,16 +95,25 @@ def candidate_productions(x: Word, y: Word) -> frozenset[Production]:
     positions absorb the rest).  Agrees with collecting productions from the
     full enumeration, but stays polynomial in |x| and |y|.
     """
+    return frozenset(Production(a, z) for a, z in candidate_pairs(x, y))
+
+
+def candidate_pairs(x: Word, y: Word) -> set[tuple[Symbol, Word]]:
+    """The (predecessor, successor) pairs of candidate_productions.
+
+    Each distinct pair is produced once, however many positions share it.
+    """
     if not x:
         if y:
             raise IncompatibleStep("empty word cannot derive a non-empty word")
-        return frozenset()
-    m, n = len(x), len(y)
-    found: set[Production] = set()
-    for i, a in enumerate(x, start=1):
-        starts = (0,) if i == 1 else range(n + 1)
-        for s in starts:
-            ends = (n,) if i == m else range(s, n + 1)
-            for e in ends:
-                found.add(Production(a, y[s:e]))
-    return frozenset(found)
+        return set()
+    n = len(y)
+    if len(x) == 1:
+        return {(x[0], y)}
+    pairs = {(x[0], y[:e]) for e in range(n + 1)}
+    pairs.update((x[-1], y[s:]) for s in range(n + 1))
+    interior = set(x[1:-1])
+    if interior:
+        substrings = {y[s:e] for s in range(n + 1) for e in range(s, n + 1)}
+        pairs.update((a, z) for a in interior for z in substrings)
+    return pairs

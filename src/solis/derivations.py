@@ -6,7 +6,9 @@ production probabilities; the probability of the whole sequence is the sum
 over all of its derivations.  Enumeration of that sum is kept as an oracle;
 the default path exploits the fact that choices in different steps are
 independent, so the sum factors into one term per step, each computable by
-a quadratic dynamic program without materializing any derivation.
+a quadratic dynamic program without materializing any derivation.  That
+program runs on the step lattice of the lattice module, compiled once per
+trace and weighting.
 """
 
 from __future__ import annotations
@@ -17,8 +19,11 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
 from .compositions import StepAssignment
 from .errors import CapExceeded, IncompatibleSequence
+from .lattice import StepLattice, compile_lattice
 from .model import LogLinear, Partial0LSystem, Production, S0LSystem, Sequence, Symbol, Word
 
 #: refuse to stream a derivation space larger than this unless told otherwise
@@ -174,8 +179,8 @@ def step_values(prob: Mapping[Production, float], theta: Sequence) -> list[float
     Accepts any nonnegative weighting of productions, normalized or not;
     weights absent from the mapping count as zero.
     """
-    index = _weight_index(prob)
-    return [_forward(index, x, y)[-1][-1] for x, y in theta.steps()]
+    lattice, weights = _weighted_lattice(prob, theta)
+    return lattice.values(weights)[0].tolist()
 
 
 def step_gradients(
@@ -184,90 +189,33 @@ def step_gradients(
     """Per-step values and per-step gradients with respect to each weight.
 
     The j-th gradient maps a production to the derivative of the j-th step
-    sum; productions with zero or absent weight are omitted.
+    sum; productions with zero or absent weight, and zero derivatives, are
+    omitted.
     """
-    index = _weight_index(prob)
-    values: list[float] = []
-    grads: list[dict[Production, float]] = []
-    for x, y in theta.steps():
-        forward = _forward(index, x, y)
-        backward = _backward(index, x, y)
-        values.append(forward[-1][-1])
-        grads.append(_step_gradient(index, x, y, forward, backward))
-    return values, grads
+    lattice, weights = _weighted_lattice(prob, theta)
+    values, slopes = lattice.slopes(weights)
+    grads: list[dict[Production, float]] = [{} for _ in range(theta.step_count)]
+    for step, index, slope in zip(
+        lattice.pair_step.tolist(), lattice.pair_var.tolist(), slopes[0].tolist()
+    ):
+        if slope:
+            grads[step][lattice.variables[index]] = slope
+    return values[0].tolist(), grads
 
 
-_WeightIndex = dict[Symbol, list[tuple[int, dict[Word, float]]]]
-
-
-def _weight_index(prob: Mapping[Production, float]) -> _WeightIndex:
-    """Group weights by predecessor, then by successor length (ascending)."""
-    by_symbol: dict[Symbol, dict[int, dict[Word, float]]] = {}
+def _weighted_lattice(
+    prob: Mapping[Production, float], theta: Sequence
+) -> tuple[StepLattice, np.ndarray]:
+    """The lattice over prob's nonzero weights, and those weights as one row."""
+    support = []
     for production in sorted(prob):
         weight = prob[production]
-        if weight == 0.0:
-            continue
         if weight < 0.0:
             raise ValueError(f"negative weight for {production}")
-        lengths = by_symbol.setdefault(production.predecessor, {})
-        lengths.setdefault(len(production.successor), {})[production.successor] = weight
-    return {a: sorted(lengths.items()) for a, lengths in by_symbol.items()}
-
-
-def _forward(index: _WeightIndex, x: Word, y: Word) -> list[list[float]]:
-    """forward[i][k] = total weight of rewriting x[:i] into y[:k]."""
-    n = len(y)
-    rows = [[0.0] * (n + 1) for _ in range(len(x) + 1)]
-    rows[0][0] = 1.0
-    for i, a in enumerate(x, start=1):
-        prev, row = rows[i - 1], rows[i]
-        for length, weights in index.get(a, ()):
-            for k in range(length, n + 1):
-                base = prev[k - length]
-                if base:
-                    w = weights.get(y[k - length : k])
-                    if w is not None:
-                        row[k] += base * w
-    return rows
-
-
-def _backward(index: _WeightIndex, x: Word, y: Word) -> list[list[float]]:
-    """backward[i][k] = total weight of rewriting x[i:] into y[k:]."""
-    n = len(y)
-    rows = [[0.0] * (n + 1) for _ in range(len(x) + 1)]
-    rows[len(x)][n] = 1.0
-    for i in range(len(x) - 1, -1, -1):
-        nxt, row = rows[i + 1], rows[i]
-        for length, weights in index.get(x[i], ()):
-            for k in range(0, n - length + 1):
-                tail = nxt[k + length]
-                if tail:
-                    w = weights.get(y[k : k + length])
-                    if w is not None:
-                        row[k] += w * tail
-    return rows
-
-
-def _step_gradient(
-    index: _WeightIndex,
-    x: Word,
-    y: Word,
-    forward: list[list[float]],
-    backward: list[list[float]],
-) -> dict[Production, float]:
-    n = len(y)
-    grad: dict[Production, float] = {}
-    for i, a in enumerate(x):
-        prev, nxt = forward[i], backward[i + 1]
-        for length, weights in index.get(a, ()):
-            for k in range(length, n + 1):
-                mass = prev[k - length] * nxt[k]
-                if mass:
-                    z = y[k - length : k]
-                    if z in weights:
-                        key = Production(a, z)
-                        grad[key] = grad.get(key, 0.0) + mass
-    return grad
+        if weight != 0.0:
+            support.append(production)
+    weights = np.array([[prob[p] for p in support]], dtype=float)
+    return compile_lattice(theta, support), weights
 
 
 def _successor_sets(

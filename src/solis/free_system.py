@@ -9,9 +9,9 @@ sequence uses a subset of its productions.
 
 from __future__ import annotations
 
-from .compositions import candidate_productions
+from .compositions import candidate_pairs
 from .errors import IncompatibleSequence, IncompatibleStep
-from .model import Partial0LSystem, Production, Sequence
+from .model import Partial0LSystem, Production, Sequence, Symbol, Word
 
 
 def build_free_system(sequence: Sequence) -> Partial0LSystem:
@@ -22,10 +22,10 @@ def build_free_system(sequence: Sequence) -> Partial0LSystem:
     impossible, i.e. some w_i is empty while w_{i+1} is not (the step index
     in the error is 1-based).
     """
-    productions: set[Production] = set()
+    pairs: set[tuple[Symbol, Word]] = set()
     for index, (x, y) in enumerate(sequence.steps(), start=1):
         try:
-            productions.update(candidate_productions(x, y))
+            pairs.update(candidate_pairs(x, y))
         except IncompatibleStep as exc:
             raise IncompatibleSequence(
                 f"step {index} is impossible: {exc}", step=index
@@ -33,5 +33,5 @@ def build_free_system(sequence: Sequence) -> Partial0LSystem:
     return Partial0LSystem(
         alphabet=frozenset(sequence.symbols()),
         axiom=sequence.axiom,
-        productions=tuple(productions),
+        productions=tuple(Production(a, z) for a, z in sorted(pairs)),
     )

@@ -1,0 +1,207 @@
+"""The step lattice: p(theta)'s per-step dynamic program compiled to arrays.
+
+One rewriting step x => y is a path problem.  Column k of the step means
+"the positions rewritten so far produced y[:k]", and position i of x moves
+from column s to column e by the production x[i] -> y[s:e].  Compiling a
+trace turns every such move into an integer edge (src column, dst column,
+variable id), grouped into rows by i.  Steps are independent, so row i of
+every step runs in the same pass: the kernel makes max_j |w_j| sequential
+row passes, not sum_j |w_j|.  A step with fewer positions than the current
+row carries its end column forward along a pass-through edge of weight 1.
+
+Forward, backward and expected counts are gathers and np.bincount scatters
+over an (R, V) weight matrix, one row per weighting, so the solver's R
+restarts advance in the same pass.  Within every sum the terms arrive in the
+order of the textbook recurrences (rows ascending, then successor length,
+then column), so the results do not depend on how many rows are batched.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
+
+from .model import Production, Sequence, Symbol, Word
+
+#: edge index arrays are stored narrow: they are the bulk of a lattice's memory
+_INDEX = np.int32
+
+
+@dataclass(frozen=True, eq=False)
+class StepLattice:
+    """Edges of every step of one trace over a fixed list of variables.
+
+    Edge arrays are sorted by (row, step, successor length, src column); the
+    edges of row i are those in [bounds[i], bounds[i + 1]).  var == len(variables)
+    marks a pass-through edge.  A (step, variable) pair indexes the partial
+    derivative of one step sum; pairs are sorted by (variable, step), and
+    pair[e] == len(pair_var) for pass-through edges.
+    """
+
+    variables: tuple[Production, ...]
+    columns: int
+    starts: np.ndarray
+    ends: np.ndarray
+    bounds: tuple[int, ...]
+    row: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    var: np.ndarray
+    pair: np.ndarray
+    pair_step: np.ndarray
+    pair_var: np.ndarray
+
+    @property
+    def rows(self) -> int:
+        return len(self.bounds) - 1
+
+    def values(self, weights: np.ndarray) -> np.ndarray:
+        """Per-step sums, shape (R, steps), for weights of shape (R, V)."""
+        return self._forward(self._edge_weights(weights))[-1][self.ends].T
+
+    def slopes(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-step sums and, per (step, variable) pair, the step sum's
+        partial derivative in that variable: shapes (R, steps), (R, pairs)."""
+        values, slopes = self._slopes(weights)
+        return values.T, slopes.T
+
+    def expected_counts(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-step sums and x_p * d log p(theta) / d x_p for every variable.
+
+        The second array is the expected number of times each production
+        fires in a derivation drawn in proportion to its weight.  A row with
+        a zero step sum gets non-finite counts.
+        """
+        values, slopes = self._slopes(weights)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            per_step = slopes / values[self.pair_step]
+        return values.T, weights * _scatter(self.pair_var, per_step, len(self.variables)).T
+
+    # Internally every table is laid out (cells, R), so that a gather along
+    # the edges reads whole rows of R weightings at once.
+
+    def _slopes(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        edge_weights = self._edge_weights(weights)
+        forward = self._forward(edge_weights)
+        backward = self._backward(edge_weights)
+        del edge_weights  # free (edges, R) floats before allocating more
+        mass = forward[self.row, self.src]
+        mass *= backward[self.row + 1, self.dst]
+        return forward[-1][self.ends], _scatter(self.pair, mass, len(self.pair_var) + 1)[:-1]
+
+    def _edge_weights(self, weights: np.ndarray) -> np.ndarray:
+        through = np.ones((1, weights.shape[0]))
+        return np.concatenate((weights.T, through))[self.var]
+
+    def _forward(self, edge_weights: np.ndarray) -> np.ndarray:
+        """table[i][c, r]: weight of rewriting the first i positions of each
+        step into the prefix of its target that ends at column c."""
+        table = np.zeros((self.rows + 1, self.columns, edge_weights.shape[1]))
+        table[0][self.starts] = 1.0
+        for i in range(self.rows):
+            lo, hi = self.bounds[i], self.bounds[i + 1]
+            moved = table[i][self.src[lo:hi]] * edge_weights[lo:hi]
+            table[i + 1] = _scatter(self.dst[lo:hi], moved, self.columns)
+        return table
+
+    def _backward(self, edge_weights: np.ndarray) -> np.ndarray:
+        """table[i][c, r]: weight of rewriting positions i.. of each step
+        into the suffix of its target that starts at column c."""
+        table = np.zeros((self.rows + 1, self.columns, edge_weights.shape[1]))
+        table[-1][self.ends] = 1.0
+        for i in range(self.rows - 1, -1, -1):
+            lo, hi = self.bounds[i], self.bounds[i + 1]
+            moved = edge_weights[lo:hi] * table[i + 1][self.dst[lo:hi]]
+            table[i] = _scatter(self.src[lo:hi], moved, self.columns)
+        return table
+
+
+def compile_lattice(theta: Sequence, variables: Iterable[Production]) -> StepLattice:
+    """Compile every step of theta over the given productions.
+
+    Productions that fit no step simply contribute no edges; a step that no
+    combination of them can perform gets a zero sum.
+    """
+    variables = tuple(variables)
+    by_successor: dict[Word, list[tuple[Symbol, int]]] = {}
+    for index, production in enumerate(variables):
+        by_successor.setdefault(production.successor, []).append(
+            (production.predecessor, index)
+        )
+    lengths = sorted({len(p.successor) for p in variables})
+    steps = list(theta.steps())
+    # The moves of each step per predecessor: (3, k) arrays of (successor
+    # length, src column, var), sorted by length, then src.
+    moves: list[dict[Symbol, np.ndarray]] = []
+    starts = []
+    offset = 0
+    for x, y in steps:
+        present = set(x)
+        found: dict[Symbol, list[int]] = {}
+        for length in lengths:
+            for s in range(len(y) - length + 1):
+                for a, index in by_successor.get(y[s : s + length], ()):
+                    if a in present:
+                        found.setdefault(a, []).extend((length, offset + s, index))
+        moves.append({a: np.array(flat, _INDEX).reshape(-1, 3).T for a, flat in found.items()})
+        starts.append(offset)
+        offset += len(y) + 1
+    ends = [start + len(y) for start, (_, y) in zip(starts, steps)]
+
+    # one pair per (variable, step) that has a move, numbered in that order
+    keys = [
+        m[2].astype(np.int64) * len(steps) + j for j, ms in enumerate(moves) for m in ms.values()
+    ]
+    unique, inverse = np.unique(
+        np.concatenate([np.zeros(0, np.int64)] + keys), return_inverse=True
+    )
+    pieces = iter(np.split(inverse.astype(_INDEX), np.cumsum([k.size for k in keys])[:-1]))
+    for ms in moves:
+        for a, m in ms.items():
+            ms[a] = np.vstack((m, next(pieces)))
+
+    # per row, one (4, k) array of (length, src, var, pair) per step
+    rows = max(len(x) for x, _ in steps)
+    per_row: list[list[np.ndarray]] = [[] for _ in range(rows)]
+    for (x, _), ms, start, end in zip(steps, moves, starts, ends):
+        for i, a in enumerate(x):
+            if a not in ms:
+                continue
+            edges = ms[a]
+            # the first position starts at column 0 of its step, the last one ends at n
+            if i == 0:
+                edges = edges[:, edges[1] == start]
+            if i == len(x) - 1:
+                edges = edges[:, edges[0] + edges[1] == end]
+            per_row[i].append(edges)
+        through = np.array([[0], [end], [len(variables)], [unique.size]], _INDEX)
+        for i in range(len(x), rows):
+            per_row[i].append(through)
+    sizes = [sum(edges.shape[1] for edges in row) for row in per_row]
+    length, src, var, pair = np.concatenate(
+        [np.zeros((4, 0), _INDEX)] + [edges for row in per_row for edges in row], axis=1
+    )
+    return StepLattice(
+        variables=variables,
+        columns=offset,
+        starts=np.array(starts),
+        ends=np.array(ends),
+        bounds=tuple(np.cumsum([0] + sizes).tolist()),
+        row=np.repeat(np.arange(rows, dtype=_INDEX), sizes),
+        src=src,
+        dst=src + length,
+        var=var,
+        pair=pair,
+        pair_step=unique % len(steps),
+        pair_var=unique // len(steps),
+    )
+
+
+def _scatter(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Bincount per column: out[c, r] is the sum of values[e, r] over the
+    edges e with index[e] == c, added in edge order starting from 0.0."""
+    count = values.shape[1]
+    flat = (index.astype(np.intp)[:, None] * count + np.arange(count)).ravel()
+    return np.bincount(flat, values.ravel(), minlength=size * count).reshape(size, count)

@@ -1,0 +1,74 @@
+"""The step lattice against its oracles, on random small traces.
+
+Oracles: derivation enumeration for the step values and the free system,
+single-row calls for batched ones, and Euler's identity for homogeneous
+polynomials for the gradient.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_system_for
+from solis import (
+    Sequence,
+    build_free_system,
+    enumerate_step_assignments,
+    occurrence_counts,
+    probability_gradient,
+    sequence_probability,
+    sequence_probability_naive,
+    step_values,
+)
+from solis.lattice import compile_lattice
+
+WORDS = st.lists(st.sampled_from("AB"), min_size=1, max_size=4).map(tuple)
+TRACES = st.lists(WORDS, min_size=2, max_size=3).map(lambda words: Sequence(tuple(words)))
+SEEDS = st.integers(0, 2**32 - 1)
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+@PROPERTY
+@given(TRACES, SEEDS)
+def test_step_values_match_enumeration(theta, seed):
+    g = random_system_for(theta, np.random.default_rng(seed))
+    kernel = math.prod(step_values(g.prob, theta))
+    assert math.isclose(kernel, sequence_probability_naive(g, theta), rel_tol=1e-12)
+
+
+@PROPERTY
+@given(TRACES, SEEDS, st.integers(1, 4))
+def test_batched_counts_equal_single_rows(theta, seed, rows):
+    free = build_free_system(theta)
+    lattice = compile_lattice(theta, free.productions)
+    weights = np.random.default_rng(seed).exponential(size=(rows, len(free.productions)))
+    values, counts = lattice.expected_counts(weights)
+    for r in range(rows):
+        single_values, single_counts = lattice.expected_counts(weights[r : r + 1])
+        assert np.array_equal(values[r], single_values[0])
+        assert np.array_equal(counts[r], single_counts[0])
+
+
+@PROPERTY
+@given(TRACES, SEEDS)
+def test_euler_identity(theta, seed):
+    """p is homogeneous of degree sum_a n_a, so sum_p x_p dp/dx_p = (sum_a n_a) p."""
+    g = random_system_for(theta, np.random.default_rng(seed))
+    grad = probability_gradient(g, theta)
+    lhs = math.fsum(g.prob[p] * slope for p, slope in grad.items())
+    degree = sum(occurrence_counts(theta).values())
+    assert math.isclose(lhs, degree * sequence_probability(g, theta).linear, rel_tol=1e-9)
+
+
+@PROPERTY
+@given(TRACES)
+def test_free_system_matches_enumeration(theta):
+    expected = {
+        production
+        for x, y in theta.steps()
+        for assignment in enumerate_step_assignments(x, y)
+        for production in assignment.productions()
+    }
+    assert build_free_system(theta).productions == tuple(sorted(expected))

@@ -1,16 +1,18 @@
-"""The posynomial objective and the multiplicative ascent solver.
+"""The posynomial objective and the over-relaxed EM solver.
 
 Oracles here: hand-expanded polynomials for the worked examples, exhaustive
 grid search (coarse pass plus local refinement) on instances with few
 variables, and dominance over large batches of random feasible points.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import random_sequence
+from conftest import make_system, random_sequence
+from solis import optimal_system
 from solis import (
     Production,
     Sequence,
@@ -22,6 +24,7 @@ from solis import (
     infer_optimal_system,
     maximize,
     occurrence_counts,
+    sample_sequence,
     sequence_probability,
 )
 
@@ -30,6 +33,16 @@ A_A = Production("A", ("A",))
 A_AB = Production("A", ("A", "B"))
 A_BA = Production("A", ("B", "A"))
 A_ABA = Production("A", ("A", "B", "A"))
+
+
+def underflowing_trace():
+    """120 steps of ten symbols from A -> A|B, B -> A|B; p(theta) underflows."""
+    g = make_system(
+        "ABABABABAB",
+        {("A", "A"): 0.5, ("A", "B"): 0.5, ("B", "A"): 0.5, ("B", "B"): 0.5},
+    )
+    theta = sample_sequence(g, steps=120, seed=0).sequence
+    return theta, sequence_probability(g, theta)
 
 
 def random_feasible_point(obj, rng):
@@ -211,6 +224,54 @@ class TestMaximize:
         assert first[0] == second[0]
         assert first[1] == second[1]
         assert [t.values for t in first[2]] == [t.values for t in second[2]]
+
+    def test_traces_hold_log_p(self, theta2):
+        obj = build_objective(theta2, cap=0)
+        _, value, traces = maximize(obj)
+        best = max(trace.values[-1] for trace in traces)
+        assert best == pytest.approx(math.log(value), abs=1e-12)
+        assert traces[0].values[0] == pytest.approx(math.log(4 / 25), abs=1e-12)
+
+    def test_underflowing_trace_climbs_past_its_generator(self):
+        """p(theta) underflows a double here; the solver still ascends in log p."""
+        theta, generator = underflowing_trace()
+        assert generator.linear == 0.0
+        obj = build_objective(theta, cap=0)
+        cfg = SolverConfig(restarts=2)
+        x_star, value, traces = maximize(obj, cfg)
+        assert value == 0.0
+        for trace in traces:
+            assert trace.converged and trace.iterations > 1
+        inferred = sequence_probability(assemble_system(theta, obj, x_star, cfg.prune_eps), theta)
+        assert inferred.log >= generator.log
+
+    def test_overrelaxation_passes_the_generator_where_plain_em_does_not(self, monkeypatch):
+        """From the uniform start, 20 updates reach the generator's log p only
+        with over-relaxation; plain EM is still about 180 nats short."""
+        theta, generator = underflowing_trace()
+        obj = build_objective(theta, cap=0)
+        cfg = SolverConfig(restarts=1, max_iters=20)
+        _, _, (trace,) = maximize(obj, cfg)
+        assert trace.converged and trace.values[-1] >= generator.log
+        monkeypatch.setattr(optimal_system, "OVERRELAX_GROWTH", 1.0)
+        _, _, (plain,) = maximize(obj, cfg)
+        assert not plain.converged and plain.values[-1] < generator.log - 100
+
+    def test_block_count_invariant_is_checked(self, theta2):
+        class Skewed:
+            """The real lattice, with expected counts inflated by 1e-6."""
+
+            def __init__(self, lattice):
+                self.lattice = lattice
+
+            def expected_counts(self, weights):
+                values, counts = self.lattice.expected_counts(weights)
+                return values, counts * (1 + 1e-6)
+
+        obj = build_objective(theta2, cap=0)
+        skewed = dataclasses.replace(obj, lattice=Skewed(obj.lattice))
+        with pytest.raises(ArithmeticError, match="iteration 1.*'A'"):
+            maximize(skewed)
 
     def test_no_variables_rejected(self):
         theta = Sequence(words=((), ()))
