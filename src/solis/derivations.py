@@ -8,7 +8,9 @@ the default path exploits the fact that choices in different steps are
 independent, so the sum factors into one term per step, each computable by
 a quadratic dynamic program without materializing any derivation.  That
 program runs on the step lattice of the lattice module, compiled once per
-trace and weighting.
+trace and weighting.  The same independence groups the derivations by
+production-count multiset one step at a time (count_multisets), again
+without materializing any derivation.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -61,31 +63,87 @@ def enumerate_derivations(
     CapExceeded if the derivation count exceeds cap; the count carried by
     CapExceeded is a lower bound when a single step already overflows.
     """
-    if cap < 1:
-        raise ValueError("cap must be a positive integer")
-    index = _successor_sets(system.productions)
-    per_step: list[list[StepAssignment]] = []
-    truncated = False
-    for number, (x, y) in enumerate(theta.steps(), start=1):
-        assignments, cut = _step_assignments(index, x, y, limit=cap)
-        if not assignments:
-            raise IncompatibleSequence(
-                f"step {number} has no valid assignment under the given system",
-                step=number,
-            )
-        truncated = truncated or cut
-        per_step.append(assignments)
-    total = 1
-    for assignments in per_step:
-        total *= len(assignments)
-    if total > cap:
-        qualifier = "at least " if truncated else ""
-        raise CapExceeded(
-            f"derivation space holds {qualifier}{total} derivations, cap is {cap}",
-            count=total,
-            cap=cap,
-        )
+    per_step = _per_step_assignments(system, theta, cap)
     return (Derivation(steps=combo) for combo in product(*per_step))
+
+
+@dataclass(frozen=True, eq=False)
+class MultisetTable:
+    """The distinct production-count multisets of a trace's derivations.
+
+    Row i of `rows` lists the productions (indices into the system's
+    productions) that the derivations of one multiset apply, sorted, one
+    column per rewritten position.  Rows are in the order of their earliest
+    derivation in enumerate_derivations order; `first[i]` holds that
+    derivation's assignment index in each step and `multiplicity[i]` the
+    number of derivations with multiset i.
+    """
+
+    steps: tuple[tuple[StepAssignment, ...], ...]
+    rows: np.ndarray
+    first: np.ndarray
+    multiplicity: np.ndarray
+
+    def counts(self, i: int) -> tuple[tuple[int, int], ...]:
+        """(production index, count) for each production of multiset i."""
+        return tuple((k, len(list(run))) for k, run in groupby(self.rows[i].tolist()))
+
+    def derivation(self, i: int) -> Derivation:
+        """The earliest derivation with multiset i."""
+        return Derivation(
+            steps=tuple(step[k] for step, k in zip(self.steps, self.first[i].tolist()))
+        )
+
+
+def count_multisets(
+    system: Partial0LSystem,
+    theta: Sequence,
+    cap: int = DEFAULT_DERIVATION_CAP,
+) -> MultisetTable:
+    """Group the derivations of enumerate_derivations by count multiset.
+
+    Steps are independent and a derivation's multiset is the sum of its
+    steps' multisets, so the table is built one step at a time: every
+    distinct multiset so far is paired with every distinct multiset of the
+    next step, and the pairs are deduplicated.  No derivation is
+    materialized.  Raises as enumerate_derivations does.
+    """
+    per_step = _per_step_assignments(system, theta, cap)
+    index = {(p.predecessor, p.successor): i for i, p in enumerate(system.productions)}
+    dtype = np.min_scalar_type(max(len(index) - 1, 0))
+    # derivation counts are exact: int64 while their total fits, else Python ints
+    fits = math.prod(len(assignments) for assignments in per_step) <= np.iinfo(np.int64).max
+    count_dtype = np.int64 if fits else object
+    rows = np.zeros((1, 0), dtype=dtype)
+    first = np.zeros((1, 0), dtype=np.int64)
+    multiplicity = np.ones(1, dtype=count_dtype)
+    for assignments in per_step:
+        width = len(assignments[0].source)
+        encoded = np.array(
+            [sorted(index[a, z] for a, z in zip(s.source, s.parts)) for s in assignments],
+            dtype=dtype,
+        ).reshape(len(assignments), width)
+        step_first, step_inverse = _first_unique(encoded)
+        step_rows = encoded[step_first]
+        step_multiplicity = np.bincount(step_inverse).astype(count_dtype)
+        # pairs run in enumeration order of (running row's earliest prefix,
+        # step row's earliest assignment), so a multiset's first pair extends
+        # its earliest prefix by its earliest assignment
+        left = np.repeat(np.arange(len(rows)), len(step_rows))
+        right = np.tile(np.arange(len(step_rows)), len(rows))
+        pairs = np.sort(np.concatenate([rows[left], step_rows[right]], axis=1), axis=1)
+        keep, inverse = _first_unique(pairs)
+        rows = pairs[keep]
+        first = np.column_stack([first[left[keep]], step_first[right[keep]]])
+        merged = np.zeros(len(keep), dtype=count_dtype)
+        np.add.at(merged, inverse, multiplicity[left] * step_multiplicity[right])
+        multiplicity = merged
+    return MultisetTable(
+        steps=tuple(tuple(assignments) for assignments in per_step),
+        rows=rows,
+        first=first,
+        multiplicity=multiplicity,
+    )
 
 
 def count_productions(d: Derivation) -> ProductionCounts:
@@ -216,6 +274,50 @@ def _weighted_lattice(
             support.append(production)
     weights = np.array([[prob[p] for p in support]], dtype=float)
     return compile_lattice(theta, support), weights
+
+
+def _per_step_assignments(
+    system: Partial0LSystem, theta: Sequence, cap: int
+) -> list[list[StepAssignment]]:
+    """Each step's valid assignments, with the checks of enumerate_derivations."""
+    if cap < 1:
+        raise ValueError("cap must be a positive integer")
+    index = _successor_sets(system.productions)
+    per_step: list[list[StepAssignment]] = []
+    truncated = False
+    for number, (x, y) in enumerate(theta.steps(), start=1):
+        assignments, cut = _step_assignments(index, x, y, limit=cap)
+        if not assignments:
+            raise IncompatibleSequence(
+                f"step {number} has no valid assignment under the given system",
+                step=number,
+            )
+        truncated = truncated or cut
+        per_step.append(assignments)
+    total = 1
+    for assignments in per_step:
+        total *= len(assignments)
+    if total > cap:
+        qualifier = "at least " if truncated else ""
+        raise CapExceeded(
+            f"derivation space holds {qualifier}{total} derivations, cap is {cap}",
+            count=total,
+            cap=cap,
+        )
+    return per_step
+
+
+def _first_unique(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index of each distinct row, in order of first occurrence, and
+    each row's position in that order."""
+    if rows.shape[1] == 0:
+        return np.zeros(1, dtype=np.int64), np.zeros(len(rows), dtype=np.int64)
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    _, index, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(index)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return index[order], rank[inverse]
 
 
 def _successor_sets(

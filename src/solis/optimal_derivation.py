@@ -4,9 +4,10 @@ For a fixed derivation, the best probability assignment is a closed-form
 maximization of a product of powers over weighted simplices, one simplex per
 predecessor.  Plugging the production counts of the derivation in gives an
 upper bound on its probability under any system, attained by setting each
-production's probability to count / occurrences.  The search for the best
-derivation is then a discrete argmax of that bound over the free system's
-derivation stream.
+production's probability to count / occurrences.  The bound depends on the
+derivation only through its count multiset, and a derivation's multiset is
+the sum of its steps' multisets, so the best derivation is found by scoring
+the distinct multisets, built step by step, instead of every derivation.
 """
 
 from __future__ import annotations
@@ -15,12 +16,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .derivations import (
     DEFAULT_DERIVATION_CAP,
     Derivation,
     ProductionCounts,
+    count_multisets,
     count_productions,
-    enumerate_derivations,
 )
 from .free_system import build_free_system
 from .model import (
@@ -97,31 +100,24 @@ def best_derivation(
 ) -> tuple[Derivation, S0LSystem, LogLinear]:
     """The derivation of theta with the highest achievable probability.
 
-    Enumerates the free system's derivations, scores each by the exact
-    integer numerator of derivation_bound (the denominator is shared), and
-    keeps the first maximum.  Derivations with identical production counts
-    have identical bounds, so repeated count multisets are skipped.  The
-    returned system puts probability count / occurrences on each used
-    production, which attains the bound.
+    Scores every distinct count multiset of the free system's derivations
+    (see count_multisets) by the numerator of derivation_bound, whose
+    denominator is shared: first in floating point as sum(count * log count),
+    then, for the multisets within a relative 1e-9 of the top score, as the
+    exact integer prod(count^count).  Among the exact maxima, the one whose
+    earliest derivation comes first in enumerate_derivations order wins, and
+    that derivation is returned.  The returned system puts probability
+    count / occurrences on each used production, which attains the bound.
     """
     free = build_free_system(theta)
     occurrences = occurrence_counts(theta)
-    best: Derivation | None = None
-    best_counts: ProductionCounts | None = None
-    best_score = -1
-    seen: set[frozenset] = set()
-    for derivation in enumerate_derivations(free, theta, cap):
-        counts = count_productions(derivation)
-        key = frozenset(counts.items())
-        if key in seen:
-            continue
-        seen.add(key)
-        score = 1
-        for count in counts.values():
-            score *= count**count
-        if score > best_score:
-            best, best_counts, best_score = derivation, counts, score
-    assert best is not None and best_counts is not None
+    table = count_multisets(free, theta, cap)
+    scores = _log_numerators(table.rows)
+    near_top = np.flatnonzero(scores >= scores.max() * (1.0 - 1e-9)).tolist()
+    # max keeps the first of equal numerators, i.e. the earliest derivation
+    best = max(near_top, key=lambda i: math.prod(c**c for _, c in table.counts(i)))
+    derivation = table.derivation(best)
+    best_counts = count_productions(derivation)
     prob = {
         production: count / occurrences[production.predecessor]
         for production, count in best_counts.items()
@@ -132,4 +128,20 @@ def best_derivation(
         productions=tuple(best_counts),
     )
     system = S0LSystem(base=base, prob=prob)
-    return best, system, derivation_bound(theta, best_counts)
+    return derivation, system, derivation_bound(theta, best_counts)
+
+
+def _log_numerators(rows: np.ndarray) -> np.ndarray:
+    """sum(c * log c) over the run lengths c of each sorted row.
+
+    A position k places into its run contributes k log k - (k-1) log(k-1),
+    so that each run of length c contributes c log c.
+    """
+    n, width = rows.shape
+    position = np.arange(width)
+    starts = np.ones((n, width), dtype=bool)
+    starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    run_start = np.maximum.accumulate(np.where(starts, position, 0), axis=1)
+    k = np.arange(width + 1, dtype=float)
+    increments = np.diff(k * np.log(np.maximum(k, 1.0)))
+    return increments[position - run_start].sum(axis=1)

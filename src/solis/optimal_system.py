@@ -35,7 +35,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .derivations import count_productions, enumerate_derivations, sequence_probability
+from .derivations import count_multisets, sequence_probability
 from .errors import CapExceeded
 from .free_system import build_free_system
 from .lattice import StepLattice, compile_lattice
@@ -126,9 +126,11 @@ class RestartTrace:
 def build_objective(theta: Sequence, cap: int = DEFAULT_EXPANSION_CAP) -> PosynomialObjective:
     """Objective for theta over its free system's productions.
 
-    Monomials are grouped derivation counts; grouping is attempted only when
-    the derivation space fits under cap (pass cap=0 to skip expansion, e.g.
-    when only the factored form is needed).  The factored form never fails.
+    Monomials are derivation count multisets, each with the number of
+    derivations that share it as coefficient, in ascending order of their
+    exponent lists; they are listed only when the derivation space fits under
+    cap (pass cap=0 to skip expansion, e.g. when only the factored form is
+    needed).  The factored form never fails.
     """
     free = build_free_system(theta)
     blocks: dict[Symbol, list[Production]] = {}
@@ -136,17 +138,18 @@ def build_objective(theta: Sequence, cap: int = DEFAULT_EXPANSION_CAP) -> Posyno
         blocks.setdefault(production.predecessor, []).append(production)
     monomials: tuple[Monomial, ...] | None = None
     if cap > 0:
-        grouped: dict[tuple[tuple[Production, int], ...], int] = {}
         try:
-            for derivation in enumerate_derivations(free, theta, cap):
-                key = tuple(sorted(count_productions(derivation).items()))
-                grouped[key] = grouped.get(key, 0) + 1
+            table = count_multisets(free, theta, cap)
         except CapExceeded:
             monomials = None
         else:
+            grouped = sorted(
+                (table.counts(i), coefficient)
+                for i, coefficient in enumerate(table.multiplicity.tolist())
+            )
             monomials = tuple(
-                Monomial(coefficient, exponents)
-                for exponents, coefficient in sorted(grouped.items())
+                Monomial(coefficient, tuple((free.productions[k], c) for k, c in counts))
+                for counts, coefficient in grouped
             )
     return PosynomialObjective(
         theta=theta,

@@ -6,10 +6,32 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from solis import Partial0LSystem, Production, S0LSystem, Sequence, build_free_system
 
 DATA = Path(__file__).parent / "data"
+
+
+def _derivable(words: list[tuple[str, ...]]) -> bool:
+    return not any(not x and y for x, y in zip(words, words[1:]))
+
+
+#: traces of 2-4 words of at most 3 symbols over A (many tied derivations),
+#: AB or ABC; empty words never precede nonempty ones, and all-empty traces
+#: are included
+SMALL_TRACES = (
+    st.sampled_from(["A", "AB", "ABC"])
+    .flatmap(
+        lambda alphabet: st.lists(
+            st.lists(st.sampled_from(alphabet), max_size=3).map(tuple),
+            min_size=2,
+            max_size=4,
+        )
+    )
+    .filter(_derivable)
+    .map(lambda words: Sequence(tuple(words)))
+)
 
 
 def word(text: str) -> tuple[str, ...]:

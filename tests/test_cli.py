@@ -138,6 +138,18 @@ class TestInferDerivation:
         assert "rule: A -> <eps> p=0.666666666667" in out
         assert "rule: A -> ABABAC p=0.333333333333" in out
 
+    def test_recorded_output_of_a_large_derivation_space(self, capsys):
+        """173,264 derivations in 59,575 count multisets; the recorded stdout
+        was written by the search that scored every derivation in turn."""
+        trace = DATA / "enum-seed0.seq"
+        code, out, _ = run(capsys, "infer-derivation", str(trace))
+        assert code == 0
+        lines = out.split("\n")
+        recorded = (DATA / "enum-seed0.infer-derivation.out").read_text().split("\n")
+        assert lines[1].startswith(f"input: {trace} sha256=")
+        assert lines[1] == recorded[1].replace("tests/data/enum-seed0.seq", str(trace))
+        assert lines[:1] + lines[2:] == recorded[:1] + recorded[2:]
+
 
 class TestInferSystem:
     def test_two_word_example(self, capsys):

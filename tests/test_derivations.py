@@ -6,11 +6,13 @@ gradient must agree with central finite differences of the factored form.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
-from conftest import make_system, random_sequence, random_system_for, word
+from conftest import SMALL_TRACES, make_system, random_sequence, random_system_for, word
 from solis import (
     CapExceeded,
     Derivation,
@@ -28,6 +30,7 @@ from solis import (
     step_gradients,
     step_values,
 )
+from solis.derivations import count_multisets
 
 
 class TestEnumeration:
@@ -103,6 +106,28 @@ class TestEnumeration:
                     key = production.predecessor
                     by_symbol[key] = by_symbol.get(key, 0) + count
                 assert by_symbol == {s: c for s, c in occurrences.items() if c}
+
+
+@settings(max_examples=80, deadline=None)
+@given(SMALL_TRACES)
+@example(Sequence(((), ())))
+@example(Sequence(((), (), ())))
+def test_multiset_table_groups_the_enumeration(theta):
+    """Rows come in order of their earliest derivation, which each row keeps,
+    together with the number of derivations that share its multiset."""
+    free = build_free_system(theta)
+    earliest: dict = {}
+    multiplicity: Counter = Counter()
+    for d in enumerate_derivations(free, theta):
+        key = tuple(sorted(count_productions(d).items()))
+        earliest.setdefault(key, d)
+        multiplicity[key] += 1
+    table = count_multisets(free, theta)
+    assert len(table.rows) == len(earliest)
+    for i, (key, d) in enumerate(earliest.items()):
+        assert tuple((free.productions[k], c) for k, c in table.counts(i)) == key
+        assert table.derivation(i) == d
+        assert table.multiplicity[i] == multiplicity[key]
 
 
 class TestDerivationProbability:

@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
-from conftest import random_sequence, random_system_for
+from conftest import SMALL_TRACES, random_sequence, random_system_for
 from solis import (
     CapExceeded,
     Production,
@@ -230,6 +231,30 @@ class TestBestDerivation:
             derivation, system, value = best_derivation(theta)
             attained = derivation_probability(system, derivation)
             assert attained == pytest.approx(value.linear, abs=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(SMALL_TRACES)
+    @example(Sequence(((), ())))
+    @example(Sequence(((), (), ())))
+    @example(Sequence.from_strings("ABBC", "BCBA", "B"))
+    def test_first_exact_maximum_wins(self, theta):
+        """The winner is the first derivation in enumeration order whose exact
+        bound is maximal.  On ABBC, BCBA, B the tied maxima (counts 2, 2, 3 in
+        different orders) differ by one ulp in floating point, and a later one
+        scores higher there."""
+        free = build_free_system(theta)
+        expected, expected_bound = None, None
+        for d in enumerate_derivations(free, theta):
+            bound = fraction_bound(theta, count_productions(d))
+            if expected is None or bound > expected_bound:
+                expected, expected_bound = d, bound
+        derivation, system, value = best_derivation(theta)
+        assert derivation == expected
+        assert value.linear == float(expected_bound)
+        assert system.prob == {
+            p: c / occurrence_counts(theta)[p.predecessor]
+            for p, c in count_productions(expected).items()
+        }
 
     def test_cap_propagates(self, theta2):
         with pytest.raises(CapExceeded):

@@ -10,15 +10,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import make_system, random_sequence
+from conftest import SMALL_TRACES, make_system, random_sequence
 from solis import optimal_system
 from solis import (
+    Monomial,
     Production,
     Sequence,
     SolverConfig,
     assemble_system,
+    build_free_system,
     build_objective,
+    count_productions,
+    enumerate_derivations,
     evaluate_monomials,
     evaluate_objective,
     infer_optimal_system,
@@ -120,6 +125,28 @@ class TestObjective:
         obj = build_objective(theta2)
         x = {p: g2.prob[p] for p in obj.variables if p in g2.prob}
         assert evaluate_objective(obj, x) == pytest.approx(2 / 9, abs=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(SMALL_TRACES)
+    def test_monomials_group_the_enumeration(self, theta):
+        grouped: dict = {}
+        free = build_free_system(theta)
+        for derivation in enumerate_derivations(free, theta):
+            key = tuple(sorted(count_productions(derivation).items()))
+            grouped[key] = grouped.get(key, 0) + 1
+        expected = tuple(
+            Monomial(coefficient, exponents) for exponents, coefficient in sorted(grouped.items())
+        )
+        assert build_objective(theta).monomials == expected
+
+    def test_coefficients_stay_exact_past_int64(self):
+        """Each step of AA => AA applies {A -> <eps>, A -> AA} two ways or
+        {A -> A, A -> A} one way, so the monomial with k steps of the first
+        kind has coefficient C(45, k) 2^k, up to about 3.7e20."""
+        theta = Sequence.from_strings(*["AA"] * 46)
+        obj = build_objective(theta, cap=10**30)
+        coefficients = sorted(m.coefficient for m in obj.monomials)
+        assert coefficients == sorted(math.comb(45, k) * 2**k for k in range(46))
 
     def test_small_cap_skips_expansion(self, theta2):
         obj = build_objective(theta2, cap=3)
