@@ -9,11 +9,18 @@ every step runs in the same pass: the kernel makes max_j |w_j| sequential
 row passes, not sum_j |w_j|.  A step with fewer positions than the current
 row carries its end column forward along a pass-through edge of weight 1.
 
-Forward, backward and expected counts are gathers and np.bincount scatters
-over an (R, V) weight matrix, one row per weighting, so the solver's R
-restarts advance in the same pass.  Within every sum the terms arrive in the
-order of the textbook recurrences (rows ascending, then successor length,
-then column), so the results do not depend on how many rows are batched.
+Forward, backward and expected counts are gathers, multiplies and
+np.bincount scatters over an (R, V) weight matrix, one row per weighting, so
+the solver's R restarts advance in the same pass.  Every array a pass makes
+is laid out (R, ...), and a scatter is one np.bincount per restart over a
+stored slice of the edge arrays, so no flat index is built per call.  The
+forward pass keeps the table entries it gathers at each edge's src column,
+and the backward pass multiplies them by those it gathers at the edge's dst
+column: the product is the edge's share of its step sum, and one scatter of
+these shares gives the partial derivatives.  Within every sum the terms
+arrive in the order of the textbook recurrences (rows ascending, then
+successor length, then column), so the results do not depend on how many
+rows are batched.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import numpy as np
 
 from .model import Production, Sequence, Symbol, Word
 
-#: edge index arrays are stored narrow: they are the bulk of a lattice's memory
+#: index arrays are stored narrow: they are the bulk of a lattice's memory
 _INDEX = np.int32
 
 
@@ -45,7 +52,6 @@ class StepLattice:
     starts: np.ndarray
     ends: np.ndarray
     bounds: tuple[int, ...]
-    row: np.ndarray
     src: np.ndarray
     dst: np.ndarray
     var: np.ndarray
@@ -53,19 +59,18 @@ class StepLattice:
     pair_step: np.ndarray
     pair_var: np.ndarray
 
-    @property
-    def rows(self) -> int:
-        return len(self.bounds) - 1
-
     def values(self, weights: np.ndarray) -> np.ndarray:
         """Per-step sums, shape (R, steps), for weights of shape (R, V)."""
-        return self._forward(self._edge_weights(weights))[-1][self.ends].T
+        return self._forward(_with_pass_through(weights))
 
     def slopes(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-step sums and, per (step, variable) pair, the step sum's
         partial derivative in that variable: shapes (R, steps), (R, pairs)."""
-        values, slopes = self._slopes(weights)
-        return values.T, slopes.T
+        padded = _with_pass_through(weights)
+        tails: list[np.ndarray] = []
+        values = self._forward(padded, tails)
+        mass = self._backward(padded, tails)
+        return values, _scatter(self.pair, mass, len(self.pair_var) + 1)[:, :-1]
 
     def expected_counts(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-step sums and x_p * d log p(theta) / d x_p for every variable.
@@ -74,48 +79,55 @@ class StepLattice:
         fires in a derivation drawn in proportion to its weight.  A row with
         a zero step sum gets non-finite counts.
         """
-        values, slopes = self._slopes(weights)
+        values, slopes = self.slopes(weights)
         with np.errstate(divide="ignore", invalid="ignore"):
-            per_step = slopes / values[self.pair_step]
-        return values.T, weights * _scatter(self.pair_var, per_step, len(self.variables)).T
+            per_step = slopes / values[:, self.pair_step]
+        return values, weights * _scatter(self.pair_var, per_step, len(self.variables))
 
-    # Internally every table is laid out (cells, R), so that a gather along
-    # the edges reads whole rows of R weightings at once.
+    # The passes keep every per-row array contiguous (numpy multiplies
+    # strided 2-D slices of an (R, edges) array several times slower), and
+    # each gathers its edge weights from the small (R, V + 1) matrix rather
+    # than keeping an (R, edges) copy: that reads faster at large R and
+    # saves the memory.
 
-    def _slopes(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        edge_weights = self._edge_weights(weights)
-        forward = self._forward(edge_weights)
-        backward = self._backward(edge_weights)
-        del edge_weights  # free (edges, R) floats before allocating more
-        mass = forward[self.row, self.src]
-        mass *= backward[self.row + 1, self.dst]
-        return forward[-1][self.ends], _scatter(self.pair, mass, len(self.pair_var) + 1)[:-1]
+    def _forward(self, padded: np.ndarray, tails: list[np.ndarray] | None = None) -> np.ndarray:
+        """Per-step sums, shape (R, steps).
 
-    def _edge_weights(self, weights: np.ndarray) -> np.ndarray:
-        through = np.ones((1, weights.shape[0]))
-        return np.concatenate((weights.T, through))[self.var]
+        After row i, table[r, c] is the weight of rewriting the first i
+        positions of each step into the prefix of its target that ends at
+        column c.  If tails is given, it receives per row the table entries
+        at the edges' src columns: the weight of everything before each edge.
+        """
+        table = np.zeros((len(padded), self.columns))
+        table[:, self.starts] = 1.0
+        for lo, hi in zip(self.bounds, self.bounds[1:]):
+            tail = table.take(self.src[lo:hi], axis=1)
+            if tails is not None:
+                tails.append(tail)
+            moved = tail * padded.take(self.var[lo:hi], axis=1)
+            table = _scatter(self.dst[lo:hi], moved, self.columns)
+        return table[:, self.ends]
 
-    def _forward(self, edge_weights: np.ndarray) -> np.ndarray:
-        """table[i][c, r]: weight of rewriting the first i positions of each
-        step into the prefix of its target that ends at column c."""
-        table = np.zeros((self.rows + 1, self.columns, edge_weights.shape[1]))
-        table[0][self.starts] = 1.0
-        for i in range(self.rows):
-            lo, hi = self.bounds[i], self.bounds[i + 1]
-            moved = table[i][self.src[lo:hi]] * edge_weights[lo:hi]
-            table[i + 1] = _scatter(self.dst[lo:hi], moved, self.columns)
-        return table
+    def _backward(self, padded: np.ndarray, tails: list[np.ndarray]) -> np.ndarray:
+        """Edge masses, shape (R, edges): each edge's tail, popped from the
+        forward pass's list, times the weight of everything after the edge.
+        A mass is the edge's share of its step sum.
 
-    def _backward(self, edge_weights: np.ndarray) -> np.ndarray:
-        """table[i][c, r]: weight of rewriting positions i.. of each step
-        into the suffix of its target that starts at column c."""
-        table = np.zeros((self.rows + 1, self.columns, edge_weights.shape[1]))
-        table[-1][self.ends] = 1.0
-        for i in range(self.rows - 1, -1, -1):
-            lo, hi = self.bounds[i], self.bounds[i + 1]
-            moved = edge_weights[lo:hi] * table[i + 1][self.dst[lo:hi]]
-            table[i] = _scatter(self.src[lo:hi], moved, self.columns)
-        return table
+        Before row i, table[r, c] is the weight of rewriting positions i+1..
+        of each step into the suffix of its target that starts at column c.
+        """
+        table = np.zeros((len(padded), self.columns))
+        table[:, self.ends] = 1.0
+        mass = np.empty((len(padded), self.bounds[-1]))
+        for lo, hi in reversed(list(zip(self.bounds, self.bounds[1:]))):
+            head = table.take(self.dst[lo:hi], axis=1)
+            tail = tails.pop()
+            tail *= head
+            mass[:, lo:hi] = tail
+            moved = padded.take(self.var[lo:hi], axis=1)
+            moved *= head
+            table = _scatter(self.src[lo:hi], moved, self.columns)
+        return mass
 
 
 def compile_lattice(theta: Sequence, variables: Iterable[Production]) -> StepLattice:
@@ -186,22 +198,28 @@ def compile_lattice(theta: Sequence, variables: Iterable[Production]) -> StepLat
     return StepLattice(
         variables=variables,
         columns=offset,
-        starts=np.array(starts),
-        ends=np.array(ends),
+        starts=np.array(starts, _INDEX),
+        ends=np.array(ends, _INDEX),
         bounds=tuple(np.cumsum([0] + sizes).tolist()),
-        row=np.repeat(np.arange(rows, dtype=_INDEX), sizes),
         src=src,
         dst=src + length,
         var=var,
         pair=pair,
-        pair_step=unique % len(steps),
-        pair_var=unique // len(steps),
+        pair_step=(unique % len(steps)).astype(_INDEX),
+        pair_var=(unique // len(steps)).astype(_INDEX),
     )
 
 
+def _with_pass_through(weights: np.ndarray) -> np.ndarray:
+    """weights with a column of ones appended, the weight of var == V."""
+    return np.concatenate((weights, np.ones((len(weights), 1))), axis=1)
+
+
 def _scatter(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """Bincount per column: out[c, r] is the sum of values[e, r] over the
-    edges e with index[e] == c, added in edge order starting from 0.0."""
-    count = values.shape[1]
-    flat = (index.astype(np.intp)[:, None] * count + np.arange(count)).ravel()
-    return np.bincount(flat, values.ravel(), minlength=size * count).reshape(size, count)
+    """Bincount per row: out[r, c] is the sum of values[r, e] over the edges
+    e with index[e] == c, added in edge order starting from 0.0."""
+    out = np.empty((values.shape[0], size))
+    index = index.astype(np.intp)  # once, not once per np.bincount call
+    for r, row in enumerate(values):
+        out[r] = np.bincount(index, row, minlength=size)
+    return out

@@ -173,6 +173,21 @@ class TestInferSystem:
         )
         assert first == second
 
+    def test_recorded_output_of_a_long_trace(self, capsys):
+        """120 steps of ten symbols; the recorded stdout was written by the
+        kernel that scattered all restarts with one flat np.bincount."""
+        trace = DATA / "long-seed0.seq"
+        code, out, _ = run(
+            capsys, "infer-system", str(trace), "--restarts", "2", "--max-iters", "20",
+            "--seed", "0",
+        )
+        assert code == 0
+        lines = out.split("\n")
+        recorded = (DATA / "long-seed0.infer-system.out").read_text().split("\n")
+        assert lines[1].startswith(f"input: {trace} sha256=")
+        assert lines[1] == recorded[1].replace("tests/data/long-seed0.seq", str(trace))
+        assert lines[:1] + lines[2:] == recorded[:1] + recorded[2:]
+
     def test_show_objective(self, capsys):
         code, out, _ = run(
             capsys, "infer-system", str(DATA / "aa-aba.seq"), "--show-objective"

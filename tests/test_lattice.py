@@ -39,16 +39,28 @@ def test_step_values_match_enumeration(theta, seed):
 
 
 @PROPERTY
-@given(TRACES, SEEDS, st.integers(1, 4))
+@given(TRACES, SEEDS, st.integers(1, 5))
 def test_batched_counts_equal_single_rows(theta, seed, rows):
+    """Every entry point gives each row of a batch exactly what that row
+    gets alone."""
     free = build_free_system(theta)
     lattice = compile_lattice(theta, free.productions)
     weights = np.random.default_rng(seed).exponential(size=(rows, len(free.productions)))
-    values, counts = lattice.expected_counts(weights)
-    for r in range(rows):
-        single_values, single_counts = lattice.expected_counts(weights[r : r + 1])
-        assert np.array_equal(values[r], single_values[0])
-        assert np.array_equal(counts[r], single_counts[0])
+    for entry in (lambda w: (lattice.values(w),), lattice.slopes, lattice.expected_counts):
+        batched = entry(weights)
+        for r in range(rows):
+            for whole, alone in zip(batched, entry(weights[r : r + 1])):
+                assert np.array_equal(whole[r], alone[0])
+
+
+def test_index_arrays_are_int32():
+    """Four int32 arrays per edge (16 bytes), two per step and two per pair."""
+    theta = Sequence.from_strings("AB", "ABBA", "BAABAB")
+    lattice = compile_lattice(theta, build_free_system(theta).productions)
+    arrays = [v for v in vars(lattice).values() if isinstance(v, np.ndarray)]
+    assert {a.dtype for a in arrays} == {np.dtype(np.int32)}
+    edges, steps, pairs = lattice.src.size, theta.step_count, lattice.pair_var.size
+    assert sum(a.nbytes for a in arrays) == 4 * (4 * edges + 2 * steps + 2 * pairs)
 
 
 @PROPERTY
