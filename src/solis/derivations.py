@@ -10,7 +10,9 @@ a quadratic dynamic program without materializing any derivation.  That
 program runs on the step lattice of the lattice module, compiled once per
 trace and weighting.  The same independence groups the derivations by
 production-count multiset one step at a time (count_multisets), again
-without materializing any derivation.
+without materializing any derivation.  A step's assignments are paths
+through its rows of that lattice, so one pass over its edges counts them,
+merges them into their distinct multisets or lists them in order.
 """
 
 from __future__ import annotations
@@ -19,14 +21,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby, product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .compositions import StepAssignment
 from .errors import CapExceeded, IncompatibleSequence
 from .lattice import StepLattice, compile_lattice
-from .model import LogLinear, Partial0LSystem, Production, S0LSystem, Sequence, Symbol, Word
+from .model import LogLinear, Partial0LSystem, Production, S0LSystem, Sequence, Word
 
 #: refuse to stream a derivation space larger than this unless told otherwise
 DEFAULT_DERIVATION_CAP = 10**7
@@ -60,10 +62,14 @@ def enumerate_derivations(
     earlier steps most significant, each step in the enumeration order of
     enumerate_step_assignments.  Raises IncompatibleSequence if some step
     admits no valid assignment (1-based step index in the error) and
-    CapExceeded if the derivation count exceeds cap; the count carried by
-    CapExceeded is a lower bound when a single step already overflows.
+    CapExceeded if the derivation count exceeds cap; a step with more than
+    cap + 1 assignments counts as cap + 1, and the count carried by
+    CapExceeded is then a lower bound ("at least" in the message).  Both
+    checks run on counts taken from the step lattice, before any
+    assignment is listed.
     """
-    per_step = _per_step_assignments(system, theta, cap)
+    steps, _ = _assignment_rows(system, theta, cap, merge=False)
+    per_step = [_assignments(x, y, cuts) for (x, y), (cuts, _, _) in zip(theta.steps(), steps)]
     return (Derivation(steps=combo) for combo in product(*per_step))
 
 
@@ -74,12 +80,13 @@ class MultisetTable:
     Row i of `rows` lists the productions (indices into the system's
     productions) that the derivations of one multiset apply, sorted, one
     column per rewritten position.  Rows are in the order of their earliest
-    derivation in enumerate_derivations order; `first[i]` holds that
-    derivation's assignment index in each step and `multiplicity[i]` the
-    number of derivations with multiset i.
+    derivation in enumerate_derivations order, and `multiplicity[i]` is the
+    number of derivations with multiset i.  That earliest derivation takes,
+    in step j, the assignment whose parts end at `cuts[j][first[i, j]]`.
     """
 
-    steps: tuple[tuple[StepAssignment, ...], ...]
+    words: tuple[tuple[Word, Word], ...]
+    cuts: tuple[np.ndarray, ...]
     rows: np.ndarray
     first: np.ndarray
     multiplicity: np.ndarray
@@ -91,7 +98,10 @@ class MultisetTable:
     def derivation(self, i: int) -> Derivation:
         """The earliest derivation with multiset i."""
         return Derivation(
-            steps=tuple(step[k] for step, k in zip(self.steps, self.first[i].tolist()))
+            steps=tuple(
+                _assignments(x, y, cuts[k : k + 1])[0]
+                for (x, y), cuts, k in zip(self.words, self.cuts, self.first[i].tolist())
+            )
         )
 
 
@@ -105,27 +115,18 @@ def count_multisets(
     Steps are independent and a derivation's multiset is the sum of its
     steps' multisets, so the table is built one step at a time: every
     distinct multiset so far is paired with every distinct multiset of the
-    next step, and the pairs are deduplicated.  No derivation is
-    materialized.  Raises as enumerate_derivations does.
+    next step, and the pairs are deduplicated.  Each step's distinct
+    multisets come from one pass over the step lattice; no derivation, and
+    no assignment beyond each multiset's earliest, is materialized.  Raises
+    as enumerate_derivations does.
     """
-    per_step = _per_step_assignments(system, theta, cap)
-    index = {(p.predecessor, p.successor): i for i, p in enumerate(system.productions)}
-    dtype = np.min_scalar_type(max(len(index) - 1, 0))
+    steps, counts = _assignment_rows(system, theta, cap, merge=True)
     # derivation counts are exact: int64 while their total fits, else Python ints
-    fits = math.prod(len(assignments) for assignments in per_step) <= np.iinfo(np.int64).max
-    count_dtype = np.int64 if fits else object
-    rows = np.zeros((1, 0), dtype=dtype)
+    count_dtype = np.int64 if math.prod(counts) <= np.iinfo(np.int64).max else object
+    rows = np.zeros((1, 0), dtype=steps[0][1].dtype)
     first = np.zeros((1, 0), dtype=np.int64)
     multiplicity = np.ones(1, dtype=count_dtype)
-    for assignments in per_step:
-        width = len(assignments[0].source)
-        encoded = np.array(
-            [sorted(index[a, z] for a, z in zip(s.source, s.parts)) for s in assignments],
-            dtype=dtype,
-        ).reshape(len(assignments), width)
-        step_first, step_inverse = _first_unique(encoded)
-        step_rows = encoded[step_first]
-        step_multiplicity = np.bincount(step_inverse).astype(count_dtype)
+    for _, step_rows, step_multiplicity in steps:
         # pairs run in enumeration order of (running row's earliest prefix,
         # step row's earliest assignment), so a multiset's first pair extends
         # its earliest prefix by its earliest assignment
@@ -134,12 +135,14 @@ def count_multisets(
         pairs = np.sort(np.concatenate([rows[left], step_rows[right]], axis=1), axis=1)
         keep, inverse = _first_unique(pairs)
         rows = pairs[keep]
-        first = np.column_stack([first[left[keep]], step_first[right[keep]]])
+        first = np.column_stack([first[left[keep]], right[keep]])
         merged = np.zeros(len(keep), dtype=count_dtype)
-        np.add.at(merged, inverse, multiplicity[left] * step_multiplicity[right])
+        shares = multiplicity[left] * step_multiplicity.astype(count_dtype)[right]
+        np.add.at(merged, inverse, shares)
         multiplicity = merged
     return MultisetTable(
-        steps=tuple(tuple(assignments) for assignments in per_step),
+        words=tuple(theta.steps()),
+        cuts=tuple(cuts for cuts, _, _ in steps),
         rows=rows,
         first=first,
         multiplicity=multiplicity,
@@ -276,35 +279,120 @@ def _weighted_lattice(
     return compile_lattice(theta, support), weights
 
 
-def _per_step_assignments(
-    system: Partial0LSystem, theta: Sequence, cap: int
-) -> list[list[StepAssignment]]:
-    """Each step's valid assignments, with the checks of enumerate_derivations."""
+def _assignment_rows(
+    system: Partial0LSystem, theta: Sequence, cap: int, merge: bool
+) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], list[int]]:
+    """Each step's assignments in cut-lexicographic order, read off the step
+    lattice of theta over the system's productions, and their counts.
+
+    Per step come (cuts, rows, multiplicity).  Row k of cuts holds, per
+    position of the step's source, the end of that position's part in the
+    target: an assignment, or with merge the earliest assignment of the
+    multiset in row k of rows (sorted production indices), which
+    multiplicity[k] assignments share.
+
+    First a backward pass with unit weights counts every step's assignments,
+    saturating at cap + 2, and marks the columns from which each row can
+    still finish its step.  The checks of enumerate_derivations run on
+    these counts, before anything is listed.  Then a forward pass extends
+    every live state (column, cut path, sorted production prefix) by the
+    row's edges out of its column, shortest successor first, so states stay
+    in cut-lexicographic order.  With merge, states that share (column,
+    prefix) collapse into the first, which holds the earliest cut path;
+    every completion of a later one is matched by an earlier completion of
+    the first, so each final row keeps its earliest assignment.
+    """
     if cap < 1:
         raise ValueError("cap must be a positive integer")
-    index = _successor_sets(system.productions)
-    per_step: list[list[StepAssignment]] = []
-    truncated = False
-    for number, (x, y) in enumerate(theta.steps(), start=1):
-        assignments, cut = _step_assignments(index, x, y, limit=cap)
-        if not assignments:
+    lattice = compile_lattice(theta, system.productions)
+    spans = list(zip(lattice.bounds, lattice.bounds[1:]))
+    # a step with more than cap + 1 assignments reports cap + 1 of them, as
+    # many as listing until the cap is passed finds
+    limit = cap + 2
+    widest = max((hi - lo for lo, hi in spans), default=0)
+    dtype = np.int64 if limit * max(widest, 1) < 2**63 else object
+    table = np.zeros(lattice.columns, dtype)
+    table[lattice.ends] = 1
+    live = [table > 0]
+    for lo, hi in reversed(spans):
+        finishing = np.zeros(lattice.columns, dtype)
+        np.add.at(finishing, lattice.src[lo:hi], table[lattice.dst[lo:hi]])
+        table = np.minimum(finishing, limit)
+        live.append(table > 0)
+    live.reverse()
+    counts = table[lattice.starts].tolist()
+    for number, count in enumerate(counts, start=1):
+        if count == 0:
             raise IncompatibleSequence(
                 f"step {number} has no valid assignment under the given system",
                 step=number,
             )
-        truncated = truncated or cut
-        per_step.append(assignments)
-    total = 1
-    for assignments in per_step:
-        total *= len(assignments)
+    total = math.prod(min(count, cap + 1) for count in counts)
     if total > cap:
-        qualifier = "at least " if truncated else ""
+        qualifier = "at least " if max(counts) == limit else ""
         raise CapExceeded(
             f"derivation space holds {qualifier}{total} derivations, cap is {cap}",
             count=total,
             cap=cap,
         )
-    return per_step
+
+    # one state per step to start with; children follow their parents, so
+    # states stay grouped by step
+    column = lattice.starts.astype(np.int64)
+    cuts = np.zeros((len(column), 0), np.int32)
+    prefix = np.zeros((len(column), 0), np.min_scalar_type(len(lattice.variables)))
+    multiplicity = np.ones(len(column), dtype)
+    key = np.promote_types(np.min_scalar_type(lattice.columns), prefix.dtype)
+    for (lo, hi), finishes in zip(spans, live[1:]):
+        src, dst = lattice.src[lo:hi], lattice.dst[lo:hi]
+        by_src = np.argsort(src, kind="stable")  # keeps successor length ascending
+        degree = np.bincount(src, minlength=lattice.columns)
+        first = np.cumsum(degree) - degree  # each column's first edge in by_src
+        out = degree[column]
+        parent = np.repeat(np.arange(len(column)), out)
+        # the k-th edge out of each state's column, k = 0 .. out - 1
+        shift = np.repeat(first[column] - (np.cumsum(out) - out), out)
+        edge = by_src[shift + np.arange(len(parent))]
+        alive = finishes[dst[edge]]
+        parent, edge = parent[alive], edge[alive]
+        column = dst[edge].astype(np.int64)
+        multiplicity = multiplicity[parent]
+        if merge:
+            prefix = np.sort(np.column_stack((prefix[parent], lattice.var[lo:hi][edge])), axis=1)
+            keep, inverse = _first_unique(np.column_stack((column, prefix)).astype(key))
+            merged = np.zeros(len(keep), dtype)
+            np.add.at(merged, inverse, multiplicity)
+            parent, column, prefix, multiplicity = parent[keep], column[keep], prefix[keep], merged
+        else:
+            prefix = prefix[parent]
+        cuts = np.column_stack((cuts[parent], column.astype(np.int32)))
+    # every state now sits at its step's end column
+    pieces = np.cumsum(np.bincount(np.searchsorted(lattice.ends, column), minlength=len(counts)))
+    steps = [
+        (c[:, : len(x)] - start, r[:, : len(x)], m)
+        for (x, _), start, c, r, m in zip(
+            theta.steps(),
+            lattice.starts.tolist(),
+            np.split(cuts, pieces[:-1]),
+            np.split(prefix, pieces[:-1]),
+            np.split(multiplicity, pieces[:-1]),
+        )
+    ]
+    return steps, counts
+
+
+def _assignments(x: Word, y: Word, cuts: np.ndarray) -> list[StepAssignment]:
+    """The assignments of x => y whose parts end at each row of cuts.
+
+    Equal parts share one tuple, which keeps a long list of assignments
+    small."""
+    shared: dict[tuple[int, int], Word] = {}
+    assignments = []
+    for ends in cuts.tolist():
+        spans = zip([0, *ends], ends)
+        parts = tuple(shared.setdefault(span, y[span[0] : span[1]]) for span in spans)
+        assignments.append(StepAssignment(x, y, parts))
+    return assignments
 
 
 def _first_unique(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -318,52 +406,3 @@ def _first_unique(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     return index[order], rank[inverse]
-
-
-def _successor_sets(
-    productions: Iterable[Production],
-) -> dict[Symbol, list[tuple[int, set[Word]]]]:
-    by_symbol: dict[Symbol, dict[int, set[Word]]] = {}
-    for production in productions:
-        lengths = by_symbol.setdefault(production.predecessor, {})
-        lengths.setdefault(len(production.successor), set()).add(production.successor)
-    return {a: sorted(lengths.items()) for a, lengths in by_symbol.items()}
-
-
-def _step_assignments(
-    index: dict[Symbol, list[tuple[int, set[Word]]]],
-    x: Word,
-    y: Word,
-    limit: int | None = None,
-) -> tuple[list[StepAssignment], bool]:
-    """Valid assignments for one step, in ascending-cut order.
-
-    Successors are tried shortest first at each position, which reproduces
-    the cut-lexicographic order of enumerate_step_assignments when every
-    candidate is allowed.  Collection stops once len exceeds limit; the
-    second return value reports that truncation.
-    """
-    n = len(y)
-    out: list[StepAssignment] = []
-    parts: list[Word] = []
-
-    def walk(i: int, k: int) -> bool:
-        if limit is not None and len(out) > limit:
-            return True
-        if i == len(x):
-            if k == n:
-                out.append(StepAssignment(x, y, tuple(parts)))
-            return False
-        for length, successors in index.get(x[i], ()):
-            if k + length > n:
-                break
-            z = y[k : k + length]
-            if z in successors:
-                parts.append(z)
-                if walk(i + 1, k + length):
-                    return True
-                parts.pop()
-        return False
-
-    cut = walk(0, 0)
-    return out, cut

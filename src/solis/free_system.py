@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from .compositions import candidate_pairs
 from .errors import IncompatibleSequence, IncompatibleStep
+from .lattice import check_edge_count
 from .model import Partial0LSystem, Production, Sequence, Symbol, Word
 
 
@@ -20,8 +21,12 @@ def build_free_system(sequence: Sequence) -> Partial0LSystem:
     Symbols appearing only in the last word get no productions; they never
     need to be rewritten.  Raises IncompatibleSequence if some step is
     impossible, i.e. some w_i is empty while w_{i+1} is not (the step index
-    in the error is 1-based).
+    in the error is 1-based).  Raises CapExceeded, before listing any
+    production, when the step lattice over the free system would pass the
+    lattice module's EDGE_CEILING: such a system takes time and memory
+    cubic in the word lengths to list, and no consumer could compile it.
     """
+    check_edge_count(_lattice_edges(sequence))
     pairs: set[tuple[Symbol, Word]] = set()
     for index, (x, y) in enumerate(sequence.steps(), start=1):
         try:
@@ -35,3 +40,24 @@ def build_free_system(sequence: Sequence) -> Partial0LSystem:
         axiom=sequence.axiom,
         productions=tuple(Production(a, z) for a, z in sorted(pairs)),
     )
+
+
+def _lattice_edges(sequence: Sequence) -> int:
+    """Edges of the step lattice over the free system, from word lengths.
+
+    Each candidate production of a step is one move: a lone position spans
+    y, the first of several moves from column 0 to any column, the last from
+    any column to |y|, and an interior one from any column to any column
+    not before it.  A step with fewer positions than the longest source
+    adds one pass-through edge per missing position.
+    """
+    rows = max(len(x) for x, _ in sequence.steps())
+    edges = 0
+    for x, y in sequence.steps():
+        m, n = len(x), len(y)
+        edges += rows - m
+        if m == 1:
+            edges += 1
+        elif m > 1:
+            edges += 2 * (n + 1) + (m - 2) * (n + 1) * (n + 2) // 2
+    return edges

@@ -30,10 +30,17 @@ from typing import Iterable
 
 import numpy as np
 
+from .errors import CapExceeded
 from .model import Production, Sequence, Symbol, Word
 
 #: index arrays are stored narrow: they are the bulk of a lattice's memory
 _INDEX = np.int32
+
+#: compile_lattice refuses traces with more edges than this.  A lattice
+#: stores 16 bytes of indices per edge, and a pass of the kernel holds
+#: float64 arrays of one entry per edge and restart: at 16 restarts,
+#: 10^7 edges take 160 MB to store and about 2 GB to run.
+EDGE_CEILING = 10**7
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +89,7 @@ class StepLattice:
         values, slopes = self.slopes(weights)
         with np.errstate(divide="ignore", invalid="ignore"):
             per_step = slopes / values[:, self.pair_step]
-        return values, weights * _scatter(self.pair_var, per_step, len(self.variables))
+            return values, weights * _scatter(self.pair_var, per_step, len(self.variables))
 
     # The passes keep every per-row array contiguous (numpy multiplies
     # strided 2-D slices of an (R, edges) array several times slower), and
@@ -134,7 +141,9 @@ def compile_lattice(theta: Sequence, variables: Iterable[Production]) -> StepLat
     """Compile every step of theta over the given productions.
 
     Productions that fit no step simply contribute no edges; a step that no
-    combination of them can perform gets a zero sum.
+    combination of them can perform gets a zero sum.  Raises CapExceeded,
+    before the edge arrays are assembled, when the lattice would hold more
+    than EDGE_CEILING edges.
     """
     variables = tuple(variables)
     by_successor: dict[Word, list[tuple[Symbol, int]]] = {}
@@ -192,6 +201,7 @@ def compile_lattice(theta: Sequence, variables: Iterable[Production]) -> StepLat
         for i in range(len(x), rows):
             per_row[i].append(through)
     sizes = [sum(edges.shape[1] for edges in row) for row in per_row]
+    check_edge_count(sum(sizes))
     length, src, var, pair = np.concatenate(
         [np.zeros((4, 0), _INDEX)] + [edges for row in per_row for edges in row], axis=1
     )
@@ -208,6 +218,16 @@ def compile_lattice(theta: Sequence, variables: Iterable[Production]) -> StepLat
         pair_step=(unique % len(steps)).astype(_INDEX),
         pair_var=(unique // len(steps)).astype(_INDEX),
     )
+
+
+def check_edge_count(edges: int) -> None:
+    """Raise CapExceeded if a lattice of this many edges passes EDGE_CEILING."""
+    if edges > EDGE_CEILING:
+        raise CapExceeded(
+            f"step lattice would hold {edges} edges, ceiling is {EDGE_CEILING}",
+            count=edges,
+            cap=EDGE_CEILING,
+        )
 
 
 def _with_pass_through(weights: np.ndarray) -> np.ndarray:

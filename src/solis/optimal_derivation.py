@@ -7,7 +7,9 @@ upper bound on its probability under any system, attained by setting each
 production's probability to count / occurrences.  The bound depends on the
 derivation only through its count multiset, and a derivation's multiset is
 the sum of its steps' multisets, so the best derivation is found by scoring
-the distinct multisets, built step by step, instead of every derivation.
+the distinct multisets instead of every derivation.  Each step's multisets
+are built on the step lattice, where the step's assignments are paths, and
+combined step by step.
 """
 
 from __future__ import annotations

@@ -1,6 +1,10 @@
 """Command line behavior: outputs, determinism, and exit codes."""
 
 import math
+import time
+
+import numpy as np
+import pytest
 
 import solis.sampler
 from conftest import DATA
@@ -278,6 +282,31 @@ class TestSample:
         )
         assert code == 3
         assert "error: WordLengthExceeded" in err
+
+
+class TestExtremeInput:
+    """Inputs too large to answer exit 3 at once, before anything is listed
+    or allocated."""
+
+    @pytest.mark.parametrize("command", ["infer-derivation", "enumerate"])
+    def test_derivation_space_past_the_cap_exits_3(self, capsys, command):
+        """Words of 3 to 68 symbols; step 3 alone has 1,562,275 assignments."""
+        start = time.perf_counter()
+        code, _, err = run(capsys, command, str(DATA / "found-rng84.seq"))
+        assert time.perf_counter() - start < 5.0
+        assert code == 3
+        assert "error: CapExceeded: derivation space holds at least" in err
+
+    def test_lattice_past_the_edge_ceiling_exits_3(self, capsys, tmp_path):
+        """Two random 1100-symbol words: 666,105,000 edges in the free lattice."""
+        rng = np.random.default_rng(0)
+        trace = tmp_path / "long-words.seq"
+        trace.write_text("".join("".join(rng.choice(list("AB"), 1100)) + "\n" for _ in range(2)))
+        start = time.perf_counter()
+        code, _, err = run(capsys, "infer-system", str(trace))
+        assert time.perf_counter() - start < 5.0
+        assert code == 3
+        assert "error: CapExceeded: step lattice would hold 666105000 edges" in err
 
 
 class TestUsageAndErrors:

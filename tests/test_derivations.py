@@ -7,22 +7,26 @@ gradient must agree with central finite differences of the factored form.
 
 import math
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import SMALL_TRACES, make_system, random_sequence, random_system_for, word
 from solis import (
     CapExceeded,
     Derivation,
     IncompatibleSequence,
+    Partial0LSystem,
     Production,
     Sequence,
     build_free_system,
     count_productions,
     derivation_probability,
     enumerate_derivations,
+    enumerate_step_assignments,
     occurrence_counts,
     probability_gradient,
     sequence_probability,
@@ -86,6 +90,18 @@ class TestEnumeration:
         assert "at least" in str(info.value)
         assert info.value.count > 10
 
+    def test_cap_past_int64_counts_exactly(self):
+        """Counts saturate at cap + 2, which past int64 needs Python ints."""
+        theta = Sequence.from_strings("AAA", "AAAAA", "AAAAAAA")
+        free = build_free_system(theta)
+        expected = list(enumerate_derivations(free, theta))
+        assert list(enumerate_derivations(free, theta, cap=2**80)) == expected
+        wide = Sequence.from_strings("A" * 20, "A" * 200)
+        with pytest.raises(CapExceeded) as info:
+            enumerate_derivations(build_free_system(wide), wide, cap=2**80)
+        assert info.value.count == 2**80 + 1
+        assert "at least" in str(info.value)
+
     def test_derivation_steps_must_chain(self):
         theta = Sequence.from_strings("A", "AA", "AAAA")
         free = build_free_system(theta)
@@ -128,6 +144,35 @@ def test_multiset_table_groups_the_enumeration(theta):
         assert tuple((free.productions[k], c) for k, c in table.counts(i)) == key
         assert table.derivation(i) == d
         assert table.multiplicity[i] == multiplicity[key]
+
+
+@settings(max_examples=120, deadline=None)
+@given(SMALL_TRACES, st.sampled_from([1.0, 0.7, 0.4]), st.integers(0, 2**32 - 1))
+@example(Sequence(((), ())), 1.0, 0)
+@example(Sequence(((), (), ())), 0.4, 0)
+def test_enumeration_is_the_product_of_step_compositions(theta, keep, seed):
+    """An oracle that shares nothing with the lattice: every composition of
+    each step, kept when the system has all of its productions, and the
+    Cartesian product of the steps in order."""
+    free = build_free_system(theta)
+    rng = np.random.default_rng(seed)
+    system = Partial0LSystem(
+        alphabet=free.alphabet,
+        axiom=free.axiom,
+        productions=tuple(p for p in free.productions if rng.random() < keep),
+    )
+    allowed = set(system.productions)
+    per_step = [
+        [a for a in enumerate_step_assignments(x, y) if allowed.issuperset(a.productions())]
+        for x, y in theta.steps()
+    ]
+    if not all(per_step):
+        with pytest.raises(IncompatibleSequence) as info:
+            enumerate_derivations(system, theta)
+        assert info.value.step == 1 + [bool(s) for s in per_step].index(False)
+        return
+    expected = [Derivation(steps=combo) for combo in product(*per_step)]
+    assert list(enumerate_derivations(system, theta)) == expected
 
 
 class TestDerivationProbability:

@@ -6,13 +6,17 @@ polynomials for the gradient.
 """
 
 import math
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_system_for
+import solis.lattice
+from conftest import SMALL_TRACES, random_system_for
 from solis import (
+    CapExceeded,
     Sequence,
     build_free_system,
     enumerate_step_assignments,
@@ -22,6 +26,7 @@ from solis import (
     sequence_probability_naive,
     step_values,
 )
+from solis.free_system import _lattice_edges
 from solis.lattice import compile_lattice
 
 WORDS = st.lists(st.sampled_from("AB"), min_size=1, max_size=4).map(tuple)
@@ -84,3 +89,39 @@ def test_free_system_matches_enumeration(theta):
         for production in assignment.productions()
     }
     assert build_free_system(theta).productions == tuple(sorted(expected))
+
+
+def test_zero_step_sums_give_non_finite_counts_without_warning():
+    theta = Sequence.from_strings("AB", "BA", "AAB")
+    free = build_free_system(theta)
+    weights = np.zeros((1, len(free.productions)))
+    weights[0, 0] = 1.0
+    lattice = compile_lattice(theta, free.productions)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, counts = lattice.expected_counts(weights)
+    assert values.min() == 0.0
+    assert not np.isfinite(counts).any()
+
+
+@settings(max_examples=80, deadline=None)
+@given(SMALL_TRACES)
+def test_free_lattice_size_from_word_lengths(theta):
+    """build_free_system checks the edge ceiling before listing productions,
+    from a closed form in the word lengths; it must be the compiled size."""
+    lattice = compile_lattice(theta, build_free_system(theta).productions)
+    assert _lattice_edges(theta) == lattice.bounds[-1]
+
+
+def test_edge_ceiling_is_checked_before_assembling(monkeypatch):
+    theta = Sequence.from_strings("AB", "ABBA", "BAABAB")
+    variables = build_free_system(theta).productions
+    edges = compile_lattice(theta, variables).bounds[-1]
+    monkeypatch.setattr(solis.lattice, "EDGE_CEILING", edges)
+    compile_lattice(theta, variables)
+    monkeypatch.setattr(solis.lattice, "EDGE_CEILING", edges - 1)
+    with pytest.raises(CapExceeded) as info:
+        compile_lattice(theta, variables)
+    assert (info.value.count, info.value.cap) == (edges, edges - 1)
+    with pytest.raises(CapExceeded):
+        build_free_system(theta)

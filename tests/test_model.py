@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_system, random_sequence, word
 from solis import (
@@ -67,6 +69,23 @@ class TestPartial0LSystem:
             alphabet=frozenset("AB"), axiom=("A",), productions=(p, q, p)
         )
         assert system.productions == (q, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                Production,
+                st.sampled_from("ABC"),
+                st.lists(st.sampled_from("ABC"), max_size=4).map(tuple),
+            ),
+            max_size=30,
+        )
+    )
+    def test_canonical_order_is_the_production_order(self, productions):
+        system = Partial0LSystem(
+            alphabet=frozenset("ABC"), axiom=("A",), productions=tuple(productions)
+        )
+        assert system.productions == tuple(sorted(set(productions)))
 
     def test_productions_for_filters_by_predecessor(self):
         system = Partial0LSystem(
