@@ -33,6 +33,10 @@ from .model import LogLinear, Partial0LSystem, Production, S0LSystem, Sequence, 
 #: refuse to stream a derivation space larger than this unless told otherwise
 DEFAULT_DERIVATION_CAP = 10**7
 
+#: count_multisets with near_best keeps every multiset whose score lies
+#: within this relative distance of the top score
+SCORE_WINDOW = 1e-9
+
 #: multiset of applied productions over a whole derivation
 ProductionCounts = Counter[Production]
 
@@ -83,17 +87,23 @@ class MultisetTable:
     derivation in enumerate_derivations order, and `multiplicity[i]` is the
     number of derivations with multiset i.  That earliest derivation takes,
     in step j, the assignment whose parts end at `cuts[j][first[i, j]]`.
+    A table pruned to the multisets near the best score holds only some
+    multisets, and its multiplicity is None.
     """
 
     words: tuple[tuple[Word, Word], ...]
     cuts: tuple[np.ndarray, ...]
     rows: np.ndarray
     first: np.ndarray
-    multiplicity: np.ndarray
+    multiplicity: np.ndarray | None
 
     def counts(self, i: int) -> tuple[tuple[int, int], ...]:
         """(production index, count) for each production of multiset i."""
         return tuple((k, len(list(run))) for k, run in groupby(self.rows[i].tolist()))
+
+    def scores(self) -> np.ndarray:
+        """sum(count * log count) over the counts of each multiset."""
+        return _bounds(self.rows)
 
     def derivation(self, i: int) -> Derivation:
         """The earliest derivation with multiset i."""
@@ -109,6 +119,7 @@ def count_multisets(
     system: Partial0LSystem,
     theta: Sequence,
     cap: int = DEFAULT_DERIVATION_CAP,
+    near_best: bool = False,
 ) -> MultisetTable:
     """Group the derivations of enumerate_derivations by count multiset.
 
@@ -119,27 +130,61 @@ def count_multisets(
     multisets come from one pass over the step lattice; no derivation, and
     no assignment beyond each multiset's earliest, is materialized.  Raises
     as enumerate_derivations does.
+
+    With near_best, the pairing is a branch and bound (Land & Doig 1960) on
+    the score sum(count * log count): the table keeps every multiset whose
+    score lies within a relative SCORE_WINDOW of the top score, each in the
+    same order and with the same earliest derivation as in the full table,
+    but drops most others, and its multiplicity is None.  Before each
+    pairing, a multiset so far is dropped when even its best completion
+    cannot reach a floor just below an incumbent score.  Its best
+    completion is bounded by piling, per predecessor, the occurrences still
+    to be rewritten onto its largest count of that predecessor's
+    productions; c log c is convex and 0 at 0, so no completion scores
+    more.  Step multisets are dropped the same way, with the occurrences of
+    every other step.  The incumbent is the score of a real multiset, built
+    by keeping the best pair at every step.
     """
     steps, counts = _assignment_rows(system, theta, cap, merge=True)
-    # derivation counts are exact: int64 while their total fits, else Python ints
-    count_dtype = np.int64 if math.prod(counts) <= np.iinfo(np.int64).max else object
     rows = np.zeros((1, 0), dtype=steps[0][1].dtype)
     first = np.zeros((1, 0), dtype=np.int64)
-    multiplicity = np.ones(1, dtype=count_dtype)
-    for _, step_rows, step_multiplicity in steps:
+    if near_best:
+        # per-step occurrences of each production's predecessor
+        symbols = {a: b for b, a in enumerate(sorted({p.predecessor for p in system.productions}))}
+        block = np.array([symbols[p.predecessor] for p in system.productions], np.intp)
+        occurrences = np.array(
+            [[x.count(a) for a in symbols] for x, _ in theta.steps()], np.int64
+        ).reshape(len(steps), len(symbols))
+        ahead = np.cumsum(occurrences[::-1], axis=0)[::-1]  # steps j.. per block
+        incumbent = _greedy_score([step_rows for _, step_rows, _ in steps])
+        # every score in the window is at least incumbent * (1 - SCORE_WINDOW);
+        # the floor sits lower by far more than the float error of a bound
+        floor = incumbent * (1.0 - 2 * SCORE_WINDOW) - SCORE_WINDOW
+        multiplicity = None
+    else:
+        # derivation counts are exact: int64 while their total fits, else Python ints
+        count_dtype = np.int64 if math.prod(counts) <= np.iinfo(np.int64).max else object
+        multiplicity = np.ones(1, dtype=count_dtype)
+    for j, (_, step_rows, step_multiplicity) in enumerate(steps):
+        picked = np.arange(len(step_rows))
+        if near_best:
+            alive = _bounds(rows, block, ahead[j]) >= floor
+            rows, first = rows[alive], first[alive]
+            picked = np.flatnonzero(_bounds(step_rows, block, ahead[0] - occurrences[j]) >= floor)
         # pairs run in enumeration order of (running row's earliest prefix,
         # step row's earliest assignment), so a multiset's first pair extends
         # its earliest prefix by its earliest assignment
-        left = np.repeat(np.arange(len(rows)), len(step_rows))
-        right = np.tile(np.arange(len(step_rows)), len(rows))
+        left = np.repeat(np.arange(len(rows)), len(picked))
+        right = np.tile(picked, len(rows))
         pairs = np.sort(np.concatenate([rows[left], step_rows[right]], axis=1), axis=1)
         keep, inverse = _first_unique(pairs)
         rows = pairs[keep]
         first = np.column_stack([first[left[keep]], right[keep]])
-        merged = np.zeros(len(keep), dtype=count_dtype)
-        shares = multiplicity[left] * step_multiplicity.astype(count_dtype)[right]
-        np.add.at(merged, inverse, shares)
-        multiplicity = merged
+        if multiplicity is not None:
+            merged = np.zeros(len(keep), dtype=count_dtype)
+            shares = multiplicity[left] * step_multiplicity.astype(count_dtype)[right]
+            np.add.at(merged, inverse, shares)
+            multiplicity = merged
     return MultisetTable(
         words=tuple(theta.steps()),
         cuts=tuple(cuts for cuts, _, _ in steps),
@@ -406,3 +451,45 @@ def _first_unique(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     return index[order], rank[inverse]
+
+
+def _greedy_score(step_rows: list[np.ndarray]) -> float:
+    """The score of one real multiset: step by step, the best of the running
+    multiset's pairs with the step's multisets."""
+    row = np.zeros((1, 0), step_rows[0].dtype)
+    for rows in step_rows:
+        pairs = np.sort(np.concatenate([np.repeat(row, len(rows), axis=0), rows], axis=1), axis=1)
+        row = pairs[[np.argmax(_bounds(pairs))]]
+    return float(_bounds(row)[0])
+
+
+def _bounds(
+    rows: np.ndarray, block: np.ndarray | None = None, spare: np.ndarray | None = None
+) -> np.ndarray:
+    """sum(c * log c) over the run lengths c of each sorted row, plus, for
+    every block b, what spare[b] more occurrences add when piled onto the
+    row's longest run of a production in block b (block maps production
+    indices to blocks).  Without spare occurrences this is the row's score.
+
+    A position k places into its run contributes k log k - (k-1) log(k-1),
+    so that each run of length c contributes c log c.
+    """
+    n, width = rows.shape
+    position = np.arange(width)
+    starts = np.ones((n, width), dtype=bool)
+    starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    depth = position - np.maximum.accumulate(np.where(starts, position, 0), axis=1)
+    increments = np.diff(_xlogx(np.arange(width + 1)))
+    bound = increments[depth].sum(axis=1)
+    if spare is not None:
+        owner = block[rows]
+        for b in np.flatnonzero(spare).tolist():
+            top = np.where(owner == b, depth + 1, 0).max(axis=1, initial=0)
+            bound += _xlogx(top + spare[b]) - _xlogx(top)
+    return bound
+
+
+def _xlogx(c: np.ndarray) -> np.ndarray:
+    """c log c elementwise, 0 at 0."""
+    c = np.asarray(c, dtype=float)
+    return c * np.log(np.maximum(c, 1.0))

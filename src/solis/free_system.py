@@ -38,7 +38,7 @@ def build_free_system(sequence: Sequence) -> Partial0LSystem:
     return Partial0LSystem(
         alphabet=frozenset(sequence.symbols()),
         axiom=sequence.axiom,
-        productions=tuple(Production(a, z) for a, z in sorted(pairs)),
+        productions=tuple(Production(a, z) for a, z in pairs),
     )
 
 

@@ -38,8 +38,9 @@ _INDEX = np.int32
 
 #: compile_lattice refuses traces with more edges than this.  A lattice
 #: stores 16 bytes of indices per edge, and a pass of the kernel holds
-#: float64 arrays of one entry per edge and restart: at 16 restarts,
-#: 10^7 edges take 160 MB to store and about 2 GB to run.
+#: float64 arrays of one entry per edge and restart, so the solver runs
+#: at most EDGE_CEILING / edges restarts per pass: 10^7 edges take 160 MB to
+#: store, and a pass holds arrays of at most 10^7 entries at any restarts.
 EDGE_CEILING = 10**7
 
 

@@ -99,10 +99,10 @@ class Partial0LSystem:
     productions: tuple[Production, ...]
 
     def __post_init__(self):
-        # the generated __lt__ order, by a key that compares twice as fast
-        canonical = tuple(
-            sorted(set(self.productions), key=lambda p: (p.predecessor, p.successor))
-        )
+        # the generated __lt__ order; deduplicating and sorting on plain
+        # (predecessor, successor) keys skips the generated __hash__ and __lt__
+        unique = {(p.predecessor, p.successor): p for p in self.productions}
+        canonical = tuple(unique[key] for key in sorted(unique))
         object.__setattr__(self, "productions", canonical)
         for s in self.axiom:
             if s not in self.alphabet:
@@ -110,9 +110,9 @@ class Partial0LSystem:
         for p in canonical:
             if p.predecessor not in self.alphabet:
                 raise ValueError(f"predecessor {p.predecessor!r} not in alphabet")
-            for s in p.successor:
-                if s not in self.alphabet:
-                    raise ValueError(f"successor symbol {s!r} of {p} not in alphabet")
+            if not self.alphabet.issuperset(p.successor):
+                s = next(s for s in p.successor if s not in self.alphabet)
+                raise ValueError(f"successor symbol {s!r} of {p} not in alphabet")
 
     def productions_for(self, symbol: Symbol) -> tuple[Production, ...]:
         return tuple(p for p in self.productions if p.predecessor == symbol)

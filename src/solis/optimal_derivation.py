@@ -9,7 +9,9 @@ derivation only through its count multiset, and a derivation's multiset is
 the sum of its steps' multisets, so the best derivation is found by scoring
 the distinct multisets instead of every derivation.  Each step's multisets
 are built on the step lattice, where the step's assignments are paths, and
-combined step by step.
+combined step by step, by branch and bound: a partial multiset whose best
+completion cannot come near the score of a multiset already in hand is
+dropped before it is combined further.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 
 from .derivations import (
     DEFAULT_DERIVATION_CAP,
+    SCORE_WINDOW,
     Derivation,
     ProductionCounts,
     count_multisets,
@@ -102,20 +105,22 @@ def best_derivation(
 ) -> tuple[Derivation, S0LSystem, LogLinear]:
     """The derivation of theta with the highest achievable probability.
 
-    Scores every distinct count multiset of the free system's derivations
-    (see count_multisets) by the numerator of derivation_bound, whose
-    denominator is shared: first in floating point as sum(count * log count),
-    then, for the multisets within a relative 1e-9 of the top score, as the
-    exact integer prod(count^count).  Among the exact maxima, the one whose
-    earliest derivation comes first in enumerate_derivations order wins, and
-    that derivation is returned.  The returned system puts probability
-    count / occurrences on each used production, which attains the bound.
+    Scores the distinct count multisets of the free system's derivations
+    by the numerator of derivation_bound, whose denominator is shared:
+    first in floating point as sum(count * log count), then, for the
+    multisets within a relative SCORE_WINDOW of the top score, as the exact
+    integer prod(count^count).  Only multisets that may reach that window
+    are built (count_multisets with near_best, a branch and bound over the
+    steps).  Among the exact maxima, the one whose earliest derivation
+    comes first in enumerate_derivations order wins, and that derivation is
+    returned.  The returned system puts probability count / occurrences on
+    each used production, which attains the bound.
     """
     free = build_free_system(theta)
     occurrences = occurrence_counts(theta)
-    table = count_multisets(free, theta, cap)
-    scores = _log_numerators(table.rows)
-    near_top = np.flatnonzero(scores >= scores.max() * (1.0 - 1e-9)).tolist()
+    table = count_multisets(free, theta, cap, near_best=True)
+    scores = table.scores()
+    near_top = np.flatnonzero(scores >= scores.max() * (1.0 - SCORE_WINDOW)).tolist()
     # max keeps the first of equal numerators, i.e. the earliest derivation
     best = max(near_top, key=lambda i: math.prod(c**c for _, c in table.counts(i)))
     derivation = table.derivation(best)
@@ -132,18 +137,3 @@ def best_derivation(
     system = S0LSystem(base=base, prob=prob)
     return derivation, system, derivation_bound(theta, best_counts)
 
-
-def _log_numerators(rows: np.ndarray) -> np.ndarray:
-    """sum(c * log c) over the run lengths c of each sorted row.
-
-    A position k places into its run contributes k log k - (k-1) log(k-1),
-    so that each run of length c contributes c log c.
-    """
-    n, width = rows.shape
-    position = np.arange(width)
-    starts = np.ones((n, width), dtype=bool)
-    starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
-    run_start = np.maximum.accumulate(np.where(starts, position, 0), axis=1)
-    k = np.arange(width + 1, dtype=float)
-    increments = np.diff(k * np.log(np.maximum(k, 1.0)))
-    return increments[position - run_start].sum(axis=1)

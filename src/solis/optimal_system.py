@@ -38,7 +38,7 @@ import numpy as np
 from .derivations import count_multisets, sequence_probability
 from .errors import CapExceeded
 from .free_system import build_free_system
-from .lattice import StepLattice, compile_lattice
+from .lattice import EDGE_CEILING, StepLattice, compile_lattice
 from .model import (
     LogLinear,
     Partial0LSystem,
@@ -199,12 +199,20 @@ def maximize(
     Within a restart the objective never decreases; across restarts the
     best log p wins, earliest restart first on ties.  Returns the winning
     point, its linear p(theta) and the traces.
+
+    The kernel's arrays hold one entry per edge and restart, so restarts
+    run in chunks of at most EDGE_CEILING / edges; restarts do not interact
+    in the kernel, so the results do not depend on the chunking.
     """
     cfg = cfg or SolverConfig()
     if not obj.variables:
         raise ValueError("objective has no variables")
     start = np.array([_start_point(obj, cfg, restart) for restart in range(cfg.restarts)])
-    x, values, traces = _ascend(obj, start, cfg)
+    chunk = max(1, EDGE_CEILING // max(obj.lattice.bounds[-1], 1))
+    parts = [_ascend(obj, start[lo : lo + chunk], cfg, lo) for lo in range(0, len(start), chunk)]
+    x = np.concatenate([part[0] for part in parts])
+    values = np.concatenate([part[1] for part in parts])
+    traces = [trace for part in parts for trace in part[2]]
     best = 0
     for restart, trace in enumerate(traces):
         if trace.values[-1] > traces[best].values[-1]:
@@ -283,11 +291,12 @@ def _start_point(obj: PosynomialObjective, cfg: SolverConfig, restart: int) -> n
 
 
 def _ascend(
-    obj: PosynomialObjective, x: np.ndarray, cfg: SolverConfig
+    obj: PosynomialObjective, x: np.ndarray, cfg: SolverConfig, first: int
 ) -> tuple[np.ndarray, np.ndarray, list[RestartTrace]]:
-    """Run over-relaxed EM from each row of x; returns the final points,
-    their step values and one trace per row.  A row stops changing once it
-    converges, hits max_iters or reaches a point where p(theta) is 0."""
+    """Run over-relaxed EM from each row of x, the restarts numbered from
+    first on; returns the final points, their step values and one trace per
+    row.  A row stops changing once it converges, hits max_iters or reaches
+    a point where p(theta) is 0."""
     symbols = list(obj.blocks)
     sizes = [len(block) for block in obj.blocks.values()]
     occurrences = occurrence_counts(obj.theta)
@@ -296,7 +305,7 @@ def _ascend(
     block_starts = np.cumsum([0] + sizes[:-1])
     values, counts = obj.lattice.expected_counts(x)
     log_p = _log_p(values)
-    traces = [RestartTrace(restart=r, values=[v]) for r, v in enumerate(log_p.tolist())]
+    traces = [RestartTrace(restart=first + r, values=[v]) for r, v in enumerate(log_p.tolist())]
     eta = np.ones(len(x))
     active = np.arange(len(x))
     for iteration in range(1, cfg.max_iters + 1):
@@ -312,7 +321,7 @@ def _ascend(
         if wrong.any():
             r, b = np.argwhere(wrong)[0]
             raise ArithmeticError(
-                f"iteration {iteration}, restart {active[r]}: expected counts of "
+                f"iteration {iteration}, restart {first + active[r]}: expected counts of "
                 f"{symbols[b]!r} sum to {float(totals[r, b])!r}, not its "
                 f"{int(block_counts[b])} occurrences"
             )

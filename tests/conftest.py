@@ -17,21 +17,25 @@ def _derivable(words: list[tuple[str, ...]]) -> bool:
     return not any(not x and y for x, y in zip(words, words[1:]))
 
 
-#: traces of 2-4 words of at most 3 symbols over A (many tied derivations),
-#: AB or ABC; empty words never precede nonempty ones, and all-empty traces
-#: are included
-SMALL_TRACES = (
-    st.sampled_from(["A", "AB", "ABC"])
-    .flatmap(
-        lambda alphabet: st.lists(
-            st.lists(st.sampled_from(alphabet), max_size=3).map(tuple),
-            min_size=2,
-            max_size=4,
+def traces(max_symbols: int) -> st.SearchStrategy[Sequence]:
+    """Traces of 2-4 words of at most max_symbols symbols over A (many tied
+    derivations), AB or ABC; empty words never precede nonempty ones, and
+    all-empty traces are included."""
+    return (
+        st.sampled_from(["A", "AB", "ABC"])
+        .flatmap(
+            lambda alphabet: st.lists(
+                st.lists(st.sampled_from(alphabet), max_size=max_symbols).map(tuple),
+                min_size=2,
+                max_size=4,
+            )
         )
+        .filter(_derivable)
+        .map(lambda words: Sequence(tuple(words)))
     )
-    .filter(_derivable)
-    .map(lambda words: Sequence(tuple(words)))
-)
+
+
+SMALL_TRACES = traces(3)
 
 
 def word(text: str) -> tuple[str, ...]:

@@ -18,6 +18,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_recorded(out, name, command):
+    """out equals the stdout recorded in DATA / name.command.out, which was
+    run on tests/data/name.seq from the repository root."""
+    trace = DATA / f"{name}.seq"
+    lines = out.split("\n")
+    recorded = (DATA / f"{name}.{command}.out").read_text().split("\n")
+    assert lines[1].startswith(f"input: {trace} sha256=")
+    assert lines[1] == recorded[1].replace(f"tests/data/{name}.seq", str(trace))
+    assert lines[:1] + lines[2:] == recorded[:1] + recorded[2:]
+
+
 class TestFree:
     def test_emits_the_free_system(self, capsys):
         code, out, _ = run(capsys, "free", str(DATA / "aa-aba.seq"))
@@ -145,14 +156,16 @@ class TestInferDerivation:
     def test_recorded_output_of_a_large_derivation_space(self, capsys):
         """173,264 derivations in 59,575 count multisets; the recorded stdout
         was written by the search that scored every derivation in turn."""
-        trace = DATA / "enum-seed0.seq"
-        code, out, _ = run(capsys, "infer-derivation", str(trace))
+        code, out, _ = run(capsys, "infer-derivation", str(DATA / "enum-seed0.seq"))
         assert code == 0
-        lines = out.split("\n")
-        recorded = (DATA / "enum-seed0.infer-derivation.out").read_text().split("\n")
-        assert lines[1].startswith(f"input: {trace} sha256=")
-        assert lines[1] == recorded[1].replace("tests/data/enum-seed0.seq", str(trace))
-        assert lines[:1] + lines[2:] == recorded[:1] + recorded[2:]
+        assert_recorded(out, "enum-seed0", "infer-derivation")
+
+    def test_recorded_output_of_five_million_derivations(self, capsys):
+        """5,250,960 derivations, under the default cap; the recorded stdout
+        was written by the search that built every count multiset."""
+        code, out, _ = run(capsys, "infer-derivation", str(DATA / "derivations-5m.seq"))
+        assert code == 0
+        assert_recorded(out, "derivations-5m", "infer-derivation")
 
 
 class TestInferSystem:
@@ -180,17 +193,12 @@ class TestInferSystem:
     def test_recorded_output_of_a_long_trace(self, capsys):
         """120 steps of ten symbols; the recorded stdout was written by the
         kernel that scattered all restarts with one flat np.bincount."""
-        trace = DATA / "long-seed0.seq"
         code, out, _ = run(
-            capsys, "infer-system", str(trace), "--restarts", "2", "--max-iters", "20",
-            "--seed", "0",
+            capsys, "infer-system", str(DATA / "long-seed0.seq"), "--restarts", "2",
+            "--max-iters", "20", "--seed", "0",
         )
         assert code == 0
-        lines = out.split("\n")
-        recorded = (DATA / "long-seed0.infer-system.out").read_text().split("\n")
-        assert lines[1].startswith(f"input: {trace} sha256=")
-        assert lines[1] == recorded[1].replace("tests/data/long-seed0.seq", str(trace))
-        assert lines[:1] + lines[2:] == recorded[:1] + recorded[2:]
+        assert_recorded(out, "long-seed0", "infer-system")
 
     def test_show_objective(self, capsys):
         code, out, _ = run(

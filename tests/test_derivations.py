@@ -11,10 +11,18 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import SMALL_TRACES, make_system, random_sequence, random_system_for, word
+from conftest import (
+    DATA,
+    SMALL_TRACES,
+    make_system,
+    random_sequence,
+    random_system_for,
+    traces,
+    word,
+)
 from solis import (
     CapExceeded,
     Derivation,
@@ -28,13 +36,14 @@ from solis import (
     enumerate_derivations,
     enumerate_step_assignments,
     occurrence_counts,
+    parse_sequence_file,
     probability_gradient,
     sequence_probability,
     sequence_probability_naive,
     step_gradients,
     step_values,
 )
-from solis.derivations import count_multisets
+from solis.derivations import SCORE_WINDOW, _bounds, count_multisets
 
 
 class TestEnumeration:
@@ -144,6 +153,73 @@ def test_multiset_table_groups_the_enumeration(theta):
         assert tuple((free.productions[k], c) for k, c in table.counts(i)) == key
         assert table.derivation(i) == d
         assert table.multiplicity[i] == multiplicity[key]
+
+
+def xlogx_sum(row) -> float:
+    """sum(c * log c) over the counts of a row's entries."""
+    return math.fsum(c * math.log(c) for c in Counter(row.tolist()).values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(traces(4), st.data())
+def test_bound_covers_every_completion(theta, data):
+    """A multiset of the steps before a split, with the occurrences of the
+    steps after it to spare, is bounded by at least the score of its sum
+    with every multiset of those steps; and the same the other way round."""
+    assume(theta.step_count >= 2)
+    split = data.draw(st.integers(1, theta.step_count - 1))
+    free = build_free_system(theta)
+    symbols = sorted({p.predecessor for p in free.productions})
+    block = np.array([symbols.index(p.predecessor) for p in free.productions], np.intp)
+
+    def side(words):
+        occurrences = [sum(x.count(a) for x in words[:-1]) for a in symbols]
+        return count_multisets(free, Sequence(words)).rows, np.array(occurrences, np.int64)
+
+    before, spare_before = side(theta.words[: split + 1])
+    after, spare_after = side(theta.words[split:])
+    bounds_before = _bounds(before, block, spare_after)
+    bounds_after = _bounds(after, block, spare_before)
+    for i, head in enumerate(before):
+        for k, tail in enumerate(after):
+            score = xlogx_sum(np.concatenate([head, tail]))
+            assert bounds_before[i] >= score - 1e-12 * (1.0 + score)
+            assert bounds_after[k] >= score - 1e-12 * (1.0 + score)
+
+
+@settings(max_examples=100, deadline=None)
+@given(traces(5))
+@example(Sequence(((), (), ())))
+@example(Sequence.from_strings("AAA", "AAA", "AAA"))
+def test_pruned_table_keeps_the_near_best_rows_in_order(theta):
+    """The branch and bound drops rows of the full table, but keeps every row
+    within SCORE_WINDOW of the top score, in the same order and with the same
+    earliest derivation."""
+    free = build_free_system(theta)
+    try:
+        full = count_multisets(free, theta, cap=10**5)
+    except CapExceeded:
+        assume(False)
+    pruned = count_multisets(free, theta, cap=10**5, near_best=True)
+    assert pruned.multiplicity is None
+    scores = full.scores()
+    np.testing.assert_allclose(scores, [xlogx_sum(row) for row in full.rows], rtol=1e-12)
+    near_top = np.flatnonzero(scores >= scores.max() * (1.0 - SCORE_WINDOW)).tolist()
+    position = {row.tobytes(): i for i, row in enumerate(pruned.rows)}
+    kept = [position[full.rows[i].tobytes()] for i in near_top]
+    assert kept == sorted(kept)
+    assert (pruned.first[kept] == full.first[near_top]).all()
+
+
+def test_pruned_table_of_a_large_derivation_space_is_small():
+    """173,264 derivations in 59,575 count multisets, of which the branch and
+    bound builds a few percent."""
+    theta = parse_sequence_file(str(DATA / "enum-seed0.seq"))
+    free = build_free_system(theta)
+    full = count_multisets(free, theta)
+    pruned = count_multisets(free, theta, near_best=True)
+    assert len(full.rows) == 59_575
+    assert len(pruned.rows) < len(full.rows) // 20
 
 
 @settings(max_examples=120, deadline=None)

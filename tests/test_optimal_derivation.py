@@ -6,14 +6,18 @@ Fraction arithmetic for the bound over explicitly enumerated derivations.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import SMALL_TRACES, random_sequence, random_system_for
+import solis.optimal_derivation
+from conftest import SMALL_TRACES, random_sequence, random_system_for, traces
 from solis import (
     CapExceeded,
+    SolisError,
     Production,
     Sequence,
     SimplexProductProblem,
@@ -26,6 +30,25 @@ from solis import (
     occurrence_counts,
     simplex_product_max,
 )
+
+
+def outcome(call):
+    """What call returns, or the type and message of the SolisError it raises."""
+    try:
+        return call()
+    except SolisError as exc:
+        return type(exc), str(exc)
+
+
+def best_over_every_multiset(theta, cap):
+    """best_derivation scoring the unpruned table of count multisets."""
+    full = solis.optimal_derivation.count_multisets
+
+    def unpruned(system, theta, cap, near_best):
+        return full(system, theta, cap)
+
+    with mock.patch.object(solis.optimal_derivation, "count_multisets", unpruned):
+        return best_derivation(theta, cap)
 
 
 def fraction_bound(theta, counts):
@@ -241,7 +264,8 @@ class TestBestDerivation:
         """The winner is the first derivation in enumeration order whose exact
         bound is maximal.  On ABBC, BCBA, B the tied maxima (counts 2, 2, 3 in
         different orders) differ by one ulp in floating point, and a later one
-        scores higher there."""
+        scores higher there.  best_derivation scores a table pruned by branch
+        and bound, so this also checks that no tied maximum is pruned."""
         free = build_free_system(theta)
         expected, expected_bound = None, None
         for d in enumerate_derivations(free, theta):
@@ -255,6 +279,18 @@ class TestBestDerivation:
             p: c / occurrence_counts(theta)[p.predecessor]
             for p, c in count_productions(expected).items()
         }
+
+    @settings(max_examples=150, deadline=None)
+    @given(traces(5), st.sampled_from([50, 10**7]))
+    @example(Sequence(((), (), ())), 50)
+    @example(Sequence.from_strings("ABBC", "BCBA", "B"), 10**7)
+    @example(Sequence.from_strings("AAA", "AAA", "AAA"), 10**7)
+    def test_pruned_table_gives_the_same_answer(self, theta, cap):
+        """Derivation, system and value, or the error raised, are those of
+        the search over every count multiset."""
+        assert outcome(lambda: best_derivation(theta, cap)) == outcome(
+            lambda: best_over_every_multiset(theta, cap)
+        )
 
     def test_cap_propagates(self, theta2):
         with pytest.raises(CapExceeded):

@@ -284,12 +284,35 @@ class TestMaximize:
         _, _, (plain,) = maximize(obj, cfg)
         assert not plain.converged and plain.values[-1] < generator.log - 100
 
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_chunked_restarts_give_the_same_results(self, monkeypatch, chunk):
+        """Restarts run in chunks of EDGE_CEILING / edges; the points, values
+        and traces are bitwise those of one batch."""
+        generator = make_system(
+            "AB", {("A", "AB"): 0.6, ("A", "B"): 0.4, ("B", "A"): 0.7, ("B", "BA"): 0.3}
+        )
+        theta = sample_sequence(generator, 3, 5).sequence
+        obj = build_objective(theta, cap=0)
+        cfg = SolverConfig(restarts=4, max_iters=30)
+        batched = maximize(obj, cfg)
+        monkeypatch.setattr(optimal_system, "EDGE_CEILING", chunk * obj.lattice.bounds[-1])
+        chunked = maximize(obj, cfg)
+        assert chunked[0] == batched[0]
+        assert chunked[1] == batched[1]
+        assert [dataclasses.astuple(t) for t in chunked[2]] == [
+            dataclasses.astuple(t) for t in batched[2]
+        ]
+        assert [t.restart for t in chunked[2]] == [0, 1, 2, 3]
+
     def test_block_count_invariant_is_checked(self, theta2):
         class Skewed:
             """The real lattice, with expected counts inflated by 1e-6."""
 
             def __init__(self, lattice):
                 self.lattice = lattice
+
+            def __getattr__(self, name):
+                return getattr(self.lattice, name)
 
             def expected_counts(self, weights):
                 values, counts = self.lattice.expected_counts(weights)
