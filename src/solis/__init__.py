@@ -7,13 +7,7 @@ the system attaining it, and finds the stochastic system maximizing the
 total probability of the trace over all derivations.
 """
 
-from .compositions import (
-    COUNT_CEILING,
-    StepAssignment,
-    candidate_productions,
-    count_step_assignments,
-    enumerate_step_assignments,
-)
+from .compositions import StepAssignment
 from .derivations import (
     DEFAULT_DERIVATION_CAP,
     Derivation,
@@ -23,7 +17,6 @@ from .derivations import (
     enumerate_derivations,
     probability_gradient,
     sequence_probability,
-    sequence_probability_naive,
     step_gradients,
     step_values,
 )
@@ -57,15 +50,9 @@ from .model import (
     Sequence,
     Symbol,
     Word,
-    letter_occurrences,
     occurrence_counts,
 )
-from .optimal_derivation import (
-    SimplexProductProblem,
-    best_derivation,
-    derivation_bound,
-    simplex_product_max,
-)
+from .optimal_derivation import best_derivation, derivation_bound
 from .optimal_system import (
     DEFAULT_EXPANSION_CAP,
     Monomial,
@@ -74,8 +61,6 @@ from .optimal_system import (
     SolverConfig,
     assemble_system,
     build_objective,
-    evaluate_monomials,
-    evaluate_objective,
     infer_optimal_system,
     maximize,
 )
@@ -84,7 +69,6 @@ from .sampler import MAX_WORD_LENGTH, SampleRecord, derive_step, sample_sequence
 __version__ = "0.1.0"
 
 __all__ = [
-    "COUNT_CEILING",
     "CapExceeded",
     "DEFAULT_DERIVATION_CAP",
     "DEFAULT_EXPANSION_CAP",
@@ -105,7 +89,6 @@ __all__ = [
     "S0LSystem",
     "SampleRecord",
     "Sequence",
-    "SimplexProductProblem",
     "SolisError",
     "SolverConfig",
     "StepAssignment",
@@ -116,20 +99,14 @@ __all__ = [
     "best_derivation",
     "build_free_system",
     "build_objective",
-    "candidate_productions",
     "count_productions",
-    "count_step_assignments",
     "derivation_bound",
     "derivation_probability",
     "derive_step",
     "enumerate_derivations",
-    "enumerate_step_assignments",
-    "evaluate_monomials",
-    "evaluate_objective",
     "file_digest",
     "format_real",
     "infer_optimal_system",
-    "letter_occurrences",
     "maximize",
     "occurrence_counts",
     "parse_sequence_file",
@@ -138,12 +115,10 @@ __all__ = [
     "probability_gradient",
     "sample_sequence",
     "sequence_probability",
-    "sequence_probability_naive",
     "serialize_derivation",
     "serialize_partial_system",
     "serialize_system",
     "serialize_word",
-    "simplex_product_max",
     "step_gradients",
     "step_values",
 ]

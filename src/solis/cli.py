@@ -233,11 +233,7 @@ def _cmd_infer_system(args: argparse.Namespace) -> list[str]:
     )
     cap = DEFAULT_EXPANSION_CAP if args.show_objective else 0
     obj = build_objective(theta, cap=cap)
-    x_star, _, traces = maximize(obj, cfg)
-    best = 0
-    for index, trace in enumerate(traces):
-        if trace.values[-1] > traces[best].values[-1]:
-            best = index
+    x_star, best, traces = maximize(obj, cfg)
     system = assemble_system(theta, obj, x_star, cfg.prune_eps)
     value = sequence_probability(system, theta)
     lines = _header("infer-system", [args.sequence])

@@ -15,9 +15,6 @@ from typing import Iterator
 from .errors import IncompatibleStep
 from .model import Production, Symbol, Word
 
-#: count_step_assignments clamps here instead of returning a larger exact value.
-COUNT_CEILING = 2**63 - 1
-
 
 @dataclass(frozen=True)
 class StepAssignment:
@@ -41,9 +38,10 @@ class StepAssignment:
 def enumerate_step_assignments(x: Word, y: Word) -> Iterator[StepAssignment]:
     """Yield every assignment of y-parts to the positions of x.
 
-    Order is deterministic: cut positions in lexicographically increasing
-    order, e.g. for x=AA, y=ABA the parts come out as (eps,ABA), (A,BA),
-    (AB,A), (ABA,eps).
+    Test oracle for the step lattice's paths; not exported.  Order is
+    deterministic: cut positions in lexicographically increasing order,
+    e.g. for x=AA, y=ABA the parts come out as (eps,ABA), (A,BA), (AB,A),
+    (ABA,eps).
 
     Raises IncompatibleStep when x is empty but y is not; an empty word
     cannot derive anything nonempty.
@@ -63,45 +61,16 @@ def _assignments(x: Word, y: Word) -> Iterator[StepAssignment]:
         yield StepAssignment(x, y, parts)
 
 
-def count_step_assignments(x: Word, y: Word) -> int:
-    """Number of step assignments for x => y, without enumerating them.
-
-    Equals C(|y|+|x|-1, |x|-1).  Values above COUNT_CEILING are clamped to
-    COUNT_CEILING rather than returned exactly.
-    """
-    if not x:
-        return 0 if y else 1
-    return _binomial_clamped(len(y) + len(x) - 1, len(x) - 1)
-
-
-def _binomial_clamped(n: int, k: int) -> int:
-    k = min(k, n - k)
-    if k < 0:
-        return 0
-    # Incremental C(n-k+i, i) is nondecreasing in i, so clamping early is safe.
-    result = 1
-    for i in range(1, k + 1):
-        result = result * (n - k + i) // i
-        if result >= COUNT_CEILING:
-            return COUNT_CEILING
-    return result
-
-
-def candidate_productions(x: Word, y: Word) -> frozenset[Production]:
-    """All productions that appear in some step assignment for x => y.
+def candidate_pairs(x: Word, y: Word) -> set[tuple[Symbol, Word]]:
+    """The (predecessor, successor) pairs of every production that appears in
+    some step assignment for x => y.
 
     Computed directly: position 1 must produce a prefix of y, position |x|
     a suffix, and interior positions can produce any substring (the other
     positions absorb the rest).  Agrees with collecting productions from the
-    full enumeration, but stays polynomial in |x| and |y|.
-    """
-    return frozenset(Production(a, z) for a, z in candidate_pairs(x, y))
-
-
-def candidate_pairs(x: Word, y: Word) -> set[tuple[Symbol, Word]]:
-    """The (predecessor, successor) pairs of candidate_productions.
-
-    Each distinct pair is produced once, however many positions share it.
+    full enumeration, but stays polynomial in |x| and |y|.  Each distinct
+    pair is produced once, however many positions share it.  Raises
+    IncompatibleStep when x is empty but y is not.
     """
     if not x:
         if y:

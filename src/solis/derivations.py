@@ -221,7 +221,7 @@ def sequence_probability_naive(
 ) -> float:
     """Sum of derivation_probability over every derivation, by enumeration.
 
-    Oracle for sequence_probability; returns 0.0 when theta is incompatible
+    Test oracle for sequence_probability; not exported.  Returns 0.0 when theta is incompatible
     with g.  CapExceeded propagates.
     """
     try:

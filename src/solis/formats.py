@@ -200,11 +200,10 @@ def _parse_rule(
 
 
 def _parse_probability(text: str, source: str, line: int) -> float:
+    """An exact fraction a/b, or a decimal; float rounds decimals as
+    Fraction would, without building the huge integers that an exponent
+    like 1e-100000000 takes as a Fraction."""
     try:
-        return float(Fraction(text))
-    except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        return float(text)
-    except ValueError:
+        return float(Fraction(text)) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise FormatError(f"bad probability {text!r}", source, line) from None

@@ -157,17 +157,12 @@ class S0LSystem:
         return self.prob.get(production, 0.0)
 
 
-def letter_occurrences(theta: Sequence, symbol: Symbol) -> int:
-    """Occurrences of `symbol` across w_0..w_{m-1}, the last word excluded.
+def occurrence_counts(theta: Sequence) -> Counter[Symbol]:
+    """Occurrences of each symbol across w_0..w_{m-1}, the last word excluded.
 
     This is the number of times the symbol gets rewritten in any derivation
-    of the sequence.
+    of the sequence; a symbol found only in the last word counts 0.
     """
-    return sum(w.count(symbol) for w in theta.words[:-1])
-
-
-def occurrence_counts(theta: Sequence) -> Counter[Symbol]:
-    """letter_occurrences for every symbol at once."""
     counts: Counter[Symbol] = Counter()
     for w in theta.words[:-1]:
         counts.update(w)

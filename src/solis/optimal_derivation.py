@@ -42,7 +42,10 @@ from .model import (
 
 @dataclass(frozen=True)
 class SimplexProductProblem:
-    """Maximize prod x_i^exponents[i] subject to sum coefficients[i]*x_i = budget."""
+    """Maximize prod x_i^exponents[i] subject to sum coefficients[i]*x_i = budget.
+
+    Input of simplex_product_max, a test oracle; not exported.
+    """
 
     exponents: tuple[int, ...]
     coefficients: tuple[float, ...]
@@ -64,7 +67,7 @@ class SimplexProductProblem:
 def simplex_product_max(problem: SimplexProductProblem) -> tuple[list[float], float]:
     """Closed-form argmax and maximum of the constrained product of powers.
 
-    argmax x_i = budget * n_i / (N * a_i) with N the sum of exponents; the
+    Test oracle for derivation_bound; not exported.  argmax x_i = budget * n_i / (N * a_i) with N the sum of exponents; the
     maximum is (budget / N)^N * prod (n_i / a_i)^n_i.
     """
     total = sum(problem.exponents)

@@ -29,8 +29,7 @@ search on small instances.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -81,7 +80,6 @@ class PosynomialObjective:
     """
 
     theta: Sequence
-    free: Partial0LSystem
     variables: tuple[Production, ...]
     blocks: dict[Symbol, tuple[Production, ...]]
     monomials: tuple[Monomial, ...] | None
@@ -109,13 +107,15 @@ class SolverConfig:
 
 @dataclass
 class RestartTrace:
-    """log p(theta) at the start and after each update of one restart, plus
-    flags.  `degenerate` lists (iteration, symbol) for a restart stopped
-    because p(theta) was 0 at its point."""
+    """log p(theta) at the start and after each update of one restart.
+
+    `converged` is set when the restart stopped on |delta log p| <= rel_tol;
+    a restart that hit max_iters, or reached a point where p(theta) is 0,
+    stops with it unset.
+    """
 
     restart: int
     values: list[float]
-    degenerate: list[tuple[int, Symbol]] = field(default_factory=list)
     converged: bool = False
 
     @property
@@ -153,7 +153,6 @@ def build_objective(theta: Sequence, cap: int = DEFAULT_EXPANSION_CAP) -> Posyno
             )
     return PosynomialObjective(
         theta=theta,
-        free=free,
         variables=free.productions,
         blocks={symbol: tuple(block) for symbol, block in blocks.items()},
         monomials=monomials,
@@ -161,21 +160,13 @@ def build_objective(theta: Sequence, cap: int = DEFAULT_EXPANSION_CAP) -> Posyno
     )
 
 
-def evaluate_objective(
-    obj: PosynomialObjective, x: Mapping[Production, float]
-) -> float:
-    """Objective value at x via the factored per-step form.
-
-    x need not be normalized, only nonnegative; missing variables count 0.
-    """
-    weights = np.array([[x.get(p, 0.0) for p in obj.variables]], dtype=float)
-    return math.prod(obj.lattice.values(weights)[0].tolist())
-
-
 def evaluate_monomials(
     obj: PosynomialObjective, x: Mapping[Production, float]
 ) -> float:
-    """Objective value by expanded monomials; requires them to be present."""
+    """Objective value by expanded monomials; requires them to be present.
+
+    Test oracle for the factored form, obj.lattice.values; not exported.
+    """
     if obj.monomials is None:
         raise ValueError("objective was built without monomial expansion")
     total = 0.0
@@ -189,7 +180,7 @@ def evaluate_monomials(
 
 def maximize(
     obj: PosynomialObjective, cfg: SolverConfig | None = None
-) -> tuple[dict[Production, float], float, tuple[RestartTrace, ...]]:
+) -> tuple[dict[Production, float], int, tuple[RestartTrace, ...]]:
     """Multi-restart over-relaxed EM over the product of simplices.
 
     Restart 0 starts uniform per block; the rest start at random interior
@@ -197,8 +188,9 @@ def maximize(
     from cfg.seed.  All restarts advance together, each stopping on its own
     once |delta log p| <= cfg.rel_tol; cfg.max_iters bounds the updates.
     Within a restart the objective never decreases; across restarts the
-    best log p wins, earliest restart first on ties.  Returns the winning
-    point, its linear p(theta) and the traces.
+    highest final log p wins, the earliest restart on ties.  Returns the
+    winning point, the winner's index into the traces, and one trace per
+    restart; traces[best].values[-1] is the winner's log p(theta).
 
     The kernel's arrays hold one entry per edge and restart, so restarts
     run in chunks of at most EDGE_CEILING / edges; restarts do not interact
@@ -211,17 +203,10 @@ def maximize(
     chunk = max(1, EDGE_CEILING // max(obj.lattice.bounds[-1], 1))
     parts = [_ascend(obj, start[lo : lo + chunk], cfg, lo) for lo in range(0, len(start), chunk)]
     x = np.concatenate([part[0] for part in parts])
-    values = np.concatenate([part[1] for part in parts])
-    traces = [trace for part in parts for trace in part[2]]
-    best = 0
-    for restart, trace in enumerate(traces):
-        if trace.values[-1] > traces[best].values[-1]:
-            best = restart
-    return (
-        dict(zip(obj.variables, x[best].tolist())),
-        math.prod(values[best].tolist()),
-        tuple(traces),
-    )
+    traces = tuple(trace for part in parts for trace in part[1])
+    # max keeps the first of equal values, i.e. the earliest restart
+    best = max(range(len(traces)), key=lambda r: traces[r].values[-1])
+    return dict(zip(obj.variables, x[best].tolist())), best, traces
 
 
 def infer_optimal_system(
@@ -292,11 +277,11 @@ def _start_point(obj: PosynomialObjective, cfg: SolverConfig, restart: int) -> n
 
 def _ascend(
     obj: PosynomialObjective, x: np.ndarray, cfg: SolverConfig, first: int
-) -> tuple[np.ndarray, np.ndarray, list[RestartTrace]]:
+) -> tuple[np.ndarray, list[RestartTrace]]:
     """Run over-relaxed EM from each row of x, the restarts numbered from
-    first on; returns the final points, their step values and one trace per
-    row.  A row stops changing once it converges, hits max_iters or reaches
-    a point where p(theta) is 0."""
+    first on; returns the final points and one trace per row.  A row stops
+    changing once it converges, hits max_iters or reaches a point where
+    p(theta) is 0."""
     symbols = list(obj.blocks)
     sizes = [len(block) for block in obj.blocks.values()]
     occurrences = occurrence_counts(obj.theta)
@@ -309,11 +294,8 @@ def _ascend(
     eta = np.ones(len(x))
     active = np.arange(len(x))
     for iteration in range(1, cfg.max_iters + 1):
-        alive = (values[active] > 0.0).all(axis=1)
-        for r in active[~alive]:
-            # p(theta) is 0 here, so the expected counts are undefined
-            traces[r].degenerate.extend((iteration, symbol) for symbol in symbols)
-        active = active[alive]
+        # where p(theta) is 0 the expected counts are undefined
+        active = active[(values[active] > 0.0).all(axis=1)]
         if not active.size:
             break
         totals = np.add.reduceat(counts[active], block_starts, axis=1)
@@ -351,7 +333,7 @@ def _ascend(
         active = active[~done]
         if not active.size:
             break
-    return x, values, traces
+    return x, traces
 
 
 def _overrelax(

@@ -26,9 +26,9 @@ from solis import (
     probability_gradient,
     sample_sequence,
     sequence_probability,
-    sequence_probability_naive,
     step_values,
 )
+from solis.derivations import sequence_probability_naive
 
 
 def _report(number: int, description: str, failures: list[str]) -> None:

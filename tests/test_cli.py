@@ -330,6 +330,18 @@ class TestUsageAndErrors:
         assert code == 1
         assert "error: FormatError" in err
 
+    @pytest.mark.parametrize("text", ["1e400", "1e-10000000", "1e-100000000"])
+    def test_out_of_range_probability_exits_1(self, capsys, tmp_path, text):
+        """Exponents past a double's range are format errors, and are read
+        without building an integer with as many digits."""
+        system = tmp_path / "g.sys"
+        system.write_text(f"axiom: A\nrule: A -> AB p={text}\n")
+        start = time.perf_counter()
+        code, _, err = run(capsys, "prob", str(DATA / "aa-aba.seq"), "--system", str(system))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "error: FormatError" in err
+
     def test_unknown_command_exits_1(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1

@@ -1,24 +1,17 @@
-"""Step assignments: enumeration order, counting, and candidate productions.
+"""Step assignments: enumeration order and candidate productions.
 
 The brute-force splitter below regrows every assignment recursively, first
-part first, and serves as the oracle for both the enumeration and the count.
+part first, and serves as the oracle for the enumeration.
 """
 
-import math
 from itertools import product
 
 import numpy as np
 import pytest
 
 from conftest import word
-from solis import (
-    COUNT_CEILING,
-    IncompatibleStep,
-    Production,
-    candidate_productions,
-    count_step_assignments,
-    enumerate_step_assignments,
-)
+from solis import IncompatibleStep, Production
+from solis.compositions import candidate_pairs, enumerate_step_assignments
 
 
 def brute_parts(x, y):
@@ -93,64 +86,36 @@ class TestEnumeration:
         ]
 
 
-class TestCounting:
-    def test_hand_counts(self):
-        assert count_step_assignments(word("AA"), word("ABA")) == 4
-        assert count_step_assignments(word("A"), word("ABA")) == 1
-        assert count_step_assignments(word("AAA"), word("AB")) == 6
-        assert count_step_assignments((), ()) == 1
-        assert count_step_assignments((), word("A")) == 0
-
-    def test_closed_form_is_a_binomial(self):
-        for m in range(1, 5):
-            for n in range(0, 6):
-                got = count_step_assignments(word("A" * m), word("B" * n))
-                assert got == math.comb(n + m - 1, m - 1)
-
-    def test_count_matches_enumeration_length(self):
-        for x in all_words("AB", 3):
-            for y in all_words("AB", 4):
-                if not x and y:
-                    continue
-                expected = len(list(enumerate_step_assignments(x, y)))
-                assert count_step_assignments(x, y) == expected
-
-    def test_huge_counts_clamp_to_the_ceiling(self):
-        assert count_step_assignments(word("A" * 200), word("B" * 200)) == COUNT_CEILING
-
-
 class TestCandidates:
     def test_prefix_interior_suffix_example(self):
-        got = candidate_productions(word("AA"), word("ABA"))
+        got = candidate_pairs(word("AA"), word("ABA"))
         expected = {
-            Production("A", ()),
-            Production("A", ("A",)),
-            Production("A", ("A", "B")),
-            Production("A", ("B", "A")),
-            Production("A", ("A", "B", "A")),
+            ("A", ()),
+            ("A", ("A",)),
+            ("A", ("A", "B")),
+            ("A", ("B", "A")),
+            ("A", ("A", "B", "A")),
         }
-        assert got == frozenset(expected)
+        assert got == expected
 
     def test_single_position_must_produce_everything(self):
-        assert candidate_productions(word("A"), word("B")) == frozenset(
-            {Production("A", ("B",))}
-        )
+        assert candidate_pairs(word("A"), word("B")) == {("A", ("B",))}
 
     def test_matches_union_over_enumeration(self):
         for x in all_words("AB", 3):
             for y in all_words("AB", 4):
                 if not x and y:
                     continue
-                from_enum = frozenset(
-                    p
+                from_enum = {
+                    (p.predecessor, p.successor)
                     for assignment in enumerate_step_assignments(x, y)
                     for p in assignment.productions()
-                )
-                assert candidate_productions(x, y) == from_enum
+                }
+                assert candidate_pairs(x, y) == from_enum
 
     def test_empty_source_nonempty_target_is_impossible(self):
         with pytest.raises(IncompatibleStep):
-            candidate_productions((), word("B"))
+            candidate_pairs((), word("B"))
 
     def test_empty_to_empty_needs_no_productions(self):
-        assert candidate_productions((), ()) == frozenset()
+        assert candidate_pairs((), ()) == set()

@@ -34,16 +34,20 @@ from solis import (
     count_productions,
     derivation_probability,
     enumerate_derivations,
-    enumerate_step_assignments,
     occurrence_counts,
     parse_sequence_file,
     probability_gradient,
     sequence_probability,
-    sequence_probability_naive,
     step_gradients,
     step_values,
 )
-from solis.derivations import SCORE_WINDOW, _bounds, count_multisets
+from solis.compositions import enumerate_step_assignments
+from solis.derivations import (
+    SCORE_WINDOW,
+    _bounds,
+    count_multisets,
+    sequence_probability_naive,
+)
 
 
 class TestEnumeration:

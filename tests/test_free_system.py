@@ -9,9 +9,9 @@ from solis import (
     Production,
     Sequence,
     build_free_system,
-    candidate_productions,
     enumerate_derivations,
 )
+from solis.compositions import candidate_pairs
 
 
 class TestConstruction:
@@ -49,7 +49,7 @@ class TestConstruction:
             theta = random_sequence(rng)
             expected = set()
             for x, y in theta.steps():
-                expected |= candidate_productions(x, y)
+                expected |= {Production(a, z) for a, z in candidate_pairs(x, y)}
             assert set(build_free_system(theta).productions) == expected
 
     def test_impossible_step_reports_its_index(self):

@@ -19,13 +19,13 @@ from solis import (
     CapExceeded,
     Sequence,
     build_free_system,
-    enumerate_step_assignments,
     occurrence_counts,
     probability_gradient,
     sequence_probability,
-    sequence_probability_naive,
     step_values,
 )
+from solis.compositions import enumerate_step_assignments
+from solis.derivations import sequence_probability_naive
 from solis.free_system import _lattice_edges
 from solis.lattice import compile_lattice
 

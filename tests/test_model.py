@@ -12,7 +12,6 @@ from solis import (
     Production,
     S0LSystem,
     Sequence,
-    letter_occurrences,
     occurrence_counts,
 )
 
@@ -153,15 +152,16 @@ class TestOccurrences:
 
     def test_hand_counts(self):
         theta = Sequence.from_strings("AA", "ABA", "BBB")
-        assert letter_occurrences(theta, "A") == 4
-        assert letter_occurrences(theta, "B") == 1
-        assert letter_occurrences(theta, "C") == 0
+        counts = occurrence_counts(theta)
+        assert counts["A"] == 4
+        assert counts["B"] == 1
+        assert counts["C"] == 0
 
     def test_counter_matches_per_symbol_queries(self):
         theta = Sequence.from_strings("AAA", "ABABAC")
         counts = occurrence_counts(theta)
         assert counts == {"A": 3}
-        assert counts["A"] == letter_occurrences(theta, "A")
+        assert counts["A"] == sum(w.count("A") for w in theta.words[:-1])
 
     def test_totals_sum_to_rewritten_length(self):
         rng = np.random.default_rng(42)

@@ -20,7 +20,6 @@ from solis import (
     SolisError,
     Production,
     Sequence,
-    SimplexProductProblem,
     best_derivation,
     build_free_system,
     count_productions,
@@ -28,8 +27,8 @@ from solis import (
     derivation_probability,
     enumerate_derivations,
     occurrence_counts,
-    simplex_product_max,
 )
+from solis.optimal_derivation import SimplexProductProblem, simplex_product_max
 
 
 def outcome(call):

@@ -24,14 +24,13 @@ from solis import (
     build_objective,
     count_productions,
     enumerate_derivations,
-    evaluate_monomials,
-    evaluate_objective,
     infer_optimal_system,
     maximize,
     occurrence_counts,
     sample_sequence,
     sequence_probability,
 )
+from solis.optimal_system import evaluate_monomials
 
 A_EPS = Production("A", ())
 A_A = Production("A", ("A",))
@@ -48,6 +47,21 @@ def underflowing_trace():
     )
     theta = sample_sequence(g, steps=120, seed=0).sequence
     return theta, sequence_probability(g, theta)
+
+
+def objective_values(obj, points):
+    """p(theta) at each row of points, one column per variable of obj."""
+    return np.prod(obj.lattice.values(np.asarray(points, dtype=float)), axis=1)
+
+
+def row(obj, x):
+    """The mapping x as a row over obj's variables; missing ones count 0."""
+    return [x.get(p, 0.0) for p in obj.variables]
+
+
+def best_value(traces, best):
+    """The winning restart's linear p(theta)."""
+    return math.exp(traces[best].values[-1])
 
 
 def random_feasible_point(obj, rng):
@@ -111,7 +125,7 @@ class TestObjective:
             for _ in range(4):
                 x = random_feasible_point(obj, rng)
                 np.testing.assert_allclose(
-                    evaluate_objective(obj, x),
+                    objective_values(obj, [row(obj, x)])[0],
                     evaluate_monomials(obj, x),
                     atol=1e-12,
                 )
@@ -119,12 +133,12 @@ class TestObjective:
     def test_uniform_point_value(self, theta2):
         obj = build_objective(theta2)
         x = {p: 1 / 5 for p in obj.variables}
-        assert evaluate_objective(obj, x) == pytest.approx(4 / 25, abs=1e-15)
+        assert objective_values(obj, [row(obj, x)])[0] == pytest.approx(4 / 25, abs=1e-15)
 
     def test_known_system_value(self, g2, theta2):
         obj = build_objective(theta2)
         x = {p: g2.prob[p] for p in obj.variables if p in g2.prob}
-        assert evaluate_objective(obj, x) == pytest.approx(2 / 9, abs=1e-15)
+        assert objective_values(obj, [row(obj, x)])[0] == pytest.approx(2 / 9, abs=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @given(SMALL_TRACES)
@@ -151,7 +165,7 @@ class TestObjective:
     def test_small_cap_skips_expansion(self, theta2):
         obj = build_objective(theta2, cap=3)
         assert obj.monomials is None
-        assert evaluate_objective(obj, {p: 0.2 for p in obj.variables}) > 0
+        assert objective_values(obj, [[0.2] * len(obj.variables)])[0] > 0
         with pytest.raises(ValueError, match="without monomial expansion"):
             evaluate_monomials(obj, {})
 
@@ -162,8 +176,8 @@ class TestObjective:
 class TestMaximize:
     def test_two_word_example_reaches_one_half(self, theta2):
         obj = build_objective(theta2, cap=0)
-        x_star, value, traces = maximize(obj)
-        assert value == pytest.approx(0.5, abs=1e-6)
+        x_star, best, traces = maximize(obj)
+        assert best_value(traces, best) == pytest.approx(0.5, abs=1e-6)
         assert x_star[A_EPS] == pytest.approx(0.5, abs=1e-4)
         assert x_star[A_ABA] == pytest.approx(0.5, abs=1e-4)
         assert x_star[A_A] + x_star[A_AB] + x_star[A_BA] < 1e-4
@@ -172,15 +186,15 @@ class TestMaximize:
     def test_growth_trace_reaches_one(self):
         theta = Sequence.from_strings("A", "AA", "AAAA")
         obj = build_objective(theta, cap=0)
-        x_star, value, _ = maximize(obj)
-        assert value == pytest.approx(1.0, abs=1e-4)
+        x_star, best, traces = maximize(obj)
+        assert best_value(traces, best) == pytest.approx(1.0, abs=1e-4)
         assert x_star[Production("A", ("A", "A"))] > 0.99
 
     def test_single_variable_instance(self):
         theta = Sequence.from_strings("A", "B")
         obj = build_objective(theta, cap=0)
-        x_star, value, _ = maximize(obj)
-        assert value == pytest.approx(1.0, abs=1e-12)
+        x_star, best, traces = maximize(obj)
+        assert best_value(traces, best) == pytest.approx(1.0, abs=1e-12)
         assert x_star[Production("A", ("B",))] == pytest.approx(1.0, abs=1e-12)
 
     def test_monotone_ascent_and_feasibility(self, theta2):
@@ -201,46 +215,29 @@ class TestMaximize:
         instances = [theta2, random_sequence(rng), random_sequence(rng)]
         for theta in instances:
             obj = build_objective(theta, cap=0)
-            _, value, _ = maximize(obj)
-            for _ in range(1000):
-                y = random_feasible_point(obj, rng)
-                assert evaluate_objective(obj, y) <= value + 1e-9
+            _, best, traces = maximize(obj)
+            points = [row(obj, random_feasible_point(obj, rng)) for _ in range(1000)]
+            assert (objective_values(obj, points) <= best_value(traces, best) + 1e-9).all()
 
     def test_matches_refined_grid_search(self):
         """Coarse simplex grid plus local 1e-3 refinement around its argmax."""
         theta = Sequence.from_strings("AA", "AB")
         obj = build_objective(theta, cap=0)
-        variables = list(obj.variables)
-        assert len(variables) == 4
-
-        def value_at(point):
-            return evaluate_objective(obj, dict(zip(variables, point)))
+        assert len(obj.variables) == 4
 
         coarse_steps = 50
-        best_point, best_value = None, -1.0
-        for combo in simplex_grid(coarse_steps, 4):
-            point = [c / coarse_steps for c in combo]
-            v = value_at(point)
-            if v > best_value:
-                best_point, best_value = point, v
+        grid = [[c / coarse_steps for c in combo] for combo in simplex_grid(coarse_steps, 4)]
+        coarse = objective_values(obj, grid)
+        best_point = grid[int(np.argmax(coarse))]
         span = np.arange(-0.03, 0.0301, 0.001)
-        refined = best_value
-        for da in span:
-            a = best_point[0] + da
-            if a < 0:
-                continue
-            for db in span:
-                b = best_point[1] + db
-                if b < 0:
-                    continue
-                for dc in span:
-                    c = best_point[2] + dc
-                    d = 1.0 - a - b - c
-                    if c < 0 or d < 0:
-                        continue
-                    refined = max(refined, value_at((a, b, c, d)))
+        a, b, c = np.meshgrid(*(best_point[i] + span for i in range(3)), indexing="ij")
+        d = 1.0 - a - b - c
+        cube = np.stack([a, b, c, d], axis=-1).reshape(-1, 4)
+        cube = cube[(cube >= 0).all(axis=1)]
+        refined = max(coarse.max(), objective_values(obj, cube).max())
 
-        _, solver_value, _ = maximize(obj)
+        _, best, traces = maximize(obj)
+        solver_value = best_value(traces, best)
         assert solver_value >= refined - 1e-12
         assert abs(solver_value - refined) <= 1e-4
 
@@ -254,10 +251,24 @@ class TestMaximize:
 
     def test_traces_hold_log_p(self, theta2):
         obj = build_objective(theta2, cap=0)
-        _, value, traces = maximize(obj)
-        best = max(trace.values[-1] for trace in traces)
-        assert best == pytest.approx(math.log(value), abs=1e-12)
+        x_star, best, traces = maximize(obj)
+        assert traces[best].values[-1] == max(trace.values[-1] for trace in traces)
+        at_x_star = objective_values(obj, [row(obj, x_star)])[0]
+        assert traces[best].values[-1] == pytest.approx(math.log(at_x_star), abs=1e-12)
         assert traces[0].values[0] == pytest.approx(math.log(4 / 25), abs=1e-12)
+
+    def test_best_is_the_earliest_restart_with_the_top_log_p(self, theta2):
+        obj = build_objective(theta2, cap=0)
+        _, best, traces = maximize(obj)
+        top = max(trace.values[-1] for trace in traces)
+        assert best == next(r for r, trace in enumerate(traces) if trace.values[-1] == top)
+
+    def test_ties_go_to_restart_zero(self):
+        """A -> B is the only variable, so every restart ends at log p = 0."""
+        obj = build_objective(Sequence.from_strings("A", "B"), cap=0)
+        _, best, traces = maximize(obj)
+        assert [trace.values[-1] for trace in traces] == [0.0] * len(traces)
+        assert best == 0
 
     def test_underflowing_trace_climbs_past_its_generator(self):
         """p(theta) underflows a double here; the solver still ascends in log p."""
@@ -265,8 +276,9 @@ class TestMaximize:
         assert generator.linear == 0.0
         obj = build_objective(theta, cap=0)
         cfg = SolverConfig(restarts=2)
-        x_star, value, traces = maximize(obj, cfg)
-        assert value == 0.0
+        x_star, best, traces = maximize(obj, cfg)
+        assert traces[best].values[-1] == max(trace.values[-1] for trace in traces)
+        assert traces[best].values[-1] >= generator.log
         for trace in traces:
             assert trace.converged and trace.iterations > 1
         inferred = sequence_probability(assemble_system(theta, obj, x_star, cfg.prune_eps), theta)
@@ -371,10 +383,10 @@ class TestInferOptimalSystem:
         for _ in range(6):
             theta = random_sequence(rng)
             obj = build_objective(theta, cap=0)
-            x_star, raw_value, _ = maximize(obj, cfg)
+            x_star, best, traces = maximize(obj, cfg)
             system = assemble_system(theta, obj, x_star, cfg.prune_eps)
             final = sequence_probability(system, theta).linear
-            assert abs(final - raw_value) < 1e-6
+            assert abs(final - best_value(traces, best)) < 1e-6
 
     def test_result_is_a_valid_stochastic_system(self):
         rng = np.random.default_rng(7)
