@@ -5,120 +5,81 @@ productions that could have participated, enumerates or scores derivations,
 finds the single derivation of maximum achievable probability together with
 the system attaining it, and finds the stochastic system maximizing the
 total probability of the trace over all derivations.
+
+Public names load their module on first access (PEP 562), so importing the
+package, or a command line run that needs few modules, compiles no others.
 """
 
-from .compositions import StepAssignment
-from .derivations import (
-    DEFAULT_DERIVATION_CAP,
-    Derivation,
-    ProductionCounts,
-    count_productions,
-    derivation_probability,
-    enumerate_derivations,
-    probability_gradient,
-    sequence_probability,
-    step_gradients,
-    step_values,
-)
-from .errors import (
-    CapExceeded,
-    FormatError,
-    IncompatibleSequence,
-    IncompatibleStep,
-    MissingProduction,
-    SolisError,
-    WordLengthExceeded,
-)
-from .formats import (
-    file_digest,
-    format_real,
-    parse_sequence_file,
-    parse_system_file,
-    parse_word,
-    serialize_derivation,
-    serialize_partial_system,
-    serialize_system,
-    serialize_word,
-)
-from .free_system import build_free_system
-from .model import (
-    EMPTY_WORD,
-    LogLinear,
-    Partial0LSystem,
-    Production,
-    S0LSystem,
-    Sequence,
-    Symbol,
-    Word,
-    occurrence_counts,
-)
-from .optimal_derivation import best_derivation, derivation_bound
-from .optimal_system import (
-    DEFAULT_EXPANSION_CAP,
-    Monomial,
-    PosynomialObjective,
-    RestartTrace,
-    SolverConfig,
-    assemble_system,
-    build_objective,
-    infer_optimal_system,
-    maximize,
-)
-from .sampler import MAX_WORD_LENGTH, SampleRecord, derive_step, sample_sequence
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapExceeded",
-    "DEFAULT_DERIVATION_CAP",
-    "DEFAULT_EXPANSION_CAP",
-    "Derivation",
-    "EMPTY_WORD",
-    "FormatError",
-    "IncompatibleSequence",
-    "IncompatibleStep",
-    "LogLinear",
-    "MAX_WORD_LENGTH",
-    "MissingProduction",
-    "Monomial",
-    "Partial0LSystem",
-    "PosynomialObjective",
-    "Production",
-    "ProductionCounts",
-    "RestartTrace",
-    "S0LSystem",
-    "SampleRecord",
-    "Sequence",
-    "SolisError",
-    "SolverConfig",
-    "StepAssignment",
-    "Symbol",
-    "Word",
-    "WordLengthExceeded",
-    "assemble_system",
-    "best_derivation",
-    "build_free_system",
-    "build_objective",
-    "count_productions",
-    "derivation_bound",
-    "derivation_probability",
-    "derive_step",
-    "enumerate_derivations",
-    "file_digest",
-    "format_real",
-    "infer_optimal_system",
-    "maximize",
-    "occurrence_counts",
-    "parse_sequence_file",
-    "parse_system_file",
-    "parse_word",
-    "probability_gradient",
-    "sample_sequence",
-    "sequence_probability",
-    "serialize_derivation",
-    "serialize_partial_system",
-    "serialize_system",
-    "serialize_word",
-    "step_gradients",
-    "step_values",
-]
+#: every public name and the module that defines it
+_EXPORTS = {
+    "CapExceeded": "errors",
+    "DEFAULT_DERIVATION_CAP": "derivations",
+    "DEFAULT_EXPANSION_CAP": "optimal_system",
+    "Derivation": "derivations",
+    "EMPTY_WORD": "model",
+    "FormatError": "errors",
+    "IncompatibleSequence": "errors",
+    "IncompatibleStep": "errors",
+    "LogLinear": "model",
+    "MAX_WORD_LENGTH": "sampler",
+    "MissingProduction": "errors",
+    "Monomial": "optimal_system",
+    "Partial0LSystem": "model",
+    "PosynomialObjective": "optimal_system",
+    "Production": "model",
+    "ProductionCounts": "derivations",
+    "RestartTrace": "optimal_system",
+    "S0LSystem": "model",
+    "SampleRecord": "sampler",
+    "Sequence": "model",
+    "SolisError": "errors",
+    "SolverConfig": "optimal_system",
+    "StepAssignment": "compositions",
+    "Symbol": "model",
+    "Word": "model",
+    "WordLengthExceeded": "errors",
+    "assemble_system": "optimal_system",
+    "best_derivation": "optimal_derivation",
+    "build_free_system": "free_system",
+    "build_objective": "optimal_system",
+    "count_productions": "derivations",
+    "derivation_bound": "optimal_derivation",
+    "derivation_probability": "derivations",
+    "derive_step": "sampler",
+    "enumerate_derivations": "derivations",
+    "file_digest": "formats",
+    "format_real": "formats",
+    "infer_optimal_system": "optimal_system",
+    "maximize": "optimal_system",
+    "occurrence_counts": "model",
+    "parse_sequence_file": "formats",
+    "parse_system_file": "formats",
+    "parse_word": "formats",
+    "probability_gradient": "lattice",
+    "sample_sequence": "sampler",
+    "sequence_probability": "lattice",
+    "serialize_derivation": "formats",
+    "serialize_partial_system": "formats",
+    "serialize_system": "formats",
+    "serialize_word": "formats",
+    "step_gradients": "lattice",
+    "step_values": "lattice",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -10,17 +10,12 @@ incompatible with the system at hand, 3 a cap or length guard tripped.
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from .derivations import (
-    DEFAULT_DERIVATION_CAP,
-    count_productions,
-    derivation_probability,
-    enumerate_derivations,
-    sequence_probability,
-)
 from .errors import (
     CapExceeded,
     FormatError,
@@ -39,18 +34,39 @@ from .formats import (
     serialize_system,
     serialize_word,
 )
-from .free_system import build_free_system
+from .lattice import sequence_probability
 from .model import Production, Sequence
-from .optimal_derivation import best_derivation
-from .optimal_system import (
-    DEFAULT_EXPANSION_CAP,
-    PosynomialObjective,
-    SolverConfig,
-    assemble_system,
-    build_objective,
-    maximize,
-)
-from .sampler import sample_sequence
+
+if TYPE_CHECKING:
+    from .optimal_system import PosynomialObjective
+
+
+class _Deferred:
+    """Stand-in for the function `name` of a solis module, which it imports
+    on its first call.  Handlers look these names up at call time, so a
+    tracer may replace them."""
+
+    def __init__(self, module: str, name: str) -> None:
+        self.module = module
+        self.name = name
+        self.function = None
+
+    def __call__(self, *args, **kwargs):
+        if self.function is None:
+            module = importlib.import_module(f".{self.module}", __package__)
+            self.function = getattr(module, self.name)
+        return self.function(*args, **kwargs)
+
+
+build_free_system = _Deferred("free_system", "build_free_system")
+count_productions = _Deferred("derivations", "count_productions")
+derivation_probability = _Deferred("derivations", "derivation_probability")
+enumerate_derivations = _Deferred("derivations", "enumerate_derivations")
+best_derivation = _Deferred("optimal_derivation", "best_derivation")
+assemble_system = _Deferred("optimal_system", "assemble_system")
+build_objective = _Deferred("optimal_system", "build_objective")
+maximize = _Deferred("optimal_system", "maximize")
+sample_sequence = _Deferred("sampler", "sample_sequence")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("enumerate", "list the derivations of a sequence")
     sub.add_argument("sequence")
     sub.add_argument("--system", help="restrict to this system and report probabilities")
-    sub.add_argument("--max-derivations", type=int, default=DEFAULT_DERIVATION_CAP)
+    sub.add_argument("--max-derivations", type=int, dest="cap", metavar="MAX_DERIVATIONS")
 
     sub = add("prob", "probability that a system generates a sequence")
     sub.add_argument("sequence")
@@ -89,15 +105,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = add("infer-derivation", "most probable single derivation and its system")
     sub.add_argument("sequence")
-    sub.add_argument("--max-derivations", type=int, default=DEFAULT_DERIVATION_CAP)
+    sub.add_argument("--max-derivations", type=int, dest="cap", metavar="MAX_DERIVATIONS")
 
     sub = add("infer-system", "system maximizing the sequence probability")
     sub.add_argument("sequence")
-    sub.add_argument("--restarts", type=int, default=SolverConfig.restarts)
-    sub.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
-    sub.add_argument("--tol", type=float, default=SolverConfig.rel_tol)
-    sub.add_argument("--prune-eps", type=float, default=SolverConfig.prune_eps)
-    sub.add_argument("--seed", type=int, default=SolverConfig.seed)
+    sub.add_argument("--restarts", type=int)
+    sub.add_argument("--max-iters", type=int)
+    sub.add_argument("--tol", type=float, dest="rel_tol", metavar="TOL")
+    sub.add_argument("--prune-eps", type=float)
+    sub.add_argument("--seed", type=int)
     sub.add_argument(
         "--show-objective",
         action="store_true",
@@ -118,17 +134,23 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    handlers = {
-        "free": _cmd_free,
-        "enumerate": _cmd_enumerate,
-        "prob": _cmd_prob,
-        "infer-derivation": _cmd_infer_derivation,
-        "infer-system": _cmd_infer_system,
-        "sample": _cmd_sample,
-    }
+    # each command's handler and the modules it runs beyond those imported
+    # above; they are imported before the clock behind time_ms starts
+    handler, modules = {
+        "free": (_cmd_free, ("free_system",)),
+        "enumerate": (_cmd_enumerate, ("free_system", "derivations")),
+        "prob": (_cmd_prob, ()),
+        "infer-derivation": (_cmd_infer_derivation, ("optimal_derivation",)),
+        "infer-system": (_cmd_infer_system, ("optimal_system",)),
+        "sample": (_cmd_sample, ("sampler",)),
+    }[args.command]
+    if getattr(args, "show_objective", False):
+        modules += ("derivations",)  # build_objective lists the multisets
+    for module in modules:
+        importlib.import_module(f".{module}", __package__)
     start = time.perf_counter()
     try:
-        lines = handlers[args.command](args)
+        lines = handler(args)
     except (FormatError, OSError, ValueError) as exc:
         return _fail(1, exc)
     except (IncompatibleSequence, IncompatibleStep, MissingProduction) as exc:
@@ -145,6 +167,12 @@ def main(argv: list[str] | None = None) -> int:
 def _fail(code: int, exc: Exception) -> int:
     print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
     return code
+
+
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The named options given on the command line, as keyword arguments;
+    the library's defaults apply to the others."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _header(command: str, paths: list[str]) -> list[str]:
@@ -178,7 +206,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> list[str]:
         base = system.base
     else:
         base = build_free_system(theta)
-    derivations = list(enumerate_derivations(base, theta, cap=args.max_derivations))
+    derivations = list(enumerate_derivations(base, theta, **_given(args, "cap")))
     tokens = _uses_tokens(theta)
     lines = _header("enumerate", paths)
     lines.append(f"derivations: {len(derivations)}")
@@ -211,7 +239,7 @@ def _cmd_prob(args: argparse.Namespace) -> list[str]:
 
 def _cmd_infer_derivation(args: argparse.Namespace) -> list[str]:
     theta = parse_sequence_file(args.sequence, args.tokens)
-    derivation, system, value = best_derivation(theta, cap=args.max_derivations)
+    derivation, system, value = best_derivation(theta, **_given(args, "cap"))
     lines = _header("infer-derivation", [args.sequence])
     lines.append(f"value = {format_real(value.linear)}")
     lines.append(f"log value = {format_real(value.log)}")
@@ -223,14 +251,10 @@ def _cmd_infer_derivation(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_infer_system(args: argparse.Namespace) -> list[str]:
+    from .optimal_system import DEFAULT_EXPANSION_CAP, SolverConfig
+
     theta = parse_sequence_file(args.sequence, args.tokens)
-    cfg = SolverConfig(
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        rel_tol=args.tol,
-        prune_eps=args.prune_eps,
-        seed=args.seed,
-    )
+    cfg = SolverConfig(**_given(args, "restarts", "max_iters", "rel_tol", "prune_eps", "seed"))
     cap = DEFAULT_EXPANSION_CAP if args.show_objective else 0
     obj = build_objective(theta, cap=cap)
     x_star, best, traces = maximize(obj, cfg)

@@ -1,18 +1,16 @@
-"""Derivations of a word sequence and their probabilities.
+"""Derivations of a word sequence: enumeration and count multisets.
 
 A derivation fixes, for every step and every position, the production that
 rewrote that position.  Its probability is the product of the chosen
 production probabilities; the probability of the whole sequence is the sum
-over all of its derivations.  Enumeration of that sum is kept as an oracle;
-the default path exploits the fact that choices in different steps are
-independent, so the sum factors into one term per step, each computable by
-a quadratic dynamic program without materializing any derivation.  That
-program runs on the step lattice of the lattice module, compiled once per
-trace and weighting.  The same independence groups the derivations by
-production-count multiset one step at a time (count_multisets), again
-without materializing any derivation.  A step's assignments are paths
-through its rows of that lattice, so one pass over its edges counts them,
-merges them into their distinct multisets or lists them in order.
+over all of its derivations.  That sum is computed without materializing
+any derivation by the lattice module, which owns p(theta) and its
+gradients; enumerating it here is kept as an oracle.  Choices in different
+steps are independent, so the derivations are grouped by production-count
+multiset one step at a time (count_multisets), again without materializing
+any derivation.  A step's assignments are paths through its rows of the
+step lattice, so one pass over its edges counts them, merges them into
+their distinct multisets or lists them in order.
 """
 
 from __future__ import annotations
@@ -21,14 +19,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby, product
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
 from .compositions import StepAssignment
 from .errors import CapExceeded, IncompatibleSequence
-from .lattice import StepLattice, compile_lattice
-from .model import LogLinear, Partial0LSystem, Production, S0LSystem, Sequence, Word
+from .lattice import compile_lattice
+from .model import Partial0LSystem, Production, S0LSystem, Sequence, Word
 
 #: refuse to stream a derivation space larger than this unless told otherwise
 DEFAULT_DERIVATION_CAP = 10**7
@@ -229,99 +227,6 @@ def sequence_probability_naive(
         return math.fsum(derivation_probability(g, d) for d in stream)
     except IncompatibleSequence:
         return 0.0
-
-
-def sequence_probability(g: S0LSystem, theta: Sequence) -> LogLinear:
-    """Probability that g generates theta, as (log value, linear value).
-
-    Computed per step by dynamic programming and combined in log space, so
-    the log survives underflow of the linear value.  Incompatible sequences
-    give (-inf, 0.0).
-    """
-    values = step_values(g.prob, theta)
-    log = 0.0
-    for value in values:
-        if value <= 0.0:
-            return LogLinear(float("-inf"), 0.0)
-        log += math.log(value)
-    return LogLinear(log, math.prod(values))
-
-
-def probability_gradient(g: S0LSystem, theta: Sequence) -> dict[Production, float]:
-    """Exact partial derivatives of the linear p(theta) per production.
-
-    Forward and backward tables per step give each step-sum's gradient; the
-    product rule combines steps, with explicit handling of zero-valued steps
-    (two or more zero steps kill every derivative).
-    """
-    values, grads = step_gradients(g.prob, theta)
-    total: dict[Production, float] = {p: 0.0 for p in g.prob}
-    zero_steps = [j for j, value in enumerate(values) if value == 0.0]
-    if len(zero_steps) >= 2:
-        return total
-    if len(zero_steps) == 1:
-        j = zero_steps[0]
-        rest = math.prod(value for i, value in enumerate(values) if i != j)
-        for production, slope in grads[j].items():
-            total[production] = rest * slope
-        return total
-    m = len(values)
-    prefix = [1.0] * (m + 1)
-    for j, value in enumerate(values):
-        prefix[j + 1] = prefix[j] * value
-    suffix = [1.0] * (m + 1)
-    for j in range(m - 1, -1, -1):
-        suffix[j] = suffix[j + 1] * values[j]
-    for j, grad in enumerate(grads):
-        rest = prefix[j] * suffix[j + 1]
-        for production, slope in grad.items():
-            total[production] += rest * slope
-    return total
-
-
-def step_values(prob: Mapping[Production, float], theta: Sequence) -> list[float]:
-    """The per-step sums S(w_j, w_{j+1}) whose product is p(theta).
-
-    Accepts any nonnegative weighting of productions, normalized or not;
-    weights absent from the mapping count as zero.
-    """
-    lattice, weights = _weighted_lattice(prob, theta)
-    return lattice.values(weights)[0].tolist()
-
-
-def step_gradients(
-    prob: Mapping[Production, float], theta: Sequence
-) -> tuple[list[float], list[dict[Production, float]]]:
-    """Per-step values and per-step gradients with respect to each weight.
-
-    The j-th gradient maps a production to the derivative of the j-th step
-    sum; productions with zero or absent weight, and zero derivatives, are
-    omitted.
-    """
-    lattice, weights = _weighted_lattice(prob, theta)
-    values, slopes = lattice.slopes(weights)
-    grads: list[dict[Production, float]] = [{} for _ in range(theta.step_count)]
-    for step, index, slope in zip(
-        lattice.pair_step.tolist(), lattice.pair_var.tolist(), slopes[0].tolist()
-    ):
-        if slope:
-            grads[step][lattice.variables[index]] = slope
-    return values[0].tolist(), grads
-
-
-def _weighted_lattice(
-    prob: Mapping[Production, float], theta: Sequence
-) -> tuple[StepLattice, np.ndarray]:
-    """The lattice over prob's nonzero weights, and those weights as one row."""
-    support = []
-    for production in sorted(prob):
-        weight = prob[production]
-        if weight < 0.0:
-            raise ValueError(f"negative weight for {production}")
-        if weight != 0.0:
-            support.append(production)
-    weights = np.array([[prob[p] for p in support]], dtype=float)
-    return compile_lattice(theta, support), weights
 
 
 def _assignment_rows(

@@ -14,11 +14,13 @@ scientific notation, and exact fractions like `2/9`.
 from __future__ import annotations
 
 import hashlib
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .derivations import Derivation
 from .errors import FormatError
 from .model import Partial0LSystem, Production, S0LSystem, Sequence, Word
+
+if TYPE_CHECKING:
+    from .derivations import Derivation
 
 EPSILON_TOKEN = "<eps>"
 DEFAULT_MARKER = "# default"
@@ -202,8 +204,13 @@ def _parse_rule(
 def _parse_probability(text: str, source: str, line: int) -> float:
     """An exact fraction a/b, or a decimal; float rounds decimals as
     Fraction would, without building the huge integers that an exponent
-    like 1e-100000000 takes as a Fraction."""
+    like 1e-100000000 takes as a Fraction.  fractions is imported only for
+    a fraction, so a system file of decimals does not load it."""
     try:
-        return float(Fraction(text)) if "/" in text else float(text)
+        if "/" in text:
+            from fractions import Fraction
+
+            return float(Fraction(text))
+        return float(text)
     except (ValueError, ZeroDivisionError, OverflowError):
         raise FormatError(f"bad probability {text!r}", source, line) from None

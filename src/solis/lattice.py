@@ -1,4 +1,5 @@
-"""The step lattice: p(theta)'s per-step dynamic program compiled to arrays.
+"""The step lattice: p(theta)'s per-step dynamic program compiled to arrays,
+and p(theta) and its gradients computed on it.
 
 One rewriting step x => y is a path problem.  Column k of the step means
 "the positions rewritten so far produced y[:k]", and position i of x moves
@@ -21,17 +22,21 @@ these shares gives the partial derivatives.  Within every sum the terms
 arrive in the order of the textbook recurrences (rows ascending, then
 successor length, then column), so the results do not depend on how many
 rows are batched.
+
+sequence_probability, step_values, step_gradients and probability_gradient
+compile a lattice over the nonzero weights of one weighting and run it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import CapExceeded
-from .model import Production, Sequence, Symbol, Word
+from .model import LogLinear, Production, S0LSystem, Sequence, Symbol, Word
 
 #: index arrays are stored narrow: they are the bulk of a lattice's memory
 _INDEX = np.int32
@@ -229,6 +234,99 @@ def check_edge_count(edges: int) -> None:
             count=edges,
             cap=EDGE_CEILING,
         )
+
+
+def sequence_probability(g: S0LSystem, theta: Sequence) -> LogLinear:
+    """Probability that g generates theta, as (log value, linear value).
+
+    Computed per step by dynamic programming and combined in log space, so
+    the log survives underflow of the linear value.  Incompatible sequences
+    give (-inf, 0.0).
+    """
+    values = step_values(g.prob, theta)
+    log = 0.0
+    for value in values:
+        if value <= 0.0:
+            return LogLinear(float("-inf"), 0.0)
+        log += math.log(value)
+    return LogLinear(log, math.prod(values))
+
+
+def probability_gradient(g: S0LSystem, theta: Sequence) -> dict[Production, float]:
+    """Exact partial derivatives of the linear p(theta) per production.
+
+    Forward and backward tables per step give each step-sum's gradient; the
+    product rule combines steps, with explicit handling of zero-valued steps
+    (two or more zero steps kill every derivative).
+    """
+    values, grads = step_gradients(g.prob, theta)
+    total: dict[Production, float] = {p: 0.0 for p in g.prob}
+    zero_steps = [j for j, value in enumerate(values) if value == 0.0]
+    if len(zero_steps) >= 2:
+        return total
+    if len(zero_steps) == 1:
+        j = zero_steps[0]
+        rest = math.prod(value for i, value in enumerate(values) if i != j)
+        for production, slope in grads[j].items():
+            total[production] = rest * slope
+        return total
+    m = len(values)
+    prefix = [1.0] * (m + 1)
+    for j, value in enumerate(values):
+        prefix[j + 1] = prefix[j] * value
+    suffix = [1.0] * (m + 1)
+    for j in range(m - 1, -1, -1):
+        suffix[j] = suffix[j + 1] * values[j]
+    for j, grad in enumerate(grads):
+        rest = prefix[j] * suffix[j + 1]
+        for production, slope in grad.items():
+            total[production] += rest * slope
+    return total
+
+
+def step_values(prob: Mapping[Production, float], theta: Sequence) -> list[float]:
+    """The per-step sums S(w_j, w_{j+1}) whose product is p(theta).
+
+    Accepts any nonnegative weighting of productions, normalized or not;
+    weights absent from the mapping count as zero.
+    """
+    lattice, weights = _weighted_lattice(prob, theta)
+    return lattice.values(weights)[0].tolist()
+
+
+def step_gradients(
+    prob: Mapping[Production, float], theta: Sequence
+) -> tuple[list[float], list[dict[Production, float]]]:
+    """Per-step values and per-step gradients with respect to each weight.
+
+    The j-th gradient maps a production to the derivative of the j-th step
+    sum; productions with zero or absent weight, and zero derivatives, are
+    omitted.
+    """
+    lattice, weights = _weighted_lattice(prob, theta)
+    values, slopes = lattice.slopes(weights)
+    grads: list[dict[Production, float]] = [{} for _ in range(theta.step_count)]
+    for step, index, slope in zip(
+        lattice.pair_step.tolist(), lattice.pair_var.tolist(), slopes[0].tolist()
+    ):
+        if slope:
+            grads[step][lattice.variables[index]] = slope
+    return values[0].tolist(), grads
+
+
+def _weighted_lattice(
+    prob: Mapping[Production, float], theta: Sequence
+) -> tuple[StepLattice, np.ndarray]:
+    """The lattice over prob's nonzero weights, and those weights as one row."""
+    support = []
+    for production in sorted(prob):
+        weight = prob[production]
+        if weight < 0.0:
+            raise ValueError(f"negative weight for {production}")
+        if weight != 0.0:
+            support.append(production)
+    weights = np.array([[prob[p] for p in support]], dtype=float)
+    return compile_lattice(theta, support), weights
 
 
 def _with_pass_through(weights: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -88,7 +87,7 @@ def derivation_bound(theta: Sequence, counts: ProductionCounts) -> LogLinear:
     probability is at most prod(count^count) / prod(occ^occ), where occ
     ranges over per-symbol occurrence totals in all words but the last.
     Returned as (log, linear); the linear value is the correctly rounded
-    float of the exact integer ratio.
+    float of the exact integer ratio, which int division gives.
     """
     occurrences = occurrence_counts(theta)
     log = 0.0
@@ -100,7 +99,7 @@ def derivation_bound(theta: Sequence, counts: ProductionCounts) -> LogLinear:
     for occ in occurrences.values():
         log -= occ * math.log(occ)
         denominator *= occ**occ
-    return LogLinear(log, float(Fraction(numerator, denominator)))
+    return LogLinear(log, numerator / denominator)
 
 
 def best_derivation(

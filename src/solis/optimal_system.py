@@ -34,10 +34,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .derivations import count_multisets, sequence_probability
 from .errors import CapExceeded
 from .free_system import build_free_system
-from .lattice import EDGE_CEILING, StepLattice, compile_lattice
+from .lattice import EDGE_CEILING, StepLattice, compile_lattice, sequence_probability
 from .model import (
     LogLinear,
     Partial0LSystem,
@@ -138,6 +137,8 @@ def build_objective(theta: Sequence, cap: int = DEFAULT_EXPANSION_CAP) -> Posyno
         blocks.setdefault(production.predecessor, []).append(production)
     monomials: tuple[Monomial, ...] | None = None
     if cap > 0:
+        from .derivations import count_multisets  # only expansion lists multisets
+
         try:
             table = count_multisets(free, theta, cap)
         except CapExceeded:

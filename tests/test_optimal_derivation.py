@@ -159,6 +159,22 @@ class TestDerivationBound:
         }
         assert derivation_bound(theta1, counts).linear == float(Fraction(4, 27))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(14, 400), min_size=1, max_size=4),
+        st.lists(st.integers(14, 400), min_size=1, max_size=4),
+    )
+    def test_linear_value_is_the_correctly_rounded_ratio(self, a_counts, b_counts):
+        """Counts of 14 or more make every c**c, and so both products, pass
+        2**53, past which floats no longer hold them exactly."""
+        theta = Sequence.from_strings("A" * sum(a_counts) + "B" * sum(b_counts), "A")
+        counts = {
+            Production(symbol, (symbol,) * k): count
+            for symbol, block in (("A", a_counts), ("B", b_counts))
+            for k, count in enumerate(block)
+        }
+        assert derivation_bound(theta, counts).linear == float(fraction_bound(theta, counts))
+
     def test_matches_per_block_simplex_maxima(self):
         """Second route: optimize each predecessor's simplex in closed form."""
         rng = np.random.default_rng(42)

@@ -1,13 +1,20 @@
-"""The package's public surface: the exported names and the README example.
+"""The package's public surface: the exported names, the command line's
+help and the README example.
 
 Test oracles (enumeration, monomial expansion, the closed-form simplex
 maximum) live in the modules that define them and are not exported.
+Public names load their module on first access.
 """
 
+import importlib
 import re
 from pathlib import Path
 
+import pytest
+
 import solis
+from conftest import DATA
+from solis.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -98,6 +105,41 @@ def test_exports_are_pinned():
     assert len(PUBLIC) == 52
     for name in PUBLIC:
         assert getattr(solis, name) is not None
+
+
+def test_exports_are_the_objects_of_their_modules():
+    for name in PUBLIC:
+        module = importlib.import_module(f"solis.{solis._EXPORTS[name]}")
+        assert getattr(solis, name) is getattr(module, name)
+
+
+def test_dir_lists_the_exports():
+    assert set(PUBLIC) <= set(dir(solis))
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from solis import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(PUBLIC)
+    for name in PUBLIC:
+        assert namespace[name] is getattr(solis, name)
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        solis.no_such_name
+
+
+def test_help_of_every_command_is_unchanged(capsys, monkeypatch):
+    """cli-help.out holds the help that the command line printed when its
+    parser read its defaults from the library, at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    commands = ["free", "enumerate", "prob", "infer-derivation", "infer-system", "sample"]
+    printed = []
+    for argv in [["--help"]] + [[command, "--help"] for command in commands]:
+        assert main(argv) == 0
+        printed.append(f"$ solis {' '.join(argv)}\n{capsys.readouterr().out}")
+    assert "".join(printed) == (DATA / "cli-help.out").read_text()
 
 
 def test_exports_cover_the_benchmark_and_the_readme():
