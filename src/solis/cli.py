@@ -66,6 +66,7 @@ best_derivation = _Deferred("optimal_derivation", "best_derivation")
 assemble_system = _Deferred("optimal_system", "assemble_system")
 build_objective = _Deferred("optimal_system", "build_objective")
 maximize = _Deferred("optimal_system", "maximize")
+system_probability = _Deferred("optimal_system", "system_probability")
 sample_sequence = _Deferred("sampler", "sample_sequence")
 
 
@@ -259,7 +260,7 @@ def _cmd_infer_system(args: argparse.Namespace) -> list[str]:
     obj = build_objective(theta, cap=cap)
     x_star, best, traces = maximize(obj, cfg)
     system = assemble_system(theta, obj, x_star, cfg.prune_eps)
-    value = sequence_probability(system, theta)
+    value = system_probability(obj, system)
     lines = _header("infer-system", [args.sequence])
     lines.append(f"restarts: {cfg.restarts}")
     lines.append(f"best restart: {best}")

@@ -4,6 +4,10 @@ One rewriting step x => y assigns to each position of x a contiguous piece of
 y; the pieces concatenate back to y.  Enumerating those assignments is
 enumerating the weak compositions of y into |x| parts, i.e. choosing |x|-1
 nondecreasing cut positions in y.  There are C(|y|+|x|-1, |x|-1) of them.
+
+The productions those assignments use, the step's candidates, are listed
+without enumerating anything (solis.moves, through
+free_system.build_free_system); the enumeration here is their test oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .errors import IncompatibleStep
-from .model import Production, Symbol, Word
+from .model import Production, Word
 
 
 @dataclass(frozen=True)
@@ -59,30 +63,3 @@ def _assignments(x: Word, y: Word) -> Iterator[StepAssignment]:
         bounds = (0, *cuts, n)
         parts = tuple(y[bounds[i]:bounds[i + 1]] for i in range(len(x)))
         yield StepAssignment(x, y, parts)
-
-
-def candidate_pairs(x: Word, y: Word) -> set[tuple[Symbol, Word]]:
-    """The (predecessor, successor) pairs of every production that appears in
-    some step assignment for x => y.
-
-    Computed directly: position 1 must produce a prefix of y, position |x|
-    a suffix, and interior positions can produce any substring (the other
-    positions absorb the rest).  Agrees with collecting productions from the
-    full enumeration, but stays polynomial in |x| and |y|.  Each distinct
-    pair is produced once, however many positions share it.  Raises
-    IncompatibleStep when x is empty but y is not.
-    """
-    if not x:
-        if y:
-            raise IncompatibleStep("empty word cannot derive a non-empty word")
-        return set()
-    n = len(y)
-    if len(x) == 1:
-        return {(x[0], y)}
-    pairs = {(x[0], y[:e]) for e in range(n + 1)}
-    pairs.update((x[-1], y[s:]) for s in range(n + 1))
-    interior = set(x[1:-1])
-    if interior:
-        substrings = {y[s:e] for s in range(n + 1) for e in range(s, n + 1)}
-        pairs.update((a, z) for a in interior for z in substrings)
-    return pairs

@@ -204,10 +204,17 @@ def _parse_rule(
 def _parse_probability(text: str, source: str, line: int) -> float:
     """An exact fraction a/b, or a decimal; float rounds decimals as
     Fraction would, without building the huge integers that an exponent
-    like 1e-100000000 takes as a Fraction.  fractions is imported only for
-    a fraction, so a system file of decimals does not load it."""
+    like 1e-100000000 takes as a Fraction.  For ASCII digits a and b,
+    int(a) / int(b) is the correctly rounded quotient, the float that
+    Fraction gives, and raises as it does; fractions is imported only for
+    other fraction syntax (signs, spaces, underscores), so a system file of
+    decimals and plain fractions does not load it."""
     try:
         if "/" in text:
+            numerator, _, denominator = text.partition("/")
+            digits = numerator + denominator
+            if digits.isascii() and numerator.isdigit() and denominator.isdigit():
+                return int(numerator) / int(denominator)
             from fractions import Fraction
 
             return float(Fraction(text))

@@ -5,14 +5,19 @@ production that could have fired at some position in a parallel rewriting
 step, and takes the axiom from the first word.  It is the least restrictive
 partial 0L-system able to derive the sequence; any system that derives the
 sequence uses a subset of its productions.
+
+Those productions are exactly the distinct moves of the trace's step
+lattice: position 1 of a step x => y produces a prefix of y, position |x| a
+suffix, an interior position any substring, and a lone position all of y.
+So the lattice module lists them, in the same array pass that compiles the
+lattice over them (lattice.free_lattice).
 """
 
 from __future__ import annotations
 
-from .compositions import candidate_pairs
-from .errors import IncompatibleSequence, IncompatibleStep
-from .lattice import check_edge_count
-from .model import Partial0LSystem, Production, Sequence, Symbol, Word
+from .errors import IncompatibleSequence
+from .lattice import StepLattice, check_edge_count, free_lattice, free_productions
+from .model import Partial0LSystem, Production, Sequence
 
 
 def build_free_system(sequence: Sequence) -> Partial0LSystem:
@@ -26,19 +31,31 @@ def build_free_system(sequence: Sequence) -> Partial0LSystem:
     lattice module's EDGE_CEILING: such a system takes time and memory
     cubic in the word lengths to list, and no consumer could compile it.
     """
+    _check(sequence)
+    return _system(sequence, free_productions(sequence))
+
+
+def build_free_lattice(sequence: Sequence) -> tuple[Partial0LSystem, StepLattice]:
+    """The free system and the step lattice over its productions, from one
+    listing of the moves; raises as build_free_system does."""
+    _check(sequence)
+    lattice = free_lattice(sequence)
+    return _system(sequence, lattice.variables), lattice
+
+
+def _check(sequence: Sequence) -> None:
     check_edge_count(_lattice_edges(sequence))
-    pairs: set[tuple[Symbol, Word]] = set()
     for index, (x, y) in enumerate(sequence.steps(), start=1):
-        try:
-            pairs.update(candidate_pairs(x, y))
-        except IncompatibleStep as exc:
+        if y and not x:
             raise IncompatibleSequence(
-                f"step {index} is impossible: {exc}", step=index
-            ) from exc
+                f"step {index} is impossible: empty word cannot derive a non-empty word",
+                step=index,
+            )
+
+
+def _system(sequence: Sequence, productions: tuple[Production, ...]) -> Partial0LSystem:
     return Partial0LSystem(
-        alphabet=frozenset(sequence.symbols()),
-        axiom=sequence.axiom,
-        productions=tuple(Production(a, z) for a, z in pairs),
+        alphabet=frozenset(sequence.symbols()), axiom=sequence.axiom, productions=productions
     )
 
 

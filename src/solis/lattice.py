@@ -23,6 +23,11 @@ arrive in the order of the textbook recurrences (rows ascending, then
 successor length, then column), so the results do not depend on how many
 rows are batched.
 
+Compiling turns the moves that the moves module lists into edges.  The
+free system's productions are the distinct moves (free_lattice);
+compile_lattice keeps the moves of the given productions, so its edges are
+the free lattice's edges over them, in the same order.
+
 sequence_probability, step_values, step_gradients and probability_gradient
 compile a lattice over the nonzero weights of one weighting and run it.
 """
@@ -36,7 +41,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import CapExceeded
-from .model import LogLinear, Production, S0LSystem, Sequence, Symbol, Word
+from .model import LogLinear, Production, S0LSystem, Sequence
+from .moves import Moves, list_moves
 
 #: index arrays are stored narrow: they are the bulk of a lattice's memory
 _INDEX = np.int32
@@ -56,7 +62,8 @@ class StepLattice:
     Edge arrays are sorted by (row, step, successor length, src column); the
     edges of row i are those in [bounds[i], bounds[i + 1]).  var == len(variables)
     marks a pass-through edge.  A (step, variable) pair indexes the partial
-    derivative of one step sum; pairs are sorted by (variable, step), and
+    derivative of one step sum; there is one pair per distinct (variable,
+    step) of the edges, pairs are sorted by (variable, step), and
     pair[e] == len(pair_var) for pass-through edges.
     """
 
@@ -89,8 +96,9 @@ class StepLattice:
         """Per-step sums and x_p * d log p(theta) / d x_p for every variable.
 
         The second array is the expected number of times each production
-        fires in a derivation drawn in proportion to its weight.  A row with
-        a zero step sum gets non-finite counts.
+        fires in a derivation drawn in proportion to its weight.  In a row
+        with a zero step sum, every variable with an edge in that step gets
+        a non-finite count.
         """
         values, slopes = self.slopes(weights)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -146,84 +154,108 @@ class StepLattice:
 def compile_lattice(theta: Sequence, variables: Iterable[Production]) -> StepLattice:
     """Compile every step of theta over the given productions.
 
-    Productions that fit no step simply contribute no edges; a step that no
-    combination of them can perform gets a zero sum.  Raises CapExceeded,
-    before the edge arrays are assembled, when the lattice would hold more
-    than EDGE_CEILING edges.
+    Lists the moves of every position over the substrings of the variables'
+    successor lengths (moves.list_moves), finds each move's (predecessor,
+    substring) key among the variables' sorted keys, and keeps the moves
+    that match one: the lattice holds exactly the free lattice's edges whose
+    production is a variable, in the same order, and one pair per distinct
+    (variable, step) of its moves.  Productions that fit no step contribute
+    no edges; a step that no combination of them can perform gets a zero
+    sum.  Raises ValueError if a production is listed twice, and
+    CapExceeded, before the edge arrays are assembled, when the lattice
+    would hold more than EDGE_CEILING edges.
     """
     variables = tuple(variables)
-    by_successor: dict[Word, list[tuple[Symbol, int]]] = {}
-    for index, production in enumerate(variables):
-        by_successor.setdefault(production.successor, []).append(
-            (production.predecessor, index)
-        )
-    lengths = sorted({len(p.successor) for p in variables})
-    steps = list(theta.steps())
-    # The moves of each step per predecessor: (3, k) arrays of (successor
-    # length, src column, var), sorted by length, then src.
-    moves: list[dict[Symbol, np.ndarray]] = []
-    starts = []
-    offset = 0
-    for x, y in steps:
-        present = set(x)
-        found: dict[Symbol, list[int]] = {}
-        for length in lengths:
-            for s in range(len(y) - length + 1):
-                for a, index in by_successor.get(y[s : s + length], ()):
-                    if a in present:
-                        found.setdefault(a, []).extend((length, offset + s, index))
-        moves.append({a: np.array(flat, _INDEX).reshape(-1, 3).T for a, flat in found.items()})
-        starts.append(offset)
-        offset += len(y) + 1
-    ends = [start + len(y) for start, (_, y) in zip(starts, steps)]
+    successors = [p.successor for p in variables]
+    moves, key, step = list_moves(theta, set(map(len, successors)))
+    known = moves.keys([p.predecessor for p in variables], successors)
+    order = np.argsort(known)[np.count_nonzero(known < 0) :]
+    known = known[order]
+    if (known[1:] == known[:-1]).any():
+        raise ValueError("a production is listed twice among the variables")
+    at = np.searchsorted(known, key)
+    keep = at < known.size
+    keep[keep] = known[at[keep]] == key[keep]
+    var = order[at[keep]]
+    steps = len(moves.starts)
+    pair_keys, pair = np.unique(var * steps + step[keep], return_inverse=True)
+    del key, step, at
+    var = _closed(var, len(variables), steps)
+    pair = _closed(pair, pair_keys.size, steps)
+    return _assemble(moves, variables, keep, var, pair, pair_keys // steps, pair_keys % steps)
 
-    # one pair per (variable, step) that has a move, numbered in that order
-    keys = [
-        m[2].astype(np.int64) * len(steps) + j for j, ms in enumerate(moves) for m in ms.values()
-    ]
-    unique, inverse = np.unique(
-        np.concatenate([np.zeros(0, np.int64)] + keys), return_inverse=True
-    )
-    pieces = iter(np.split(inverse.astype(_INDEX), np.cumsum([k.size for k in keys])[:-1]))
-    for ms in moves:
-        for a, m in ms.items():
-            ms[a] = np.vstack((m, next(pieces)))
 
-    # per row, one (4, k) array of (length, src, var, pair) per step
-    rows = max(len(x) for x, _ in steps)
-    per_row: list[list[np.ndarray]] = [[] for _ in range(rows)]
-    for (x, _), ms, start, end in zip(steps, moves, starts, ends):
-        for i, a in enumerate(x):
-            if a not in ms:
-                continue
-            edges = ms[a]
-            # the first position starts at column 0 of its step, the last one ends at n
-            if i == 0:
-                edges = edges[:, edges[1] == start]
-            if i == len(x) - 1:
-                edges = edges[:, edges[0] + edges[1] == end]
-            per_row[i].append(edges)
-        through = np.array([[0], [end], [len(variables)], [unique.size]], _INDEX)
-        for i in range(len(x), rows):
-            per_row[i].append(through)
-    sizes = [sum(edges.shape[1] for edges in row) for row in per_row]
-    check_edge_count(sum(sizes))
-    length, src, var, pair = np.concatenate(
-        [np.zeros((4, 0), _INDEX)] + [edges for row in per_row for edges in row], axis=1
-    )
+def free_lattice(theta: Sequence) -> StepLattice:
+    """The lattice over theta's free system, whose variables are the free
+    productions in canonical order.  The caller checks the edge count and
+    the steps' compatibility first (see free_system.build_free_lattice)."""
+    return _assemble(*_free_moves(theta))
+
+
+def free_productions(theta: Sequence) -> tuple[Production, ...]:
+    """theta's free productions in canonical order, without the lattice's
+    edges."""
+    return _free_moves(theta)[1]
+
+
+def _free_moves(theta: Sequence) -> tuple:
+    """The arguments of _assemble for the free lattice: the moves over any
+    substring, the free productions (their distinct keys), and each move's
+    variable and pair.
+
+    Substring ids are ranks in sorted order and predecessor codes are ranks
+    of the sorted symbols, so one np.unique of the moves' (predecessor,
+    substring, step) keys sorts the pairs by (variable, step) and numbers
+    the variables canonically.
+    """
+    moves, key, step = list_moves(theta, None)
+    steps = len(moves.starts)
+    pair_keys, pair = np.unique(key * steps + step, return_inverse=True)
+    del key, step
+    pair = _closed(pair, pair_keys.size, steps)
+    owner = pair_keys // steps
+    new = np.ones(owner.size, bool)
+    new[1:] = owner[1:] != owner[:-1]
+    pair_var = np.cumsum(new) - 1
+    variables = moves.productions(owner[new])
+    var = _closed(pair_var, len(variables), 1)[pair]
+    return moves, variables, None, var, pair, pair_var, pair_keys % steps
+
+
+def _assemble(
+    moves: Moves,
+    variables: tuple[Production, ...],
+    keep: np.ndarray | None,
+    var: np.ndarray,
+    pair: np.ndarray,
+    pair_var: np.ndarray,
+    pair_step: np.ndarray,
+) -> StepLattice:
+    """The lattice of the moves where keep is set (all if None).  var and
+    pair give each kept move's variable and pair, then the pass-through
+    moves' len(variables) and len(pair_var)."""
+    bounds, src, dst, edge = moves.edges(keep, check_edge_count)
     return StepLattice(
         variables=variables,
-        columns=offset,
-        starts=np.array(starts, _INDEX),
-        ends=np.array(ends, _INDEX),
-        bounds=tuple(np.cumsum([0] + sizes).tolist()),
+        columns=int(moves.ends[-1]) + 1,
+        starts=moves.starts,
+        ends=moves.ends,
+        bounds=bounds,
         src=src,
-        dst=src + length,
-        var=var,
-        pair=pair,
-        pair_step=(unique % len(steps)).astype(_INDEX),
-        pair_var=(unique // len(steps)).astype(_INDEX),
+        dst=dst,
+        var=var[edge],
+        pair=pair[edge],
+        pair_step=pair_step.astype(_INDEX),
+        pair_var=pair_var.astype(_INDEX),
     )
+
+
+def _closed(values: np.ndarray, fill: int, count: int) -> np.ndarray:
+    """values, then count copies of fill (one per pass-through move), as int32."""
+    out = np.empty(values.size + count, _INDEX)
+    out[: values.size] = values
+    out[values.size :] = fill
+    return out
 
 
 def check_edge_count(edges: int) -> None:
@@ -243,7 +275,13 @@ def sequence_probability(g: S0LSystem, theta: Sequence) -> LogLinear:
     the log survives underflow of the linear value.  Incompatible sequences
     give (-inf, 0.0).
     """
-    values = step_values(g.prob, theta)
+    return log_linear(step_values(g.prob, theta))
+
+
+def log_linear(values: list[float]) -> LogLinear:
+    """The product of per-step sums, as (log value, linear value); the log
+    is summed step by step, so it survives underflow of the product.  A
+    zero step gives (-inf, 0.0)."""
     log = 0.0
     for value in values:
         if value <= 0.0:

@@ -35,8 +35,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import CapExceeded
-from .free_system import build_free_system
-from .lattice import EDGE_CEILING, StepLattice, compile_lattice, sequence_probability
+from .free_system import build_free_lattice
+from .lattice import EDGE_CEILING, StepLattice, log_linear
 from .model import (
     LogLinear,
     Partial0LSystem,
@@ -131,7 +131,7 @@ def build_objective(theta: Sequence, cap: int = DEFAULT_EXPANSION_CAP) -> Posyno
     cap (pass cap=0 to skip expansion, e.g. when only the factored form is
     needed).  The factored form never fails.
     """
-    free = build_free_system(theta)
+    free, lattice = build_free_lattice(theta)
     blocks: dict[Symbol, list[Production]] = {}
     for production in free.productions:
         blocks.setdefault(production.predecessor, []).append(production)
@@ -157,7 +157,7 @@ def build_objective(theta: Sequence, cap: int = DEFAULT_EXPANSION_CAP) -> Posyno
         variables=free.productions,
         blocks={symbol: tuple(block) for symbol, block in blocks.items()},
         monomials=monomials,
-        lattice=compile_lattice(theta, free.productions),
+        lattice=lattice,
     )
 
 
@@ -222,7 +222,21 @@ def infer_optimal_system(
     obj = build_objective(theta, cap=0)
     x_star, _, _ = maximize(obj, cfg)
     system = assemble_system(theta, obj, x_star, cfg.prune_eps)
-    return system, sequence_probability(system, theta)
+    return system, system_probability(obj, system)
+
+
+def system_probability(obj: PosynomialObjective, system: S0LSystem) -> LogLinear:
+    """p(theta) under a system assembled from obj, on obj's lattice.
+
+    The weights are system.prob on obj.variables, 0 for pruned ones; the
+    identity defaults rewrite no symbol that theta rewrites, so they have
+    no edges.  A lattice compiled over the system's productions holds the
+    free lattice's edges of those productions in the same order, and each
+    pruned edge adds exactly +0.0 to its sum, so the value is bitwise
+    sequence_probability(system, obj.theta).
+    """
+    weights = np.array([[system.prob.get(p, 0.0) for p in obj.variables]])
+    return log_linear(obj.lattice.values(weights)[0].tolist())
 
 
 def assemble_system(

@@ -206,6 +206,17 @@ class TestInferSystem:
         assert code == 0
         assert_recorded(out, "long-seed0", "infer-system")
 
+    def test_recorded_output_of_a_growth_trace(self, capsys):
+        """8 steps of words growing to 38 symbols (the growth workload's
+        seed-0 trace): long successors, interior substrings and the
+        pass-through edges of steps with fewer positions."""
+        code, out, _ = run(
+            capsys, "infer-system", str(DATA / "growth-seed0.seq"), "--restarts", "2",
+            "--max-iters", "20", "--seed", "0",
+        )
+        assert code == 0
+        assert_recorded(out, "growth-seed0", "infer-system")
+
     def test_show_objective(self, capsys):
         code, out, _ = run(
             capsys, "infer-system", str(DATA / "aa-aba.seq"), "--show-objective"

@@ -1,7 +1,9 @@
-"""Step assignments: enumeration order and candidate productions.
+"""Step assignments: enumeration order, and the candidate productions of a
+step, which the free system of the one-step trace lists.
 
 The brute-force splitter below regrows every assignment recursively, first
-part first, and serves as the oracle for the enumeration.
+part first, and serves as the oracle for the enumeration; the enumeration
+is in turn the oracle for the candidates.
 """
 
 from itertools import product
@@ -10,8 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import word
-from solis import IncompatibleStep, Production
-from solis.compositions import candidate_pairs, enumerate_step_assignments
+from solis import IncompatibleSequence, IncompatibleStep, Production, Sequence, build_free_system
+from solis.compositions import enumerate_step_assignments
 
 
 def brute_parts(x, y):
@@ -25,6 +27,12 @@ def brute_parts(x, y):
         for rest in brute_parts(x[1:], y[i:]):
             out.append((y[:i],) + rest)
     return out
+
+
+def candidate_pairs(x, y):
+    """The (predecessor, successor) pairs of the free system of x => y."""
+    free = build_free_system(Sequence((x, y)))
+    return {(p.predecessor, p.successor) for p in free.productions}
 
 
 def all_words(alphabet, max_len):
@@ -114,8 +122,9 @@ class TestCandidates:
                 assert candidate_pairs(x, y) == from_enum
 
     def test_empty_source_nonempty_target_is_impossible(self):
-        with pytest.raises(IncompatibleStep):
+        with pytest.raises(IncompatibleSequence) as info:
             candidate_pairs((), word("B"))
+        assert info.value.step == 1
 
     def test_empty_to_empty_needs_no_productions(self):
         assert candidate_pairs((), ()) == set()

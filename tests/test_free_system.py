@@ -11,7 +11,7 @@ from solis import (
     build_free_system,
     enumerate_derivations,
 )
-from solis.compositions import candidate_pairs
+from solis.compositions import enumerate_step_assignments
 
 
 class TestConstruction:
@@ -44,13 +44,17 @@ class TestConstruction:
         assert free.productions == (Production("A", ("A",)),)
 
     def test_matches_per_step_candidates(self):
+        """The union of the steps' candidates: the productions of their
+        enumerated assignments, or of their one-step free systems."""
         rng = np.random.default_rng(42)
         for _ in range(50):
             theta = random_sequence(rng)
-            expected = set()
+            expected, per_step = set(), set()
             for x, y in theta.steps():
-                expected |= {Production(a, z) for a, z in candidate_pairs(x, y)}
-            assert set(build_free_system(theta).productions) == expected
+                for assignment in enumerate_step_assignments(x, y):
+                    expected.update(assignment.productions())
+                per_step.update(build_free_system(Sequence((x, y))).productions)
+            assert set(build_free_system(theta).productions) == expected == per_step
 
     def test_impossible_step_reports_its_index(self):
         theta = Sequence(words=(word("A"), (), word("B")))

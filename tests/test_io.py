@@ -4,6 +4,8 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA
 from solis import (
@@ -23,6 +25,20 @@ from solis import (
     serialize_partial_system,
     serialize_system,
     serialize_word,
+)
+from solis.formats import _parse_probability
+
+DIGITS = st.text("0123456789", min_size=1, max_size=30)
+#: plain a/b in ASCII digits, big integers, and the syntax only Fraction reads
+FRACTION_TEXTS = st.one_of(
+    st.tuples(DIGITS, DIGITS).map("/".join),
+    st.tuples(st.integers(0, 10**400), st.integers(0, 10**400)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.tuples(
+        st.sampled_from(["", "+", "-", " ", "\u0661"]),
+        DIGITS,
+        st.sampled_from(["", "_0", " "]),
+        DIGITS,
+    ).map(lambda t: f"{t[0]}{t[1]}{t[2]}/{t[3]}"),
 )
 
 
@@ -181,6 +197,29 @@ class TestSystemFiles:
         path.write_text("axiom: A\nrule: A -> A p=0.7\nrule: A -> AA p=0.7\n")
         with pytest.raises(FormatError, match="sum"):
             parse_system_file(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FRACTION_TEXTS)
+@example("1/0")
+@example("0/0")
+@example(f"{10**400}/1")
+@example("1" * 4301 + "/1")
+@example("1/" + "1" * 4301)
+@example("/2")
+@example("1/2/3")
+@example("\u0661/\u0662")
+def test_fractions_parse_as_fraction_does(text):
+    """p=a/b gives float(Fraction(text)), and fails exactly where it fails:
+    a zero denominator, a quotient past the float range, or an integer of
+    more digits than int() converts."""
+    try:
+        expected = float(Fraction(text))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        with pytest.raises(FormatError, match="bad probability"):
+            _parse_probability(text, "<test>", 1)
+    else:
+        assert _parse_probability(text, "<test>", 1) == expected
 
 
 class TestSerialization:

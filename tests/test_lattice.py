@@ -14,11 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import solis.lattice
-from conftest import SMALL_TRACES, random_system_for
+from conftest import SMALL_TRACES, random_system_for, traces
 from solis import (
     CapExceeded,
+    Production,
     Sequence,
+    assemble_system,
     build_free_system,
+    build_objective,
     occurrence_counts,
     probability_gradient,
     sequence_probability,
@@ -28,6 +31,7 @@ from solis.compositions import enumerate_step_assignments
 from solis.derivations import sequence_probability_naive
 from solis.free_system import _lattice_edges
 from solis.lattice import compile_lattice
+from solis.optimal_system import system_probability
 
 WORDS = st.lists(st.sampled_from("AB"), min_size=1, max_size=4).map(tuple)
 TRACES = st.lists(WORDS, min_size=2, max_size=3).map(lambda words: Sequence(tuple(words)))
@@ -113,6 +117,15 @@ def test_free_lattice_size_from_word_lengths(theta):
     assert _lattice_edges(theta) == lattice.bounds[-1]
 
 
+def test_a_production_listed_twice_is_refused():
+    """A variable is found by its (predecessor, substring) key, so two
+    variables may not share one."""
+    theta = Sequence.from_strings("AB", "ABBA")
+    twice = build_free_system(theta).productions[:2] * 2
+    with pytest.raises(ValueError, match="listed twice"):
+        compile_lattice(theta, twice)
+
+
 def test_edge_ceiling_is_checked_before_assembling(monkeypatch):
     theta = Sequence.from_strings("AB", "ABBA", "BAABAB")
     variables = build_free_system(theta).productions
@@ -125,3 +138,54 @@ def test_edge_ceiling_is_checked_before_assembling(monkeypatch):
     assert (info.value.count, info.value.cap) == (edges, edges - 1)
     with pytest.raises(CapExceeded):
         build_free_system(theta)
+
+
+#: productions that fit no step of a trace over A, B, C of at most 4 symbols
+UNFIT = (Production("D", ("A",)), Production("A", ("D",)), Production("B", tuple("ABCAB")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(traces(4), st.data())
+def test_lattice_over_a_subset_is_the_free_lattice_filtered(theta, data):
+    """compile_lattice over any productions holds exactly the free lattice's
+    edges whose production it lists, in the free lattice's order, and one
+    (variable, step) pair per distinct pair its edges use, sorted."""
+    free = build_objective(theta, cap=0).lattice
+    chosen = data.draw(st.lists(st.sampled_from(free.variables + UNFIT), unique=True))
+    lattice = compile_lattice(theta, chosen)
+    assert lattice.columns == free.columns
+    assert np.array_equal(lattice.starts, free.starts)
+    assert np.array_equal(lattice.ends, free.ends)
+    index = {p: i for i, p in enumerate(chosen)}
+    mapped = np.array([index.get(p, -1) for p in free.variables] + [len(chosen)])[free.var]
+    keep = mapped >= 0
+    assert np.array_equal(lattice.src, free.src[keep])
+    assert np.array_equal(lattice.dst, free.dst[keep])
+    assert np.array_equal(lattice.var, mapped[keep])
+    rows = [keep[lo:hi].sum() for lo, hi in zip(free.bounds, free.bounds[1:])]
+    assert lattice.bounds == tuple(np.cumsum([0] + rows).tolist())
+    moves = lattice.var < len(chosen)
+    step = np.searchsorted(lattice.starts, lattice.src, side="right") - 1
+    pairs = sorted(set(zip(lattice.var[moves].tolist(), step[moves].tolist())))
+    assert list(zip(lattice.pair_var.tolist(), lattice.pair_step.tolist())) == pairs
+    assert np.array_equal(lattice.pair_var[lattice.pair[moves]], lattice.var[moves])
+    assert np.array_equal(lattice.pair_step[lattice.pair[moves]], step[moves])
+    assert (lattice.pair[~moves] == len(pairs)).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(traces(4), SEEDS, st.floats(1e-9, 0.6))
+def test_assembled_system_scores_bitwise_on_the_free_lattice(theta, seed, prune_eps):
+    """Weights of 0 on the pruned productions add exactly +0.0 to every sum
+    of the free lattice, so it scores an assembled system as a lattice
+    compiled over that system's productions does."""
+    obj = build_objective(theta, cap=0)
+    rng = np.random.default_rng(seed)
+    x_star = {}
+    for block in obj.blocks.values():
+        draws = rng.exponential(size=len(block)) ** 3
+        x_star.update(zip(block, (draws / draws.sum()).tolist()))
+    system = assemble_system(theta, obj, x_star, prune_eps)
+    weights = np.array([[system.prob.get(p, 0.0) for p in obj.variables]])
+    assert obj.lattice.values(weights)[0].tolist() == step_values(system.prob, theta)
+    assert system_probability(obj, system) == sequence_probability(system, theta)

@@ -65,10 +65,21 @@ def test_prob_runs_the_lattice_alone(decimal_system):
     assert not modules & skipped
 
 
+def test_prob_reads_plain_fractions_without_fractions():
+    """long.sys writes every probability as p=1/2."""
+    modules = loaded(
+        "prob", str(DATA / "long-seed0.seq"), "--system", str(DATA / "long.sys")
+    )
+    assert "solis.lattice" in modules
+    assert not modules & {"fractions", "decimal"}
+
+
 def test_infer_system_lists_no_derivations():
     modules = loaded("infer-system", str(DATA / "aa-aba.seq"), "--restarts", "2")
     assert "solis.optimal_system" in modules
-    skipped = solis_modules("derivations", "optimal_derivation", "sampler") | {"fractions"}
+    skipped = solis_modules(
+        "derivations", "compositions", "optimal_derivation", "sampler"
+    ) | {"fractions"}
     assert not modules & skipped
 
 
