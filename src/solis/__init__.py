@@ -59,15 +59,12 @@ _EXPORTS = {
     "parse_sequence_file": "formats",
     "parse_system_file": "formats",
     "parse_word": "formats",
-    "probability_gradient": "lattice",
     "sample_sequence": "sampler",
     "sequence_probability": "lattice",
     "serialize_derivation": "formats",
     "serialize_partial_system": "formats",
     "serialize_system": "formats",
     "serialize_word": "formats",
-    "step_gradients": "lattice",
-    "step_values": "lattice",
 }
 
 __all__ = list(_EXPORTS)

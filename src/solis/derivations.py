@@ -10,7 +10,10 @@ steps are independent, so the derivations are grouped by production-count
 multiset one step at a time (count_multisets), again without materializing
 any derivation.  A step's assignments are paths through its rows of the
 step lattice, so one pass over its edges counts them, merges them into
-their distinct multisets or lists them in order.
+their distinct multisets or lists them in order.  The tables take the
+lattice their caller already holds, usually the free lattice, so a trace's
+moves are listed once; enumerate_derivations, given a system, compiles the
+lattice over its productions.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .compositions import StepAssignment
 from .errors import CapExceeded, IncompatibleSequence
-from .lattice import compile_lattice
+from .lattice import StepLattice, compile_lattice
 from .model import Partial0LSystem, Production, S0LSystem, Sequence, Word
 
 #: refuse to stream a derivation space larger than this unless told otherwise
@@ -70,7 +73,8 @@ def enumerate_derivations(
     checks run on counts taken from the step lattice, before any
     assignment is listed.
     """
-    steps, _ = _assignment_rows(system, theta, cap, merge=False)
+    lattice = compile_lattice(theta, system.productions)
+    steps, _ = _assignment_rows(lattice, theta, cap, merge=False)
     per_step = [_assignments(x, y, cuts) for (x, y), (cuts, _, _) in zip(theta.steps(), steps)]
     return (Derivation(steps=combo) for combo in product(*per_step))
 
@@ -79,8 +83,8 @@ def enumerate_derivations(
 class MultisetTable:
     """The distinct production-count multisets of a trace's derivations.
 
-    Row i of `rows` lists the productions (indices into the system's
-    productions) that the derivations of one multiset apply, sorted, one
+    Row i of `rows` lists the productions (indices into the lattice's
+    variables) that the derivations of one multiset apply, sorted, one
     column per rewritten position.  Rows are in the order of their earliest
     derivation in enumerate_derivations order, and `multiplicity[i]` is the
     number of derivations with multiset i.  That earliest derivation takes,
@@ -114,12 +118,15 @@ class MultisetTable:
 
 
 def count_multisets(
-    system: Partial0LSystem,
+    lattice: StepLattice,
     theta: Sequence,
     cap: int = DEFAULT_DERIVATION_CAP,
     near_best: bool = False,
 ) -> MultisetTable:
-    """Group the derivations of enumerate_derivations by count multiset.
+    """Group the derivations of theta whose productions are the lattice's
+    variables by count multiset, in enumerate_derivations order.  The
+    lattice is theta's, over any productions; callers pass the free lattice
+    they already hold.
 
     Steps are independent and a derivation's multiset is the sum of its
     steps' multisets, so the table is built one step at a time: every
@@ -143,13 +150,13 @@ def count_multisets(
     every other step.  The incumbent is the score of a real multiset, built
     by keeping the best pair at every step.
     """
-    steps, counts = _assignment_rows(system, theta, cap, merge=True)
+    steps, counts = _assignment_rows(lattice, theta, cap, merge=True)
     rows = np.zeros((1, 0), dtype=steps[0][1].dtype)
     first = np.zeros((1, 0), dtype=np.int64)
     if near_best:
         # per-step occurrences of each production's predecessor
-        symbols = {a: b for b, a in enumerate(sorted({p.predecessor for p in system.productions}))}
-        block = np.array([symbols[p.predecessor] for p in system.productions], np.intp)
+        symbols = {a: b for b, a in enumerate(sorted({p.predecessor for p in lattice.variables}))}
+        block = np.array([symbols[p.predecessor] for p in lattice.variables], np.intp)
         occurrences = np.array(
             [[x.count(a) for a in symbols] for x, _ in theta.steps()], np.int64
         ).reshape(len(steps), len(symbols))
@@ -230,10 +237,10 @@ def sequence_probability_naive(
 
 
 def _assignment_rows(
-    system: Partial0LSystem, theta: Sequence, cap: int, merge: bool
+    lattice: StepLattice, theta: Sequence, cap: int, merge: bool
 ) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], list[int]]:
-    """Each step's assignments in cut-lexicographic order, read off the step
-    lattice of theta over the system's productions, and their counts.
+    """Each step's assignments in cut-lexicographic order, read off theta's
+    step lattice, and their counts.
 
     Per step come (cuts, rows, multiplicity).  Row k of cuts holds, per
     position of the step's source, the end of that position's part in the
@@ -254,7 +261,6 @@ def _assignment_rows(
     """
     if cap < 1:
         raise ValueError("cap must be a positive integer")
-    lattice = compile_lattice(theta, system.productions)
     spans = list(zip(lattice.bounds, lattice.bounds[1:]))
     # a step with more than cap + 1 assignments reports cap + 1 of them, as
     # many as listing until the cap is passed finds

@@ -10,40 +10,36 @@ Those productions are exactly the distinct moves of the trace's step
 lattice: position 1 of a step x => y produces a prefix of y, position |x| a
 suffix, an interior position any substring, and a lone position all of y.
 So the lattice module lists them, in the same array pass that compiles the
-lattice over them (lattice.free_lattice).
+lattice over them (lattice.free_lattice), and the free system is always
+built with its lattice.
 """
 
 from __future__ import annotations
 
 from .errors import IncompatibleSequence
-from .lattice import StepLattice, check_edge_count, free_lattice, free_productions
-from .model import Partial0LSystem, Production, Sequence
+from .lattice import StepLattice, check_edge_count, free_lattice
+from .model import Partial0LSystem, Sequence
 
 
 def build_free_system(sequence: Sequence) -> Partial0LSystem:
     """The partial 0L-system whose productions are all step candidates.
 
     Symbols appearing only in the last word get no productions; they never
-    need to be rewritten.  Raises IncompatibleSequence if some step is
-    impossible, i.e. some w_i is empty while w_{i+1} is not (the step index
-    in the error is 1-based).  Raises CapExceeded, before listing any
-    production, when the step lattice over the free system would pass the
-    lattice module's EDGE_CEILING: such a system takes time and memory
-    cubic in the word lengths to list, and no consumer could compile it.
+    need to be rewritten.  Raises as build_free_lattice does.
     """
-    _check(sequence)
-    return _system(sequence, free_productions(sequence))
+    return build_free_lattice(sequence)[0]
 
 
 def build_free_lattice(sequence: Sequence) -> tuple[Partial0LSystem, StepLattice]:
     """The free system and the step lattice over its productions, from one
-    listing of the moves; raises as build_free_system does."""
-    _check(sequence)
-    lattice = free_lattice(sequence)
-    return _system(sequence, lattice.variables), lattice
+    listing of the moves.
 
-
-def _check(sequence: Sequence) -> None:
+    Raises IncompatibleSequence if some step is impossible, i.e. some w_i
+    is empty while w_{i+1} is not (the step index in the error is 1-based).
+    Raises CapExceeded, before listing any move, when the lattice would
+    pass the lattice module's EDGE_CEILING: such a system takes time and
+    memory cubic in the word lengths to list, and no consumer could run it.
+    """
     check_edge_count(_lattice_edges(sequence))
     for index, (x, y) in enumerate(sequence.steps(), start=1):
         if y and not x:
@@ -51,12 +47,9 @@ def _check(sequence: Sequence) -> None:
                 f"step {index} is impossible: empty word cannot derive a non-empty word",
                 step=index,
             )
-
-
-def _system(sequence: Sequence, productions: tuple[Production, ...]) -> Partial0LSystem:
-    return Partial0LSystem(
-        alphabet=frozenset(sequence.symbols()), axiom=sequence.axiom, productions=productions
-    )
+    lattice = free_lattice(sequence)
+    alphabet = frozenset(sequence.symbols())
+    return Partial0LSystem(alphabet, sequence.axiom, lattice.variables), lattice
 
 
 def _lattice_edges(sequence: Sequence) -> int:

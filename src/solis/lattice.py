@@ -24,12 +24,13 @@ successor length, then column), so the results do not depend on how many
 rows are batched.
 
 Compiling turns the moves that the moves module lists into edges.  The
-free system's productions are the distinct moves (free_lattice);
-compile_lattice keeps the moves of the given productions, so its edges are
-the free lattice's edges over them, in the same order.
-
-sequence_probability, step_values, step_gradients and probability_gradient
-compile a lattice over the nonzero weights of one weighting and run it.
+free system's productions are the distinct moves (free_lattice), and both
+theorems' consumers take that lattice: the solver runs on it, and the
+derivation tables read their steps' assignments off it.  compile_lattice
+keeps the moves of the given productions, so its edges are the free
+lattice's edges over them, in the same order; only sequence_probability and
+enumerate_derivations, which are given a system, compile one.
+lattice_probability scores a probability map on any lattice.
 """
 
 from __future__ import annotations
@@ -187,21 +188,9 @@ def compile_lattice(theta: Sequence, variables: Iterable[Production]) -> StepLat
 
 def free_lattice(theta: Sequence) -> StepLattice:
     """The lattice over theta's free system, whose variables are the free
-    productions in canonical order.  The caller checks the edge count and
-    the steps' compatibility first (see free_system.build_free_lattice)."""
-    return _assemble(*_free_moves(theta))
-
-
-def free_productions(theta: Sequence) -> tuple[Production, ...]:
-    """theta's free productions in canonical order, without the lattice's
-    edges."""
-    return _free_moves(theta)[1]
-
-
-def _free_moves(theta: Sequence) -> tuple:
-    """The arguments of _assemble for the free lattice: the moves over any
-    substring, the free productions (their distinct keys), and each move's
-    variable and pair.
+    productions (the distinct moves) in canonical order.  The caller checks
+    the edge count and the steps' compatibility first (see
+    free_system.build_free_lattice).
 
     Substring ids are ranks in sorted order and predecessor codes are ranks
     of the sorted symbols, so one np.unique of the moves' (predecessor,
@@ -219,7 +208,7 @@ def _free_moves(theta: Sequence) -> tuple:
     pair_var = np.cumsum(new) - 1
     variables = moves.productions(owner[new])
     var = _closed(pair_var, len(variables), 1)[pair]
-    return moves, variables, None, var, pair, pair_var, pair_keys % steps
+    return _assemble(moves, variables, None, var, pair, pair_var, pair_keys % steps)
 
 
 def _assemble(
@@ -271,11 +260,18 @@ def check_edge_count(edges: int) -> None:
 def sequence_probability(g: S0LSystem, theta: Sequence) -> LogLinear:
     """Probability that g generates theta, as (log value, linear value).
 
-    Computed per step by dynamic programming and combined in log space, so
-    the log survives underflow of the linear value.  Incompatible sequences
-    give (-inf, 0.0).
+    Computed per step on the lattice of theta over g's productions and
+    combined in log space, so the log survives underflow of the linear
+    value.  Incompatible sequences give (-inf, 0.0).
     """
-    return log_linear(step_values(g.prob, theta))
+    return lattice_probability(compile_lattice(theta, g.base.productions), g.prob)
+
+
+def lattice_probability(lattice: StepLattice, prob: Mapping[Production, float]) -> LogLinear:
+    """p(theta) on the lattice under the weights prob gives its variables,
+    0 for a variable absent from prob, as (log value, linear value)."""
+    weights = np.array([[prob.get(p, 0.0) for p in lattice.variables]])
+    return log_linear(lattice.values(weights)[0].tolist())
 
 
 def log_linear(values: list[float]) -> LogLinear:
@@ -288,83 +284,6 @@ def log_linear(values: list[float]) -> LogLinear:
             return LogLinear(float("-inf"), 0.0)
         log += math.log(value)
     return LogLinear(log, math.prod(values))
-
-
-def probability_gradient(g: S0LSystem, theta: Sequence) -> dict[Production, float]:
-    """Exact partial derivatives of the linear p(theta) per production.
-
-    Forward and backward tables per step give each step-sum's gradient; the
-    product rule combines steps, with explicit handling of zero-valued steps
-    (two or more zero steps kill every derivative).
-    """
-    values, grads = step_gradients(g.prob, theta)
-    total: dict[Production, float] = {p: 0.0 for p in g.prob}
-    zero_steps = [j for j, value in enumerate(values) if value == 0.0]
-    if len(zero_steps) >= 2:
-        return total
-    if len(zero_steps) == 1:
-        j = zero_steps[0]
-        rest = math.prod(value for i, value in enumerate(values) if i != j)
-        for production, slope in grads[j].items():
-            total[production] = rest * slope
-        return total
-    m = len(values)
-    prefix = [1.0] * (m + 1)
-    for j, value in enumerate(values):
-        prefix[j + 1] = prefix[j] * value
-    suffix = [1.0] * (m + 1)
-    for j in range(m - 1, -1, -1):
-        suffix[j] = suffix[j + 1] * values[j]
-    for j, grad in enumerate(grads):
-        rest = prefix[j] * suffix[j + 1]
-        for production, slope in grad.items():
-            total[production] += rest * slope
-    return total
-
-
-def step_values(prob: Mapping[Production, float], theta: Sequence) -> list[float]:
-    """The per-step sums S(w_j, w_{j+1}) whose product is p(theta).
-
-    Accepts any nonnegative weighting of productions, normalized or not;
-    weights absent from the mapping count as zero.
-    """
-    lattice, weights = _weighted_lattice(prob, theta)
-    return lattice.values(weights)[0].tolist()
-
-
-def step_gradients(
-    prob: Mapping[Production, float], theta: Sequence
-) -> tuple[list[float], list[dict[Production, float]]]:
-    """Per-step values and per-step gradients with respect to each weight.
-
-    The j-th gradient maps a production to the derivative of the j-th step
-    sum; productions with zero or absent weight, and zero derivatives, are
-    omitted.
-    """
-    lattice, weights = _weighted_lattice(prob, theta)
-    values, slopes = lattice.slopes(weights)
-    grads: list[dict[Production, float]] = [{} for _ in range(theta.step_count)]
-    for step, index, slope in zip(
-        lattice.pair_step.tolist(), lattice.pair_var.tolist(), slopes[0].tolist()
-    ):
-        if slope:
-            grads[step][lattice.variables[index]] = slope
-    return values[0].tolist(), grads
-
-
-def _weighted_lattice(
-    prob: Mapping[Production, float], theta: Sequence
-) -> tuple[StepLattice, np.ndarray]:
-    """The lattice over prob's nonzero weights, and those weights as one row."""
-    support = []
-    for production in sorted(prob):
-        weight = prob[production]
-        if weight < 0.0:
-            raise ValueError(f"negative weight for {production}")
-        if weight != 0.0:
-            support.append(production)
-    weights = np.array([[prob[p] for p in support]], dtype=float)
-    return compile_lattice(theta, support), weights
 
 
 def _with_pass_through(weights: np.ndarray) -> np.ndarray:

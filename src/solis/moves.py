@@ -106,13 +106,7 @@ class Moves(NamedTuple):
         substring."""
         count = len(predecessors)
         codes = np.fromiter(map(self.codes.get, predecessors, repeat(-1)), np.int64, count)
-        if self.letters is None:
-            words = list(map("".join, successors))
-            # a multi-character symbol would pass for several letters
-            if list(map(len, words)) != list(map(len, successors)):
-                words = [w if len(w) == len(z) else None for w, z in zip(words, successors)]
-        else:
-            words = [_encode(z, self.letters) for z in successors]
+        words = map(_encode, successors, repeat(self.letters))
         subs = np.fromiter(map(self.rank.get, words, repeat(-1)), np.int64, count)
         return np.where((codes < 0) | (subs < 0), -1, codes * len(self.substrings) + subs)
 
@@ -241,7 +235,8 @@ def list_moves(
 
 def _encode(word: Word, letters: dict[Symbol, str] | None) -> str | None:
     """word as a str of one character per symbol, or None if some symbol
-    has no character."""
+    has no character: without letters, a symbol that is not one character
+    would pass for several."""
     if letters is None:
         text = "".join(word)
         return text if len(text) == len(word) else None

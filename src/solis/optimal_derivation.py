@@ -29,7 +29,7 @@ from .derivations import (
     count_multisets,
     count_productions,
 )
-from .free_system import build_free_system
+from .free_system import build_free_lattice
 from .model import (
     LogLinear,
     Partial0LSystem,
@@ -118,9 +118,9 @@ def best_derivation(
     returned.  The returned system puts probability count / occurrences on
     each used production, which attains the bound.
     """
-    free = build_free_system(theta)
+    _, lattice = build_free_lattice(theta)
     occurrences = occurrence_counts(theta)
-    table = count_multisets(free, theta, cap, near_best=True)
+    table = count_multisets(lattice, theta, cap, near_best=True)
     scores = table.scores()
     near_top = np.flatnonzero(scores >= scores.max() * (1.0 - SCORE_WINDOW)).tolist()
     # max keeps the first of equal numerators, i.e. the earliest derivation

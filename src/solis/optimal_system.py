@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import CapExceeded
 from .free_system import build_free_lattice
-from .lattice import EDGE_CEILING, StepLattice, log_linear
+from .lattice import EDGE_CEILING, StepLattice, lattice_probability
 from .model import (
     LogLinear,
     Partial0LSystem,
@@ -140,7 +140,7 @@ def build_objective(theta: Sequence, cap: int = DEFAULT_EXPANSION_CAP) -> Posyno
         from .derivations import count_multisets  # only expansion lists multisets
 
         try:
-            table = count_multisets(free, theta, cap)
+            table = count_multisets(lattice, theta, cap)
         except CapExceeded:
             monomials = None
         else:
@@ -235,8 +235,7 @@ def system_probability(obj: PosynomialObjective, system: S0LSystem) -> LogLinear
     pruned edge adds exactly +0.0 to its sum, so the value is bitwise
     sequence_probability(system, obj.theta).
     """
-    weights = np.array([[system.prob.get(p, 0.0) for p in obj.variables]])
-    return log_linear(obj.lattice.values(weights)[0].tolist())
+    return lattice_probability(obj.lattice, system.prob)
 
 
 def assemble_system(

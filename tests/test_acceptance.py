@@ -23,12 +23,11 @@ from solis import (
     enumerate_derivations,
     infer_optimal_system,
     maximize,
-    probability_gradient,
     sample_sequence,
     sequence_probability,
-    step_values,
 )
 from solis.derivations import sequence_probability_naive
+from solis.lattice import compile_lattice
 
 
 def _report(number: int, description: str, failures: list[str]) -> None:
@@ -202,17 +201,21 @@ class TestAcceptance:
             g = random_system_for(theta, rng)
             if not g.prob:
                 continue
-            grad = probability_gradient(g, theta)
-            for production, analytic in grad.items():
+            # dp/dx_p = p * d log p/dx_p, and x_p * d log p/dx_p is p's expected count
+            lattice = compile_lattice(theta, g.base.productions)
+            x = np.array([[g.prob[p] for p in lattice.variables]])
+            values, counts = lattice.expected_counts(x)
+            grad = math.prod(values[0].tolist()) * counts[0] / x[0]
+            for k, (production, analytic) in enumerate(zip(lattice.variables, grad.tolist())):
                 if g.prob[production] <= 2 * h:
                     continue
-                up = dict(g.prob)
-                down = dict(g.prob)
-                up[production] += h
-                down[production] -= h
+                up = x.copy()
+                down = x.copy()
+                up[0, k] += h
+                down[0, k] -= h
                 fd = (
-                    math.prod(step_values(up, theta))
-                    - math.prod(step_values(down, theta))
+                    math.prod(lattice.values(up)[0].tolist())
+                    - math.prod(lattice.values(down)[0].tolist())
                 ) / (2 * h)
                 scale = max(abs(analytic), abs(fd))
                 if scale >= 1e-3:

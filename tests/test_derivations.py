@@ -36,10 +36,7 @@ from solis import (
     enumerate_derivations,
     occurrence_counts,
     parse_sequence_file,
-    probability_gradient,
     sequence_probability,
-    step_gradients,
-    step_values,
 )
 from solis.compositions import enumerate_step_assignments
 from solis.derivations import (
@@ -48,6 +45,8 @@ from solis.derivations import (
     count_multisets,
     sequence_probability_naive,
 )
+from solis.free_system import build_free_lattice
+from solis.lattice import compile_lattice, lattice_probability
 
 
 class TestEnumeration:
@@ -144,14 +143,14 @@ class TestEnumeration:
 def test_multiset_table_groups_the_enumeration(theta):
     """Rows come in order of their earliest derivation, which each row keeps,
     together with the number of derivations that share its multiset."""
-    free = build_free_system(theta)
+    free, lattice = build_free_lattice(theta)
     earliest: dict = {}
     multiplicity: Counter = Counter()
     for d in enumerate_derivations(free, theta):
         key = tuple(sorted(count_productions(d).items()))
         earliest.setdefault(key, d)
         multiplicity[key] += 1
-    table = count_multisets(free, theta)
+    table = count_multisets(lattice, theta)
     assert len(table.rows) == len(earliest)
     for i, (key, d) in enumerate(earliest.items()):
         assert tuple((free.productions[k], c) for k, c in table.counts(i)) == key
@@ -178,7 +177,8 @@ def test_bound_covers_every_completion(theta, data):
 
     def side(words):
         occurrences = [sum(x.count(a) for x in words[:-1]) for a in symbols]
-        return count_multisets(free, Sequence(words)).rows, np.array(occurrences, np.int64)
+        lattice = compile_lattice(Sequence(words), free.productions)
+        return count_multisets(lattice, Sequence(words)).rows, np.array(occurrences, np.int64)
 
     before, spare_before = side(theta.words[: split + 1])
     after, spare_after = side(theta.words[split:])
@@ -199,12 +199,12 @@ def test_pruned_table_keeps_the_near_best_rows_in_order(theta):
     """The branch and bound drops rows of the full table, but keeps every row
     within SCORE_WINDOW of the top score, in the same order and with the same
     earliest derivation."""
-    free = build_free_system(theta)
+    _, lattice = build_free_lattice(theta)
     try:
-        full = count_multisets(free, theta, cap=10**5)
+        full = count_multisets(lattice, theta, cap=10**5)
     except CapExceeded:
         assume(False)
-    pruned = count_multisets(free, theta, cap=10**5, near_best=True)
+    pruned = count_multisets(lattice, theta, cap=10**5, near_best=True)
     assert pruned.multiplicity is None
     scores = full.scores()
     np.testing.assert_allclose(scores, [xlogx_sum(row) for row in full.rows], rtol=1e-12)
@@ -219,9 +219,9 @@ def test_pruned_table_of_a_large_derivation_space_is_small():
     """173,264 derivations in 59,575 count multisets, of which the branch and
     bound builds a few percent."""
     theta = parse_sequence_file(str(DATA / "enum-seed0.seq"))
-    free = build_free_system(theta)
-    full = count_multisets(free, theta)
-    pruned = count_multisets(free, theta, near_best=True)
+    _, lattice = build_free_lattice(theta)
+    full = count_multisets(lattice, theta)
+    pruned = count_multisets(lattice, theta, near_best=True)
     assert len(full.rows) == 59_575
     assert len(pruned.rows) < len(full.rows) // 20
 
@@ -334,49 +334,66 @@ class TestSequenceProbability:
             )
 
 
+def weight_row(lattice, weights):
+    """One row of the lattice's variables' weights, 0 where weights has none."""
+    return np.array([[weights.get(p, 0.0) for p in lattice.variables]])
+
+
+def gradient(g, theta):
+    """dp/dx_p for every production of g: p times d log p/dx_p, which is the
+    expected count of p over x_p.  Needs p(theta) > 0."""
+    lattice = compile_lattice(theta, g.base.productions)
+    x = weight_row(lattice, g.prob)
+    values, counts = lattice.expected_counts(x)
+    linear = math.prod(values[0].tolist())
+    return dict(zip(lattice.variables, (linear * counts[0] / x[0]).tolist()))
+
+
+#: a weighting of the five productions of AA => ABA
+HAND_WEIGHTS = {
+    Production("A", ()): 2.0,
+    Production("A", ("A",)): 3.0,
+    Production("A", ("A", "B")): 5.0,
+    Production("A", ("B", "A")): 7.0,
+    Production("A", ("A", "B", "A")): 11.0,
+}
+
+
 class TestStepValues:
-    """The factored form accepts arbitrary nonnegative weights, not just probabilities."""
+    """The factored form accepts arbitrary nonnegative weights, not just
+    probabilities.  Negative ones never reach it: S0LSystem rejects every
+    probability that is not positive (test_model.py,
+    test_zero_probability_rejected)."""
 
     def test_hand_expanded_polynomial(self, theta2):
-        weights = {
-            Production("A", ()): 2.0,
-            Production("A", ("A",)): 3.0,
-            Production("A", ("A", "B")): 5.0,
-            Production("A", ("B", "A")): 7.0,
-            Production("A", ("A", "B", "A")): 11.0,
-        }
+        lattice = compile_lattice(theta2, HAND_WEIGHTS)
         # S = 2*x_eps*x_ABA + x_A*x_BA + x_AB*x_A = 44 + 21 + 15
-        assert step_values(weights, theta2) == [80.0]
+        assert lattice.values(weight_row(lattice, HAND_WEIGHTS)).tolist() == [[80.0]]
 
     def test_hand_expanded_gradient(self, theta2):
-        weights = {
-            Production("A", ()): 2.0,
-            Production("A", ("A",)): 3.0,
-            Production("A", ("A", "B")): 5.0,
-            Production("A", ("B", "A")): 7.0,
-            Production("A", ("A", "B", "A")): 11.0,
-        }
-        values, grads = step_gradients(weights, theta2)
-        assert values == [80.0]
-        assert grads[0] == {
-            Production("A", ()): 22.0,
-            Production("A", ("A",)): 12.0,
-            Production("A", ("A", "B")): 3.0,
-            Production("A", ("B", "A")): 3.0,
-            Production("A", ("A", "B", "A")): 4.0,
+        lattice = compile_lattice(theta2, HAND_WEIGHTS)
+        values, slopes = lattice.slopes(weight_row(lattice, HAND_WEIGHTS))
+        assert values.tolist() == [[80.0]]
+        pairs = zip(lattice.pair_step.tolist(), lattice.pair_var.tolist(), slopes[0].tolist())
+        assert {(step, lattice.variables[k]): slope for step, k, slope in pairs} == {
+            (0, Production("A", ())): 22.0,
+            (0, Production("A", ("A",))): 12.0,
+            (0, Production("A", ("A", "B"))): 3.0,
+            (0, Production("A", ("B", "A"))): 3.0,
+            (0, Production("A", ("A", "B", "A"))): 4.0,
         }
 
     def test_absent_weights_count_as_zero(self, theta2):
         weights = {Production("A", ("A",)): 1.0, Production("A", ("B", "A")): 1.0}
-        assert step_values(weights, theta2) == [1.0]
-
-    def test_negative_weight_rejected(self, theta2):
-        with pytest.raises(ValueError, match="negative"):
-            step_values({Production("A", ("A", "B", "A")): -1.0}, theta2)
+        lattice = compile_lattice(theta2, HAND_WEIGHTS)
+        assert lattice_probability(lattice, weights) == (0.0, 1.0)
+        lattice = compile_lattice(theta2, weights)
+        assert lattice.values(weight_row(lattice, weights)).tolist() == [[1.0]]
 
     def test_values_multiply_to_the_probability(self, g2):
         theta = Sequence.from_strings("AA", "ABA", "ABBA")
-        values = step_values(g2.prob, theta)
+        lattice = compile_lattice(theta, g2.base.productions)
+        values = lattice.values(weight_row(lattice, g2.prob))[0].tolist()
         assert len(values) == 2
         assert math.prod(values) == pytest.approx(
             sequence_probability_naive(g2, theta), abs=1e-15
@@ -385,21 +402,26 @@ class TestStepValues:
 
 class TestGradient:
     def test_hand_derived_partial(self, g2, theta2):
-        grad = probability_gradient(g2, theta2)
+        grad = gradient(g2, theta2)
         assert grad[Production("A", ("A",))] == pytest.approx(2 / 3, abs=1e-12)
 
     def test_square_objective(self):
         g = make_system("A", {("A", "A"): 1.0})
         theta = Sequence.from_strings("A", "A", "A")
-        grad = probability_gradient(g, theta)
+        grad = gradient(g, theta)
         # p = x^2, so dp/dx = 2x = 2 at x = 1
         assert grad[Production("A", ("A",))] == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_probability_sequences_have_zero_gradient(self, g1):
+        """Step 1 has no assignment under g1, so its sum vanishes with all
+        its slopes, and by the product rule so does every dp/dx_p."""
         theta = Sequence.from_strings("AAA", "BBBBBB", "BBBBBB")
-        grad = probability_gradient(g1, theta)
-        assert set(grad) == set(g1.prob)
-        assert all(v == 0.0 for v in grad.values())
+        lattice = compile_lattice(theta, g1.base.productions)
+        assert set(lattice.variables) == set(g1.prob)
+        values, slopes = lattice.slopes(weight_row(lattice, g1.prob))
+        assert values.tolist() == [[0.0, 1.0]]
+        rest = values[0, 1 - lattice.pair_step]  # the other step's sum
+        assert (rest * slopes[0] == 0.0).all()
 
     def test_matches_central_differences(self):
         rng = np.random.default_rng(42)
@@ -409,7 +431,8 @@ class TestGradient:
             g = random_system_for(theta, rng)
             if not g.prob:
                 continue
-            grad = probability_gradient(g, theta)
+            grad = gradient(g, theta)
+            lattice = compile_lattice(theta, g.base.productions)
             for production in g.prob:
                 if g.prob[production] <= 2 * h:
                     continue
@@ -418,8 +441,8 @@ class TestGradient:
                 up[production] += h
                 down[production] -= h
                 fd = (
-                    math.prod(step_values(up, theta))
-                    - math.prod(step_values(down, theta))
+                    math.prod(lattice.values(weight_row(lattice, up))[0])
+                    - math.prod(lattice.values(weight_row(lattice, down))[0])
                 ) / (2 * h)
                 np.testing.assert_allclose(
                     grad[production],

@@ -14,18 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import solis.lattice
-from conftest import SMALL_TRACES, random_system_for, traces
+from conftest import DATA, SMALL_TRACES, random_system_for, traces
 from solis import (
+    DEFAULT_EXPANSION_CAP,
     CapExceeded,
+    Partial0LSystem,
     Production,
+    S0LSystem,
     Sequence,
     assemble_system,
+    best_derivation,
     build_free_system,
     build_objective,
-    occurrence_counts,
-    probability_gradient,
+    parse_sequence_file,
     sequence_probability,
-    step_values,
 )
 from solis.compositions import enumerate_step_assignments
 from solis.derivations import sequence_probability_naive
@@ -43,7 +45,8 @@ PROPERTY = settings(max_examples=60, deadline=None)
 @given(TRACES, SEEDS)
 def test_step_values_match_enumeration(theta, seed):
     g = random_system_for(theta, np.random.default_rng(seed))
-    kernel = math.prod(step_values(g.prob, theta))
+    lattice = compile_lattice(theta, g.base.productions)
+    kernel = math.prod(lattice.values(np.array([[g.prob[p] for p in lattice.variables]]))[0])
     assert math.isclose(kernel, sequence_probability_naive(g, theta), rel_tol=1e-12)
 
 
@@ -75,12 +78,16 @@ def test_index_arrays_are_int32():
 @PROPERTY
 @given(TRACES, SEEDS)
 def test_euler_identity(theta, seed):
-    """p is homogeneous of degree sum_a n_a, so sum_p x_p dp/dx_p = (sum_a n_a) p."""
+    """Step j's sum S_j is homogeneous of degree |w_j|, so
+    sum_p x_p dS_j/dx_p = |w_j| S_j, step by step."""
     g = random_system_for(theta, np.random.default_rng(seed))
-    grad = probability_gradient(g, theta)
-    lhs = math.fsum(g.prob[p] * slope for p, slope in grad.items())
-    degree = sum(occurrence_counts(theta).values())
-    assert math.isclose(lhs, degree * sequence_probability(g, theta).linear, rel_tol=1e-9)
+    lattice = compile_lattice(theta, g.base.productions)
+    x = np.array([[g.prob[p] for p in lattice.variables]])
+    values, slopes = lattice.slopes(x)
+    terms = x[0, lattice.pair_var] * slopes[0]
+    for j, (source, _) in enumerate(theta.steps()):
+        lhs = math.fsum(terms[lattice.pair_step == j].tolist())
+        assert math.isclose(lhs, len(source) * values[0, j], rel_tol=1e-9)
 
 
 @PROPERTY
@@ -187,5 +194,47 @@ def test_assembled_system_scores_bitwise_on_the_free_lattice(theta, seed, prune_
         x_star.update(zip(block, (draws / draws.sum()).tolist()))
     system = assemble_system(theta, obj, x_star, prune_eps)
     weights = np.array([[system.prob.get(p, 0.0) for p in obj.variables]])
-    assert obj.lattice.values(weights)[0].tolist() == step_values(system.prob, theta)
+    compiled = compile_lattice(theta, system.base.productions)
+    own = np.array([[system.prob[p] for p in compiled.variables]])
+    assert obj.lattice.values(weights)[0].tolist() == compiled.values(own)[0].tolist()
     assert system_probability(obj, system) == sequence_probability(system, theta)
+
+
+@pytest.mark.parametrize(
+    "name, answer",
+    [
+        ("enum-seed0.seq", best_derivation),
+        ("aa-aba.seq", lambda theta: build_objective(theta, cap=DEFAULT_EXPANSION_CAP).monomials),
+    ],
+)
+def test_each_theorem_1_answer_lists_the_moves_once(monkeypatch, name, answer):
+    """The multiset tables run on the free lattice the answer already built,
+    not on a second lattice compiled over the free productions."""
+    calls = []
+    list_moves = solis.lattice.list_moves
+    monkeypatch.setattr(
+        solis.lattice, "list_moves", lambda *args: calls.append(args) or list_moves(*args)
+    )
+    assert answer(parse_sequence_file(str(DATA / name)))
+    assert len(calls) == 1
+
+
+def test_a_one_token_successor_is_not_read_as_its_letters():
+    """Every symbol of A => C D is one character, so substrings are the
+    joined symbols; the token CD joins to as many characters as C D does,
+    and must name no substring, not the one C D names."""
+    prob = {Production("A", ("CD",)): 0.5, Production("A", ("C", "D")): 0.5}
+    base = Partial0LSystem(frozenset({"A", "C", "D", "CD"}), ("A",), tuple(prob))
+    g = S0LSystem(base=base, prob=prob)
+    assert sequence_probability(g, Sequence((("A",), ("C", "D")))).linear == 0.5
+
+
+def test_a_successor_symbol_absent_from_the_trace_adds_no_edges():
+    """Symbols of several characters are encoded one character each; a
+    production whose successor holds a symbol the trace lacks has none."""
+    theta = Sequence((("A1",), ("A1", "B2")))
+    fits, unknown = Production("A1", ("A1", "B2")), Production("A1", ("A1", "X9"))
+    lattice = compile_lattice(theta, [fits, unknown])
+    assert 1 not in lattice.var.tolist()
+    assert np.array_equal(lattice.var, compile_lattice(theta, [fits]).var)
+    assert lattice.values(np.array([[0.5, 0.5]])).tolist() == [[0.5]]

@@ -62,15 +62,12 @@ PUBLIC = [
     "parse_sequence_file",
     "parse_system_file",
     "parse_word",
-    "probability_gradient",
     "sample_sequence",
     "sequence_probability",
     "serialize_derivation",
     "serialize_partial_system",
     "serialize_system",
     "serialize_word",
-    "step_gradients",
-    "step_values",
 ]
 
 #: what the benchmark in perfbench/ imports from the package
@@ -102,7 +99,7 @@ def readme_example() -> str:
 
 def test_exports_are_pinned():
     assert solis.__all__ == PUBLIC
-    assert len(PUBLIC) == 52
+    assert len(PUBLIC) == 49
     for name in PUBLIC:
         assert getattr(solis, name) is not None
 
