@@ -189,7 +189,9 @@ def maximize(
     from cfg.seed.  All restarts advance together, each stopping on its own
     once |delta log p| <= cfg.rel_tol; cfg.max_iters bounds the updates.
     Within a restart the objective never decreases; across restarts the
-    highest final log p wins, the earliest restart on ties.  Returns the
+    earliest restart whose final log p is within cfg.rel_tol of the highest
+    wins, so float noise between restarts that reach the same optimum does
+    not pick the winner.  Returns the
     winning point, the winner's index into the traces, and one trace per
     restart; traces[best].values[-1] is the winner's log p(theta).
 
@@ -205,8 +207,8 @@ def maximize(
     parts = [_ascend(obj, start[lo : lo + chunk], cfg, lo) for lo in range(0, len(start), chunk)]
     x = np.concatenate([part[0] for part in parts])
     traces = tuple(trace for part in parts for trace in part[1])
-    # max keeps the first of equal values, i.e. the earliest restart
-    best = max(range(len(traces)), key=lambda r: traces[r].values[-1])
+    floor = max(trace.values[-1] for trace in traces) - cfg.rel_tol
+    best = next(r for r, trace in enumerate(traces) if trace.values[-1] >= floor)
     return dict(zip(obj.variables, x[best].tolist())), best, traces
 
 
