@@ -211,6 +211,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> list[str]:
     tokens = _uses_tokens(theta)
     lines = _header("enumerate", paths)
     lines.append(f"derivations: {len(derivations)}")
+    probabilities = []
     for number, derivation in enumerate(derivations, start=1):
         lines.append(f"derivation {number}:")
         for step_line in serialize_derivation(derivation).splitlines():
@@ -221,10 +222,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> list[str]:
         )
         lines.append(f"  counts: {counts_text}")
         if system is not None:
-            lines.append(f"  p(d) = {format_real(derivation_probability(system, derivation))}")
+            probabilities.append(derivation_probability(system, derivation))
+            lines.append(f"  p(d) = {format_real(probabilities[-1])}")
     if system is not None:
-        total = math.fsum(derivation_probability(system, d) for d in derivations)
-        lines.append(f"p(theta) = {format_real(total)}")
+        lines.append(f"p(theta) = {format_real(math.fsum(probabilities))}")
     return lines
 
 

@@ -1,5 +1,5 @@
 """The step lattice: p(theta)'s per-step dynamic program compiled to arrays,
-and p(theta) and its gradients computed on it.
+and p(theta) and its expected counts computed on it.
 
 One rewriting step x => y is a path problem.  Column k of the step means
 "the positions rewritten so far produced y[:k]", and position i of x moves
@@ -16,12 +16,13 @@ the solver's R restarts advance in the same pass.  Every array a pass makes
 is laid out (R, ...), and a scatter is one np.bincount per restart over a
 stored slice of the edge arrays, so no flat index is built per call.  The
 forward pass keeps the table entries it gathers at each edge's src column,
-and the backward pass multiplies them by those it gathers at the edge's dst
-column: the product is the edge's share of its step sum, and one scatter of
-these shares gives the partial derivatives.  Within every sum the terms
-arrive in the order of the textbook recurrences (rows ascending, then
-successor length, then column), so the results do not depend on how many
-rows are batched.
+and the backward pass, which starts each step's end column at 1 / S_j (the
+scaled backward pass of Rabiner 1989), multiplies them by those it gathers
+at the edge's dst column: the product is the edge's share of its step sum,
+and one scatter of these shares gives the expected counts.  Within every
+sum the terms arrive in the order of the textbook recurrences (rows
+ascending, then successor length, then column), so the results do not
+depend on how many rows are batched.
 
 Compiling turns the moves that the moves module lists into edges.  The
 free system's productions are the distinct moves (free_lattice), and both
@@ -49,9 +50,9 @@ from .moves import Moves, list_moves
 _INDEX = np.int32
 
 #: compile_lattice refuses traces with more edges than this.  A lattice
-#: stores 16 bytes of indices per edge, and a pass of the kernel holds
+#: stores 12 bytes of indices per edge, and a pass of the kernel holds
 #: float64 arrays of one entry per edge and restart, so the solver runs
-#: at most EDGE_CEILING / edges restarts per pass: 10^7 edges take 160 MB to
+#: at most EDGE_CEILING / edges restarts per pass: 10^7 edges take 120 MB to
 #: store, and a pass holds arrays of at most 10^7 entries at any restarts.
 EDGE_CEILING = 10**7
 
@@ -61,11 +62,9 @@ class StepLattice:
     """Edges of every step of one trace over a fixed list of variables.
 
     Edge arrays are sorted by (row, step, successor length, src column); the
-    edges of row i are those in [bounds[i], bounds[i + 1]).  var == len(variables)
-    marks a pass-through edge.  A (step, variable) pair indexes the partial
-    derivative of one step sum; there is one pair per distinct (variable,
-    step) of the edges, pairs are sorted by (variable, step), and
-    pair[e] == len(pair_var) for pass-through edges.
+    edges of row i are those in [bounds[i], bounds[i + 1]), and the edges of
+    step j are those whose dst lies in [starts[j], ends[j]].
+    var == len(variables) marks a pass-through edge.
     """
 
     variables: tuple[Production, ...]
@@ -76,35 +75,33 @@ class StepLattice:
     src: np.ndarray
     dst: np.ndarray
     var: np.ndarray
-    pair: np.ndarray
-    pair_step: np.ndarray
-    pair_var: np.ndarray
 
     def values(self, weights: np.ndarray) -> np.ndarray:
         """Per-step sums, shape (R, steps), for weights of shape (R, V)."""
         return self._forward(_with_pass_through(weights))
 
-    def slopes(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-step sums and, per (step, variable) pair, the step sum's
-        partial derivative in that variable: shapes (R, steps), (R, pairs)."""
-        padded = _with_pass_through(weights)
-        tails: list[np.ndarray] = []
-        values = self._forward(padded, tails)
-        mass = self._backward(padded, tails)
-        return values, _scatter(self.pair, mass, len(self.pair_var) + 1)[:, :-1]
-
     def expected_counts(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-step sums and x_p * d log p(theta) / d x_p for every variable.
 
         The second array is the expected number of times each production
-        fires in a derivation drawn in proportion to its weight.  In a row
-        with a zero step sum, every variable with an edge in that step gets
-        a non-finite count.
+        fires in a derivation drawn in proportion to its weight.  The
+        backward pass starts each step's end column at 1 / S_j, so an edge's
+        mass is its share of its step sum and one scatter gives the counts.
+        A step sum below the smallest normal double, where 1 / S_j would
+        overflow, starts at 1 instead, and its edges' masses are divided by
+        S_j afterwards.  In a row with a zero step sum, every variable with
+        an edge in that step gets a non-finite count.
         """
-        values, slopes = self.slopes(weights)
+        padded = _with_pass_through(weights)
+        tails: list[np.ndarray] = []
+        values = self._forward(padded, tails)
+        small = values < np.finfo(float).tiny
         with np.errstate(divide="ignore", invalid="ignore"):
-            per_step = slopes / values[:, self.pair_step]
-            return values, weights * _scatter(self.pair_var, per_step, len(self.variables))
+            mass = self._backward(padded, tails, 1.0 / np.where(small, 1.0, values))
+            if small.any():
+                # the edges of step j are those with dst in [starts[j], ends[j]]
+                mass /= np.where(small, values, 1.0)[:, np.searchsorted(self.ends, self.dst)]
+            return values, weights * _scatter(self.var, mass, len(self.variables) + 1)[:, :-1]
 
     # The passes keep every per-row array contiguous (numpy multiplies
     # strided 2-D slices of an (R, edges) array several times slower), and
@@ -130,16 +127,19 @@ class StepLattice:
             table = _scatter(self.dst[lo:hi], moved, self.columns)
         return table[:, self.ends]
 
-    def _backward(self, padded: np.ndarray, tails: list[np.ndarray]) -> np.ndarray:
+    def _backward(
+        self, padded: np.ndarray, tails: list[np.ndarray], scale: np.ndarray
+    ) -> np.ndarray:
         """Edge masses, shape (R, edges): each edge's tail, popped from the
-        forward pass's list, times the weight of everything after the edge.
-        A mass is the edge's share of its step sum.
+        forward pass's list, times the weight of everything after the edge,
+        times its step's scale (shape (R, steps)).
 
-        Before row i, table[r, c] is the weight of rewriting positions i+1..
-        of each step into the suffix of its target that starts at column c.
+        Before row i, table[r, c] is the scaled weight of rewriting
+        positions i+1.. of each step into the suffix of its target that
+        starts at column c.
         """
         table = np.zeros((len(padded), self.columns))
-        table[:, self.ends] = 1.0
+        table[:, self.ends] = scale
         mass = np.empty((len(padded), self.bounds[-1]))
         for lo, hi in reversed(list(zip(self.bounds, self.bounds[1:]))):
             head = table.take(self.dst[lo:hi], axis=1)
@@ -159,16 +159,15 @@ def compile_lattice(theta: Sequence, variables: Iterable[Production]) -> StepLat
     successor lengths (moves.list_moves), finds each move's (predecessor,
     substring) key among the variables' sorted keys, and keeps the moves
     that match one: the lattice holds exactly the free lattice's edges whose
-    production is a variable, in the same order, and one pair per distinct
-    (variable, step) of its moves.  Productions that fit no step contribute
-    no edges; a step that no combination of them can perform gets a zero
-    sum.  Raises ValueError if a production is listed twice, and
-    CapExceeded, before the edge arrays are assembled, when the lattice
-    would hold more than EDGE_CEILING edges.
+    production is a variable, in the same order.  Productions that fit no
+    step contribute no edges; a step that no combination of them can
+    perform gets a zero sum.  Raises ValueError if a production is listed
+    twice, and CapExceeded, before the edge arrays are assembled, when the
+    lattice would hold more than EDGE_CEILING edges.
     """
     variables = tuple(variables)
     successors = [p.successor for p in variables]
-    moves, key, step = list_moves(theta, set(map(len, successors)))
+    moves, key = list_moves(theta, set(map(len, successors)))
     known = moves.keys([p.predecessor for p in variables], successors)
     order = np.argsort(known)[np.count_nonzero(known < 0) :]
     known = known[order]
@@ -178,12 +177,8 @@ def compile_lattice(theta: Sequence, variables: Iterable[Production]) -> StepLat
     keep = at < known.size
     keep[keep] = known[at[keep]] == key[keep]
     var = order[at[keep]]
-    steps = len(moves.starts)
-    pair_keys, pair = np.unique(var * steps + step[keep], return_inverse=True)
-    del key, step, at
-    var = _closed(var, len(variables), steps)
-    pair = _closed(pair, pair_keys.size, steps)
-    return _assemble(moves, variables, keep, var, pair, pair_keys // steps, pair_keys % steps)
+    del key, at
+    return _assemble(moves, variables, keep, _closed(var, len(variables), len(moves.starts)))
 
 
 def free_lattice(theta: Sequence) -> StepLattice:
@@ -194,21 +189,13 @@ def free_lattice(theta: Sequence) -> StepLattice:
 
     Substring ids are ranks in sorted order and predecessor codes are ranks
     of the sorted symbols, so one np.unique of the moves' (predecessor,
-    substring, step) keys sorts the pairs by (variable, step) and numbers
-    the variables canonically.
+    substring) keys numbers the variables canonically.
     """
-    moves, key, step = list_moves(theta, None)
-    steps = len(moves.starts)
-    pair_keys, pair = np.unique(key * steps + step, return_inverse=True)
-    del key, step
-    pair = _closed(pair, pair_keys.size, steps)
-    owner = pair_keys // steps
-    new = np.ones(owner.size, bool)
-    new[1:] = owner[1:] != owner[:-1]
-    pair_var = np.cumsum(new) - 1
-    variables = moves.productions(owner[new])
-    var = _closed(pair_var, len(variables), 1)[pair]
-    return _assemble(moves, variables, None, var, pair, pair_var, pair_keys % steps)
+    moves, key = list_moves(theta, None)
+    owners, var = np.unique(key, return_inverse=True)
+    del key
+    variables = moves.productions(owners)
+    return _assemble(moves, variables, None, _closed(var, len(variables), len(moves.starts)))
 
 
 def _assemble(
@@ -216,13 +203,9 @@ def _assemble(
     variables: tuple[Production, ...],
     keep: np.ndarray | None,
     var: np.ndarray,
-    pair: np.ndarray,
-    pair_var: np.ndarray,
-    pair_step: np.ndarray,
 ) -> StepLattice:
-    """The lattice of the moves where keep is set (all if None).  var and
-    pair give each kept move's variable and pair, then the pass-through
-    moves' len(variables) and len(pair_var)."""
+    """The lattice of the moves where keep is set (all if None).  var gives
+    each kept move's variable, then the pass-through moves' len(variables)."""
     bounds, src, dst, edge = moves.edges(keep, check_edge_count)
     return StepLattice(
         variables=variables,
@@ -233,9 +216,6 @@ def _assemble(
         src=src,
         dst=dst,
         var=var[edge],
-        pair=pair[edge],
-        pair_step=pair_step.astype(_INDEX),
-        pair_var=pair_var.astype(_INDEX),
     )
 
 

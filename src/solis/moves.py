@@ -144,12 +144,10 @@ class Moves(NamedTuple):
         return bounds, src[edge], dst[edge], edge
 
 
-def list_moves(
-    theta: Sequence, lengths: set[int] | None
-) -> tuple[Moves, np.ndarray, np.ndarray]:
+def list_moves(theta: Sequence, lengths: set[int] | None) -> tuple[Moves, np.ndarray]:
     """Every move of every position of theta whose successor length is in
     lengths (any length if None), with each move's (predecessor, substring)
-    key, code * len(substrings) + substring id, and its step.
+    key, code * len(substrings) + substring id.
 
     One pass slices every listed substring of every target and ranks the
     distinct ones; the groups then take their moves from their steps'
@@ -166,8 +164,8 @@ def list_moves(
     pool: list[np.ndarray] = []  # per layout and class: (span index, s, e) rows
     pooled = 0
     listed: list[str] = []
-    # per group: first pool column, moves, first listed substring, column, code, step
-    info: list[tuple[int, int, int, int, int, int]] = []
+    # per group: first pool column, moves, first listed substring, column, code
+    info: list[tuple[int, int, int, int, int]] = []
     rows, row_steps, row_groups = [], [], []
     starts, column = [], 0
     for j, (x, y) in enumerate(steps):
@@ -184,7 +182,7 @@ def list_moves(
         spans, places = layouts[shape]
 
         def group(position: int, a: Symbol) -> int:
-            info.append((*places[position], len(listed), column, codes[a], j))
+            info.append((*places[position], len(listed), column, codes[a]))
             return len(info) - 1
 
         if m == 1:
@@ -205,10 +203,10 @@ def list_moves(
     rank = {word: i for i, word in enumerate(substrings)}
     sub_of = np.fromiter(map(rank.__getitem__, listed), _INDEX, len(listed))
     span, begin, end = np.concatenate([np.zeros((3, 0), _INDEX)] + pool, axis=1)
-    info = np.array(info, np.int64).reshape(-1, 6).T
+    info = np.array(info, np.int64).reshape(-1, 5).T
     sizes = info[1]
     info[0] -= np.cumsum(sizes) - sizes
-    at, listing, column, code, step = np.repeat(info[[0, 2, 3, 4, 5]], sizes, axis=1)
+    at, listing, column, code = np.repeat(info[[0, 2, 3, 4]], sizes, axis=1)
     at += np.arange(at.size)
     starts = np.array(starts, _INDEX)
     ends = np.array([start + len(y) for start, (_, y) in zip(starts.tolist(), steps)], _INDEX)
@@ -230,7 +228,7 @@ def list_moves(
     )
     code *= len(substrings)
     code += sub_of[span[at] + listing]
-    return moves, code, step
+    return moves, code
 
 
 def _encode(word: Word, letters: dict[Symbol, str] | None) -> str | None:
@@ -247,8 +245,9 @@ def _encode(word: Word, letters: dict[Symbol, str] | None) -> str | None:
 
 
 def ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The concatenation of arange(start, start + size) over the pairs, as
-    int32: every caller indexes moves or edges, both under EDGE_CEILING."""
+    """The concatenation of arange(start, start + size) for each start and
+    its size, as int32: every caller indexes moves or edges, both under
+    EDGE_CEILING."""
     ends = np.cumsum(sizes, dtype=np.int64)
     out = np.repeat((starts - ends + sizes).astype(_INDEX), sizes)
     out += np.arange(out.size, dtype=_INDEX)

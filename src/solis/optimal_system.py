@@ -191,9 +191,9 @@ def maximize(
     Within a restart the objective never decreases; across restarts the
     earliest restart whose final log p is within cfg.rel_tol of the highest
     wins, so float noise between restarts that reach the same optimum does
-    not pick the winner.  Returns the
-    winning point, the winner's index into the traces, and one trace per
-    restart; traces[best].values[-1] is the winner's log p(theta).
+    not pick the winner.  Returns the winning point, the winner's index
+    into the traces, and one trace per restart; traces[best].values[-1] is
+    the winner's log p(theta).
 
     The kernel's arrays hold one entry per edge and restart, so restarts
     run in chunks of at most EDGE_CEILING / edges; restarts do not interact

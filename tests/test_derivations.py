@@ -371,17 +371,20 @@ class TestStepValues:
         assert lattice.values(weight_row(lattice, HAND_WEIGHTS)).tolist() == [[80.0]]
 
     def test_hand_expanded_gradient(self, theta2):
+        """x_p * dS/dx_p / S, with dS/dx_p read off the expansion above."""
         lattice = compile_lattice(theta2, HAND_WEIGHTS)
-        values, slopes = lattice.slopes(weight_row(lattice, HAND_WEIGHTS))
+        values, counts = lattice.expected_counts(weight_row(lattice, HAND_WEIGHTS))
         assert values.tolist() == [[80.0]]
-        pairs = zip(lattice.pair_step.tolist(), lattice.pair_var.tolist(), slopes[0].tolist())
-        assert {(step, lattice.variables[k]): slope for step, k, slope in pairs} == {
-            (0, Production("A", ())): 22.0,
-            (0, Production("A", ("A",))): 12.0,
-            (0, Production("A", ("A", "B"))): 3.0,
-            (0, Production("A", ("B", "A"))): 3.0,
-            (0, Production("A", ("A", "B", "A"))): 4.0,
-        }
+        assert dict(zip(lattice.variables, counts[0].tolist())) == pytest.approx(
+            {
+                Production("A", ()): 2.0 * 22.0 / 80.0,
+                Production("A", ("A",)): 3.0 * 12.0 / 80.0,
+                Production("A", ("A", "B")): 5.0 * 3.0 / 80.0,
+                Production("A", ("B", "A")): 7.0 * 3.0 / 80.0,
+                Production("A", ("A", "B", "A")): 11.0 * 4.0 / 80.0,
+            },
+            rel=1e-15,
+        )
 
     def test_absent_weights_count_as_zero(self, theta2):
         weights = {Production("A", ("A",)): 1.0, Production("A", ("B", "A")): 1.0}
@@ -411,17 +414,6 @@ class TestGradient:
         grad = gradient(g, theta)
         # p = x^2, so dp/dx = 2x = 2 at x = 1
         assert grad[Production("A", ("A",))] == pytest.approx(2.0, abs=1e-12)
-
-    def test_zero_probability_sequences_have_zero_gradient(self, g1):
-        """Step 1 has no assignment under g1, so its sum vanishes with all
-        its slopes, and by the product rule so does every dp/dx_p."""
-        theta = Sequence.from_strings("AAA", "BBBBBB", "BBBBBB")
-        lattice = compile_lattice(theta, g1.base.productions)
-        assert set(lattice.variables) == set(g1.prob)
-        values, slopes = lattice.slopes(weight_row(lattice, g1.prob))
-        assert values.tolist() == [[0.0, 1.0]]
-        rest = values[0, 1 - lattice.pair_step]  # the other step's sum
-        assert (rest * slopes[0] == 0.0).all()
 
     def test_matches_central_differences(self):
         rng = np.random.default_rng(42)

@@ -26,6 +26,7 @@ from solis import (
     best_derivation,
     build_free_system,
     build_objective,
+    occurrence_counts,
     parse_sequence_file,
     sequence_probability,
 )
@@ -58,7 +59,7 @@ def test_batched_counts_equal_single_rows(theta, seed, rows):
     free = build_free_system(theta)
     lattice = compile_lattice(theta, free.productions)
     weights = np.random.default_rng(seed).exponential(size=(rows, len(free.productions)))
-    for entry in (lambda w: (lattice.values(w),), lattice.slopes, lattice.expected_counts):
+    for entry in (lambda w: (lattice.values(w),), lattice.expected_counts):
         batched = entry(weights)
         for r in range(rows):
             for whole, alone in zip(batched, entry(weights[r : r + 1])):
@@ -66,28 +67,29 @@ def test_batched_counts_equal_single_rows(theta, seed, rows):
 
 
 def test_index_arrays_are_int32():
-    """Four int32 arrays per edge (16 bytes), two per step and two per pair."""
+    """Three int32 arrays per edge (12 bytes) and two per step."""
     theta = Sequence.from_strings("AB", "ABBA", "BAABAB")
     lattice = compile_lattice(theta, build_free_system(theta).productions)
     arrays = [v for v in vars(lattice).values() if isinstance(v, np.ndarray)]
     assert {a.dtype for a in arrays} == {np.dtype(np.int32)}
-    edges, steps, pairs = lattice.src.size, theta.step_count, lattice.pair_var.size
-    assert sum(a.nbytes for a in arrays) == 4 * (4 * edges + 2 * steps + 2 * pairs)
+    edges, steps = lattice.src.size, theta.step_count
+    assert sum(a.nbytes for a in arrays) == 4 * (3 * edges + 2 * steps)
 
 
 @PROPERTY
 @given(TRACES, SEEDS)
 def test_euler_identity(theta, seed):
-    """Step j's sum S_j is homogeneous of degree |w_j|, so
-    sum_p x_p dS_j/dx_p = |w_j| S_j, step by step."""
+    """p(theta) is homogeneous of degree n_a in block a's variables, so
+    the expected counts of block a sum to n_a, block by block."""
     g = random_system_for(theta, np.random.default_rng(seed))
     lattice = compile_lattice(theta, g.base.productions)
     x = np.array([[g.prob[p] for p in lattice.variables]])
-    values, slopes = lattice.slopes(x)
-    terms = x[0, lattice.pair_var] * slopes[0]
-    for j, (source, _) in enumerate(theta.steps()):
-        lhs = math.fsum(terms[lattice.pair_step == j].tolist())
-        assert math.isclose(lhs, len(source) * values[0, j], rel_tol=1e-9)
+    _, counts = lattice.expected_counts(x)
+    blocks = {}
+    for p, count in zip(lattice.variables, counts[0].tolist()):
+        blocks.setdefault(p.predecessor, []).append(count)
+    for a, n_a in occurrence_counts(theta).items():
+        assert math.isclose(math.fsum(blocks.get(a, [])), n_a, rel_tol=1e-9)
 
 
 @PROPERTY
@@ -113,6 +115,20 @@ def test_zero_step_sums_give_non_finite_counts_without_warning():
         values, counts = lattice.expected_counts(weights)
     assert values.min() == 0.0
     assert not np.isfinite(counts).any()
+
+
+@pytest.mark.parametrize("n, total", [(1030, 8.69e-311), (1070, 8e-323)])
+def test_subnormal_step_sums_give_exact_counts(n, total):
+    """A^n => B^n under A -> B at 1/2 has the subnormal step sum 2^-n, and
+    A -> B fires exactly n times: 1/S would overflow a double here."""
+    theta = Sequence((("A",) * n, ("B",) * n))
+    lattice = compile_lattice(theta, [Production("A", ("B",))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, counts = lattice.expected_counts(np.array([[0.5]]))
+    assert values[0, 0] == 0.5**n
+    assert math.isclose(values[0, 0], total, rel_tol=1e-2)
+    assert counts.tolist() == [[float(n)]]
 
 
 @settings(max_examples=80, deadline=None)
@@ -155,8 +171,7 @@ UNFIT = (Production("D", ("A",)), Production("A", ("D",)), Production("B", tuple
 @given(traces(4), st.data())
 def test_lattice_over_a_subset_is_the_free_lattice_filtered(theta, data):
     """compile_lattice over any productions holds exactly the free lattice's
-    edges whose production it lists, in the free lattice's order, and one
-    (variable, step) pair per distinct pair its edges use, sorted."""
+    edges whose production it lists, in the free lattice's order."""
     free = build_objective(theta, cap=0).lattice
     chosen = data.draw(st.lists(st.sampled_from(free.variables + UNFIT), unique=True))
     lattice = compile_lattice(theta, chosen)
@@ -171,13 +186,6 @@ def test_lattice_over_a_subset_is_the_free_lattice_filtered(theta, data):
     assert np.array_equal(lattice.var, mapped[keep])
     rows = [keep[lo:hi].sum() for lo, hi in zip(free.bounds, free.bounds[1:])]
     assert lattice.bounds == tuple(np.cumsum([0] + rows).tolist())
-    moves = lattice.var < len(chosen)
-    step = np.searchsorted(lattice.starts, lattice.src, side="right") - 1
-    pairs = sorted(set(zip(lattice.var[moves].tolist(), step[moves].tolist())))
-    assert list(zip(lattice.pair_var.tolist(), lattice.pair_step.tolist())) == pairs
-    assert np.array_equal(lattice.pair_var[lattice.pair[moves]], lattice.var[moves])
-    assert np.array_equal(lattice.pair_step[lattice.pair[moves]], step[moves])
-    assert (lattice.pair[~moves] == len(pairs)).all()
 
 
 @settings(max_examples=150, deadline=None)
