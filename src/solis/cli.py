@@ -3,8 +3,9 @@
 Subcommands: free, enumerate, prob, infer-derivation, infer-system, sample.
 Standard output is deterministic given identical inputs and seeds (it starts
 with sha256 digests of the input files); timing and diagnostics go to
-standard error.  Exit codes: 0 success, 1 usage or input errors, 2 sequence
-incompatible with the system at hand, 3 a cap or length guard tripped.
+standard error.  Exit codes: 0 success, 1 usage or input errors (and a
+failure to write standard output), 2 sequence incompatible with the system at
+hand, 3 a cap or length guard tripped.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import math
+import os
 import sys
 import time
 from typing import TYPE_CHECKING
@@ -165,6 +167,41 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def run() -> None:
+    """Process entry point: run main, flush the output and end the process.
+
+    Interpreter teardown (finalizing numpy and every object left) would add
+    tens of milliseconds to each command after its answer is written, so the
+    process ends with os._exit.  Under a tracer, profiler or coverage tool it
+    exits through sys.exit instead, so their reports at exit are written.
+    Callers of main never reach this exit.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except OSError as exc:  # standard output is full or closed
+        code = _fail(1, exc)
+        # the unwritten output stays buffered: send it to /dev/null, where
+        # the flush of a normal exit (under a tracer, below) succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.stderr.flush()
+    if _observed():
+        sys.exit(code)
+    os._exit(code)
+
+
+def _observed() -> bool:
+    """Whether a tracer or profiler watches this process: set by settrace or
+    setprofile, or one of the six sys.monitoring tools (Python 3.12 and
+    later, where cProfile registers as one)."""
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(
+        monitoring.get_tool(tool) is not None for tool in range(6)
+    )
+
+
 def _fail(code: int, exc: Exception) -> int:
     print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
     return code
@@ -311,4 +348,4 @@ def _cmd_sample(args: argparse.Namespace) -> list[str]:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()
