@@ -23,7 +23,6 @@ _EXPORTS = {
     "EMPTY_WORD": "model",
     "FormatError": "errors",
     "IncompatibleSequence": "errors",
-    "IncompatibleStep": "errors",
     "LogLinear": "model",
     "MAX_WORD_LENGTH": "sampler",
     "MissingProduction": "errors",
@@ -38,7 +37,7 @@ _EXPORTS = {
     "Sequence": "model",
     "SolisError": "errors",
     "SolverConfig": "optimal_system",
-    "StepAssignment": "compositions",
+    "StepAssignment": "derivations",
     "Symbol": "model",
     "Word": "model",
     "WordLengthExceeded": "errors",

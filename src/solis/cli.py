@@ -4,8 +4,8 @@ Subcommands: free, enumerate, prob, infer-derivation, infer-system, sample.
 Standard output is deterministic given identical inputs and seeds (it starts
 with sha256 digests of the input files); timing and diagnostics go to
 standard error.  Exit codes: 0 success, 1 usage or input errors (and a
-failure to write standard output), 2 sequence incompatible with the system at
-hand, 3 a cap or length guard tripped.
+failure to write standard output or standard error), 2 sequence incompatible
+with the system at hand, 3 a cap or length guard tripped.
 """
 
 from __future__ import annotations
@@ -16,28 +16,29 @@ import math
 import os
 import sys
 import time
+from contextlib import suppress
 from typing import TYPE_CHECKING
 
 from .errors import (
     CapExceeded,
     FormatError,
     IncompatibleSequence,
-    IncompatibleStep,
     MissingProduction,
     WordLengthExceeded,
 )
 from .formats import (
     file_digest,
     format_real,
+    needs_tokens,
     parse_sequence_file,
     parse_system_file,
+    production_text,
     serialize_derivation,
     serialize_partial_system,
     serialize_system,
     serialize_word,
 )
-from .lattice import sequence_probability
-from .model import Production, Sequence
+from .lattice import lattice_probability, sequence_probability
 
 if TYPE_CHECKING:
     from .optimal_system import PosynomialObjective
@@ -68,7 +69,6 @@ best_derivation = _Deferred("optimal_derivation", "best_derivation")
 assemble_system = _Deferred("optimal_system", "assemble_system")
 build_objective = _Deferred("optimal_system", "build_objective")
 maximize = _Deferred("optimal_system", "maximize")
-system_probability = _Deferred("optimal_system", "system_probability")
 sample_sequence = _Deferred("sampler", "sample_sequence")
 
 
@@ -141,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     # above; they are imported before the clock behind time_ms starts
     handler, modules = {
         "free": (_cmd_free, ("free_system",)),
-        "enumerate": (_cmd_enumerate, ("free_system", "derivations")),
+        "enumerate": (_cmd_enumerate, ("derivations",)),
         "prob": (_cmd_prob, ()),
         "infer-derivation": (_cmd_infer_derivation, ("optimal_derivation",)),
         "infer-system": (_cmd_infer_system, ("optimal_system",)),
@@ -152,19 +152,21 @@ def main(argv: list[str] | None = None) -> int:
     for module in modules:
         importlib.import_module(f".{module}", __package__)
     start = time.perf_counter()
+    code = 0
     try:
         lines = handler(args)
     except (FormatError, OSError, ValueError) as exc:
-        return _fail(1, exc)
-    except (IncompatibleSequence, IncompatibleStep, MissingProduction) as exc:
-        return _fail(2, exc)
+        code = _fail(1, exc)
+    except (IncompatibleSequence, MissingProduction) as exc:
+        code = _fail(2, exc)
     except (CapExceeded, WordLengthExceeded) as exc:
-        return _fail(3, exc)
-    finally:
-        elapsed = (time.perf_counter() - start) * 1000.0
-        print(f"time_ms: {elapsed:.3f}", file=sys.stderr)
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+        code = _fail(3, exc)
+    elapsed = (time.perf_counter() - start) * 1000.0
+    # the answer first: a failure to write stderr must not lose it
+    if code == 0:
+        sys.stdout.write("\n".join(lines) + "\n")
+    print(f"time_ms: {elapsed:.3f}", file=sys.stderr)
+    return code
 
 
 def run() -> None:
@@ -179,12 +181,17 @@ def run() -> None:
     try:
         code = main()
         sys.stdout.flush()
-    except OSError as exc:  # standard output is full or closed
-        code = _fail(1, exc)
-        # the unwritten output stays buffered: send it to /dev/null, where
-        # the flush of a normal exit (under a tracer, below) succeeds
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    sys.stderr.flush()
+    except OSError as exc:  # standard output or standard error is full or closed
+        with suppress(OSError):  # no report if it is standard error
+            _fail(1, exc)
+        code = 1
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()  # the answer, if writing stderr failed first
+        except OSError:
+            # the unwritten text stays buffered: send it to /dev/null, where
+            # the flush of a normal exit (under a tracer, below) succeeds
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     if _observed():
         sys.exit(code)
     os._exit(code)
@@ -220,14 +227,6 @@ def _header(command: str, paths: list[str]) -> list[str]:
     return lines
 
 
-def _production_text(production: Production, tokens: bool) -> str:
-    return f"{production.predecessor} -> {serialize_word(production.successor, tokens)}"
-
-
-def _uses_tokens(theta: Sequence) -> bool:
-    return any(len(symbol) != 1 for symbol in theta.symbols())
-
-
 def _cmd_free(args: argparse.Namespace) -> list[str]:
     theta = parse_sequence_file(args.sequence, args.tokens)
     system = build_free_system(theta)
@@ -237,15 +236,13 @@ def _cmd_free(args: argparse.Namespace) -> list[str]:
 def _cmd_enumerate(args: argparse.Namespace) -> list[str]:
     theta = parse_sequence_file(args.sequence, args.tokens)
     paths = [args.sequence]
-    system = None
+    system = base = None
     if args.system:
         system = parse_system_file(args.system, args.tokens)
         paths.append(args.system)
         base = system.base
-    else:
-        base = build_free_system(theta)
     derivations = list(enumerate_derivations(base, theta, **_given(args, "cap")))
-    tokens = _uses_tokens(theta)
+    tokens = needs_tokens(theta.symbols())
     lines = _header("enumerate", paths)
     lines.append(f"derivations: {len(derivations)}")
     probabilities = []
@@ -255,7 +252,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> list[str]:
             lines.append(f"  {step_line}")
         counts = count_productions(derivation)
         counts_text = "; ".join(
-            f"{_production_text(p, tokens)}: {c}" for p, c in sorted(counts.items())
+            f"{production_text(p, tokens)}: {c}" for p, c in sorted(counts.items())
         )
         lines.append(f"  counts: {counts_text}")
         if system is not None:
@@ -298,14 +295,14 @@ def _cmd_infer_system(args: argparse.Namespace) -> list[str]:
     obj = build_objective(theta, cap=cap)
     x_star, best, traces = maximize(obj, cfg)
     system = assemble_system(theta, obj, x_star, cfg.prune_eps)
-    value = system_probability(obj, system)
+    value = lattice_probability(obj.lattice, system.prob)
     lines = _header("infer-system", [args.sequence])
     lines.append(f"restarts: {cfg.restarts}")
     lines.append(f"best restart: {best}")
     lines.append(f"iterations: {traces[best].iterations}")
     lines.append(f"converged: {'yes' if traces[best].converged else 'no'}")
     if args.show_objective:
-        lines.append(_objective_text(obj, _uses_tokens(theta)))
+        lines.append(_objective_text(obj, needs_tokens(theta.symbols())))
     lines.append(f"value = {format_real(value.linear)}")
     lines.append(f"log value = {format_real(value.log)}")
     lines.extend(serialize_system(system).splitlines())
@@ -321,7 +318,7 @@ def _objective_text(obj: PosynomialObjective, tokens: bool) -> str:
         if monomial.coefficient != 1:
             factors.append(str(monomial.coefficient))
         for production, exponent in monomial.exponents:
-            factor = f"X[{_production_text(production, tokens)}]"
+            factor = f"X[{production_text(production, tokens)}]"
             if exponent > 1:
                 factor += f"^{exponent}"
             factors.append(factor)
@@ -332,7 +329,7 @@ def _objective_text(obj: PosynomialObjective, tokens: bool) -> str:
 def _cmd_sample(args: argparse.Namespace) -> list[str]:
     system = parse_system_file(args.system, args.tokens)
     record = sample_sequence(system, args.steps, args.seed)
-    tokens = any(len(symbol) != 1 for symbol in system.base.alphabet)
+    tokens = needs_tokens(system.base.alphabet)
     lines = _header("sample", [args.system])
     lines.append(f"seed: {args.seed}")
     lines.append(f"steps: {args.steps}")

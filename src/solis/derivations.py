@@ -1,19 +1,21 @@
-"""Derivations of a word sequence: enumeration and count multisets.
+"""Derivations of a word sequence: step assignments, enumeration and count
+multisets.
 
-A derivation fixes, for every step and every position, the production that
-rewrote that position.  Its probability is the product of the chosen
-production probabilities; the probability of the whole sequence is the sum
-over all of its derivations.  That sum is computed without materializing
-any derivation by the lattice module, which owns p(theta) and its
-gradients; enumerating it here is kept as an oracle.  Choices in different
-steps are independent, so the derivations are grouped by production-count
-multiset one step at a time (count_multisets), again without materializing
-any derivation.  A step's assignments are paths through its rows of the
-step lattice, so one pass over its edges counts them, merges them into
-their distinct multisets or lists them in order.  The tables take the
-lattice their caller already holds, usually the free lattice, so a trace's
-moves are listed once; enumerate_derivations, given a system, compiles the
-lattice over its productions.
+A StepAssignment rewrites x => y in one step: it gives each position of x a
+contiguous, possibly empty part of y, and the parts concatenate to y.  A
+derivation chains one assignment per step, so it fixes the production that
+rewrote every position; its probability is the product of those
+productions' probabilities, and p(theta) sums it over all derivations.  The
+lattice module computes that sum without materializing any derivation;
+enumerating the derivations here, and a step's assignments as the weak
+compositions of y into |x| parts, is kept as oracles.  Steps are
+independent, so the derivations are grouped by production-count multiset
+one step at a time (count_multisets), again materializing none.  A step's
+assignments are paths through its rows of the step lattice, so one pass
+over its edges counts them, merges them into their distinct multisets or
+lists them in order.  The tables take the lattice their caller already
+holds, usually the free lattice, so a trace's moves are listed once;
+enumerate_derivations compiles one over a given system's productions.
 """
 
 from __future__ import annotations
@@ -21,13 +23,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby, product
+from itertools import combinations_with_replacement, groupby, product
 from typing import Iterator
 
 import numpy as np
 
-from .compositions import StepAssignment
 from .errors import CapExceeded, IncompatibleSequence
+from .free_system import build_free_lattice
 from .lattice import StepLattice, compile_lattice
 from .model import Partial0LSystem, Production, S0LSystem, Sequence, Word
 
@@ -40,6 +42,25 @@ SCORE_WINDOW = 1e-9
 
 #: multiset of applied productions over a whole derivation
 ProductionCounts = Counter[Production]
+
+
+@dataclass(frozen=True)
+class StepAssignment:
+    """One way to rewrite `source` into `target` in a single parallel step.
+
+    parts[i] is the successor assigned to source position i; the parts
+    concatenate to `target`, so position i induces the production
+    source[i] -> parts[i].
+    """
+
+    source: Word
+    target: Word
+    parts: tuple[Word, ...]
+
+    def productions(self) -> Iterator[Production]:
+        """The production applied at each position, in position order."""
+        for a, part in zip(self.source, self.parts):
+            yield Production(a, part)
 
 
 @dataclass(frozen=True)
@@ -57,11 +78,12 @@ class Derivation:
 
 
 def enumerate_derivations(
-    system: Partial0LSystem,
+    system: Partial0LSystem | None,
     theta: Sequence,
     cap: int = DEFAULT_DERIVATION_CAP,
 ) -> Iterator[Derivation]:
-    """Yield every derivation of theta whose productions all lie in system.
+    """Yield every derivation of theta whose productions all lie in system,
+    or, if system is None, in the free system (run on the free lattice).
 
     The stream is the Cartesian product of the per-step valid assignments,
     earlier steps most significant, each step in the enumeration order of
@@ -73,7 +95,10 @@ def enumerate_derivations(
     checks run on counts taken from the step lattice, before any
     assignment is listed.
     """
-    lattice = compile_lattice(theta, system.productions)
+    if system is None:
+        lattice = build_free_lattice(theta)[1]
+    else:
+        lattice = compile_lattice(theta, system.productions)
     steps, _ = _assignment_rows(lattice, theta, cap, merge=False)
     per_step = [_assignments(x, y, cuts) for (x, y), (cuts, _, _) in zip(theta.steps(), steps)]
     return (Derivation(steps=combo) for combo in product(*per_step))
@@ -234,6 +259,26 @@ def sequence_probability_naive(
         return math.fsum(derivation_probability(g, d) for d in stream)
     except IncompatibleSequence:
         return 0.0
+
+
+def enumerate_step_assignments(x: Word, y: Word) -> Iterator[StepAssignment]:
+    """Yield every assignment of y-parts to the positions of x, one per
+    choice of |x|-1 nondecreasing cut positions in y.
+
+    Test oracle for the step lattice's paths; not exported.  Cuts come in
+    lexicographically increasing order, e.g. for x=AA, y=ABA the parts are
+    (eps,ABA), (A,BA), (AB,A), (ABA,eps).  Raises IncompatibleSequence
+    (step 1) when x is empty but y is not, as build_free_lattice does.
+    """
+    if not x:
+        if y:
+            raise IncompatibleSequence("empty word cannot derive a non-empty word", step=1)
+        return iter((StepAssignment(x, y, ()),))
+    n = len(y)
+    return (
+        StepAssignment(x, y, tuple(y[s:e] for s, e in zip((0, *cuts), (*cuts, n))))
+        for cuts in combinations_with_replacement(range(n + 1), len(x) - 1)
+    )
 
 
 def _assignment_rows(

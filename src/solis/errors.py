@@ -10,10 +10,6 @@ class SolisError(Exception):
     """Base class for all domain errors."""
 
 
-class IncompatibleStep(SolisError):
-    """A single rewriting step is impossible (empty word deriving a nonempty one)."""
-
-
 class IncompatibleSequence(SolisError):
     """A sequence admits no derivation under the system at hand.
 

@@ -14,10 +14,10 @@ scientific notation, and exact fractions like `2/9`.
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import FormatError
-from .model import Partial0LSystem, Production, S0LSystem, Sequence, Word
+from .model import Partial0LSystem, Production, S0LSystem, Sequence, Symbol, Word
 
 if TYPE_CHECKING:
     from .derivations import Derivation
@@ -56,6 +56,17 @@ def serialize_word(word: Word, tokens: bool = False) -> str:
     if not word:
         return EPSILON_TOKEN
     return " ".join(word) if tokens else "".join(word)
+
+
+def needs_tokens(symbols: Iterable[Symbol]) -> bool:
+    """Whether words of these symbols must be written space-joined, to be
+    read back in token mode: some symbol has more than one character."""
+    return any(len(symbol) != 1 for symbol in symbols)
+
+
+def production_text(production: Production, tokens: bool) -> str:
+    """A rule as written everywhere: `a -> successor`."""
+    return f"{production.predecessor} -> {serialize_word(production.successor, tokens)}"
 
 
 def parse_sequence_file(path: str, tokens: bool = False) -> Sequence:
@@ -122,14 +133,10 @@ def serialize_system(g: S0LSystem) -> str:
     Words are space-joined exactly when some alphabet symbol has more than
     one character, in which case the file must be parsed in token mode.
     """
-    tokens = _needs_tokens(g.base)
+    tokens = needs_tokens(g.base.alphabet)
     lines = [f"axiom: {serialize_word(g.base.axiom, tokens)}"]
     for production in g.base.productions:
-        line = (
-            f"rule: {production.predecessor} -> "
-            f"{serialize_word(production.successor, tokens)}"
-            f" p={format_real(g.prob[production])}"
-        )
+        line = f"rule: {production_text(production, tokens)} p={format_real(g.prob[production])}"
         if production in g.defaults:
             line += f" {DEFAULT_MARKER}"
         lines.append(line)
@@ -138,24 +145,18 @@ def serialize_system(g: S0LSystem) -> str:
 
 def serialize_partial_system(system: Partial0LSystem) -> str:
     """Text form of a probability-free system (the free system, typically)."""
-    tokens = _needs_tokens(system)
+    tokens = needs_tokens(system.alphabet)
     lines = [
         f"alphabet: {' '.join(sorted(system.alphabet))}",
         f"axiom: {serialize_word(system.axiom, tokens)}",
     ]
-    for production in system.productions:
-        lines.append(
-            f"rule: {production.predecessor} -> "
-            f"{serialize_word(production.successor, tokens)}"
-        )
+    lines += (f"rule: {production_text(p, tokens)}" for p in system.productions)
     return "\n".join(lines) + "\n"
 
 
 def serialize_derivation(d: Derivation) -> str:
     """One line per step; parts separated by ' | ' in position order."""
-    tokens = any(
-        len(symbol) != 1 for step in d.steps for symbol in step.source + step.target
-    )
+    tokens = needs_tokens(symbol for step in d.steps for symbol in step.source + step.target)
     lines = []
     for number, step in enumerate(d.steps, start=1):
         parts = " | ".join(serialize_word(part, tokens) for part in step.parts)
@@ -166,10 +167,6 @@ def serialize_derivation(d: Derivation) -> str:
 def file_digest(path: str) -> str:
     with open(path, "rb") as handle:
         return hashlib.sha256(handle.read()).hexdigest()
-
-
-def _needs_tokens(system: Partial0LSystem) -> bool:
-    return any(len(symbol) != 1 for symbol in system.alphabet)
 
 
 def _parse_rule(

@@ -205,9 +205,8 @@ def list_moves(theta: Sequence, lengths: set[int] | None) -> tuple[Moves, np.nda
     span, begin, end = np.concatenate([np.zeros((3, 0), _INDEX)] + pool, axis=1)
     info = np.array(info, np.int64).reshape(-1, 5).T
     sizes = info[1]
-    info[0] -= np.cumsum(sizes) - sizes
-    at, listing, column, code = np.repeat(info[[0, 2, 3, 4]], sizes, axis=1)
-    at += np.arange(at.size)
+    at = ranges(info[0], sizes)
+    listing, column, code = np.repeat(info[[2, 3, 4]], sizes, axis=1)
     starts = np.array(starts, _INDEX)
     ends = np.array([start + len(y) for start, (_, y) in zip(starts.tolist(), steps)], _INDEX)
     groups = np.empty((max(len(x) for x, _ in steps), len(steps)), np.int64)

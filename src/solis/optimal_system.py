@@ -224,20 +224,7 @@ def infer_optimal_system(
     obj = build_objective(theta, cap=0)
     x_star, _, _ = maximize(obj, cfg)
     system = assemble_system(theta, obj, x_star, cfg.prune_eps)
-    return system, system_probability(obj, system)
-
-
-def system_probability(obj: PosynomialObjective, system: S0LSystem) -> LogLinear:
-    """p(theta) under a system assembled from obj, on obj's lattice.
-
-    The weights are system.prob on obj.variables, 0 for pruned ones; the
-    identity defaults rewrite no symbol that theta rewrites, so they have
-    no edges.  A lattice compiled over the system's productions holds the
-    free lattice's edges of those productions in the same order, and each
-    pruned edge adds exactly +0.0 to its sum, so the value is bitwise
-    sequence_probability(system, obj.theta).
-    """
-    return lattice_probability(obj.lattice, system.prob)
+    return system, lattice_probability(obj.lattice, system.prob)
 
 
 def assemble_system(

@@ -14,8 +14,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .compositions import StepAssignment
-from .derivations import Derivation, derivation_probability
+from .derivations import Derivation, StepAssignment, derivation_probability
 from .errors import MissingProduction, WordLengthExceeded
 from .model import S0LSystem, Sequence, Symbol, Word
 

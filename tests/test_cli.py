@@ -140,6 +140,18 @@ class TestEnumerate:
         assert code == 3
         assert "error: CapExceeded" in err
 
+    def test_recorded_output_under_the_free_system(self, capsys):
+        code, out, _ = run(capsys, "enumerate", str(DATA / "aa-aba.seq"))
+        assert code == 0
+        assert_recorded(out, "aa-aba", "enumerate")
+
+    def test_recorded_output_under_a_system(self, capsys):
+        code, out, _ = run(
+            capsys, "enumerate", str(DATA / "example2.seq"), "--system", str(DATA / "g2.sys")
+        )
+        assert code == 0
+        assert_recorded(out, "example2", "enumerate")
+
 
 class TestInferDerivation:
     def test_two_word_example(self, capsys):
@@ -382,3 +394,31 @@ class TestUsageAndErrors:
         code, out, _ = run(capsys, "free", "--tokens", str(trace))
         assert code == 0
         assert "rule: Hot -> Cold Hot" in out
+
+
+class TestTokenMode:
+    """Recorded stdout of every command that writes words, rules or a
+    system in token mode, on a trace of multi-character symbols ending in
+    the empty word."""
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("free", ()),
+            ("enumerate", ()),
+            ("infer-derivation", ()),
+            ("infer-system", ("--show-objective", "--restarts", "2", "--seed", "0")),
+        ],
+    )
+    def test_recorded_output(self, capsys, command, flags):
+        code, out, _ = run(capsys, command, "--tokens", str(DATA / "tokens.seq"), *flags)
+        assert code == 0
+        assert_recorded(out, "tokens", command)
+
+    def test_recorded_sample(self, capsys):
+        code, out, _ = run(
+            capsys, "sample", "--tokens", "--system", str(DATA / "tokens.sys"),
+            "--steps", "3", "--seed", "0",
+        )
+        assert code == 0
+        assert_recorded(out, "tokens", "sample")

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import word
-from solis import IncompatibleSequence, IncompatibleStep, Production, Sequence, build_free_system
-from solis.compositions import enumerate_step_assignments
+from solis import IncompatibleSequence, Production, Sequence, build_free_system
+from solis.derivations import enumerate_step_assignments
 
 
 def brute_parts(x, y):
@@ -79,8 +79,9 @@ class TestEnumeration:
         assert assignments[0].parts == ()
 
     def test_empty_source_nonempty_target_is_impossible(self):
-        with pytest.raises(IncompatibleStep):
+        with pytest.raises(IncompatibleSequence) as info:
             list(enumerate_step_assignments((), word("A")))
+        assert info.value.step == 1
 
     def test_erasing_step_has_single_assignment(self):
         assignments = list(enumerate_step_assignments(word("AB"), ()))

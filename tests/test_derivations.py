@@ -38,11 +38,11 @@ from solis import (
     parse_sequence_file,
     sequence_probability,
 )
-from solis.compositions import enumerate_step_assignments
 from solis.derivations import (
     SCORE_WINDOW,
     _bounds,
     count_multisets,
+    enumerate_step_assignments,
     sequence_probability_naive,
 )
 from solis.free_system import build_free_lattice

@@ -11,7 +11,7 @@ from solis import (
     build_free_system,
     enumerate_derivations,
 )
-from solis.compositions import enumerate_step_assignments
+from solis.derivations import enumerate_step_assignments
 
 
 class TestConstruction:

@@ -26,15 +26,14 @@ from solis import (
     best_derivation,
     build_free_system,
     build_objective,
+    enumerate_derivations,
     occurrence_counts,
     parse_sequence_file,
     sequence_probability,
 )
-from solis.compositions import enumerate_step_assignments
-from solis.derivations import sequence_probability_naive
+from solis.derivations import enumerate_step_assignments, sequence_probability_naive
 from solis.free_system import _lattice_edges
-from solis.lattice import compile_lattice
-from solis.optimal_system import system_probability
+from solis.lattice import compile_lattice, lattice_probability
 
 WORDS = st.lists(st.sampled_from("AB"), min_size=1, max_size=4).map(tuple)
 TRACES = st.lists(WORDS, min_size=2, max_size=3).map(lambda words: Sequence(tuple(words)))
@@ -205,7 +204,7 @@ def test_assembled_system_scores_bitwise_on_the_free_lattice(theta, seed, prune_
     compiled = compile_lattice(theta, system.base.productions)
     own = np.array([[system.prob[p] for p in compiled.variables]])
     assert obj.lattice.values(weights)[0].tolist() == compiled.values(own)[0].tolist()
-    assert system_probability(obj, system) == sequence_probability(system, theta)
+    assert lattice_probability(obj.lattice, system.prob) == sequence_probability(system, theta)
 
 
 @pytest.mark.parametrize(
@@ -213,11 +212,15 @@ def test_assembled_system_scores_bitwise_on_the_free_lattice(theta, seed, prune_
     [
         ("enum-seed0.seq", best_derivation),
         ("aa-aba.seq", lambda theta: build_objective(theta, cap=DEFAULT_EXPANSION_CAP).monomials),
+        pytest.param(
+            "aa-aba.seq", lambda theta: list(enumerate_derivations(None, theta)), id="enumerate"
+        ),
     ],
 )
 def test_each_theorem_1_answer_lists_the_moves_once(monkeypatch, name, answer):
-    """The multiset tables run on the free lattice the answer already built,
-    not on a second lattice compiled over the free productions."""
+    """The multiset tables, and the enumeration under the free system, run on
+    the free lattice the answer already built, not on a second lattice
+    compiled over the free productions."""
     calls = []
     list_moves = solis.lattice.list_moves
     monkeypatch.setattr(

@@ -103,6 +103,25 @@ def test_output_failure_exits_1(open_stdout, error, hook):
     assert line.startswith(error)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("hook", ["none", "settrace"])
+def test_stderr_failure_keeps_the_answer(hook, tmp_path):
+    """A failed write of the timing line to stderr is exit 1, and stdout
+    still holds the whole answer, with or without teardown."""
+    stderr = os.open("/dev/full", os.O_WRONLY)
+    try:
+        entry = ["-m", "solis.cli"] if hook == "none" else ["-c", PROBE, hook]
+        with open(tmp_path / "out", "w") as stdout:
+            done = subprocess.run(
+                [sys.executable, *entry, "prob", *LONG], cwd=ROOT, env=ENV, stdout=stdout,
+                stderr=stderr, timeout=60,
+            )
+    finally:
+        os.close(stderr)
+    assert done.returncode == 1
+    assert (tmp_path / "out").read_text() == (DATA / "long-seed0.prob.out").read_text()
+
+
 def test_profiler_writes_its_report(tmp_path):
     """cProfile prints its table at exit, after the command's output."""
     with open(tmp_path / "out", "w") as stdout:

@@ -26,7 +26,6 @@ PUBLIC = [
     "EMPTY_WORD",
     "FormatError",
     "IncompatibleSequence",
-    "IncompatibleStep",
     "LogLinear",
     "MAX_WORD_LENGTH",
     "MissingProduction",
@@ -99,7 +98,7 @@ def readme_example() -> str:
 
 def test_exports_are_pinned():
     assert solis.__all__ == PUBLIC
-    assert len(PUBLIC) == 49
+    assert len(PUBLIC) == 48
     for name in PUBLIC:
         assert getattr(solis, name) is not None
 

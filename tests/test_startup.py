@@ -59,8 +59,7 @@ def test_prob_runs_the_lattice_alone(decimal_system):
     modules = loaded("prob", str(DATA / "example1.seq"), "--system", str(decimal_system))
     assert "solis.lattice" in modules
     skipped = solis_modules(
-        "derivations", "compositions", "free_system", "optimal_system", "optimal_derivation",
-        "sampler",
+        "derivations", "free_system", "optimal_system", "optimal_derivation", "sampler",
     ) | {"fractions"}
     assert not modules & skipped
 
@@ -78,7 +77,7 @@ def test_infer_system_lists_no_derivations():
     modules = loaded("infer-system", str(DATA / "aa-aba.seq"), "--restarts", "2")
     assert "solis.optimal_system" in modules
     skipped = solis_modules(
-        "derivations", "compositions", "optimal_derivation", "sampler"
+        "derivations", "optimal_derivation", "sampler"
     ) | {"fractions"}
     assert not modules & skipped
 
