@@ -162,10 +162,13 @@ def main(argv: list[str] | None = None) -> int:
     except (CapExceeded, WordLengthExceeded) as exc:
         code = _fail(3, exc)
     elapsed = (time.perf_counter() - start) * 1000.0
-    # the answer first: a failure to write stderr must not lose it
-    if code == 0:
-        sys.stdout.write("\n".join(lines) + "\n")
-    print(f"time_ms: {elapsed:.3f}", file=sys.stderr)
+    # the answer first, so that a failure to write stderr cannot lose it;
+    # the timing line even if writing the answer fails
+    try:
+        if code == 0:
+            sys.stdout.write("\n".join(lines) + "\n")
+    finally:
+        print(f"time_ms: {elapsed:.3f}", file=sys.stderr)
     return code
 
 

@@ -29,8 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapExceeded, IncompatibleSequence
-from .free_system import build_free_lattice
-from .lattice import StepLattice, compile_lattice
+from .lattice import StepLattice, compile_lattice, free_lattice
 from .model import Partial0LSystem, Production, S0LSystem, Sequence, Word
 
 #: refuse to stream a derivation space larger than this unless told otherwise
@@ -96,7 +95,7 @@ def enumerate_derivations(
     assignment is listed.
     """
     if system is None:
-        lattice = build_free_lattice(theta)[1]
+        lattice = free_lattice(theta)
     else:
         lattice = compile_lattice(theta, system.productions)
     steps, _ = _assignment_rows(lattice, theta, cap, merge=False)
@@ -268,7 +267,7 @@ def enumerate_step_assignments(x: Word, y: Word) -> Iterator[StepAssignment]:
     Test oracle for the step lattice's paths; not exported.  Cuts come in
     lexicographically increasing order, e.g. for x=AA, y=ABA the parts are
     (eps,ABA), (A,BA), (AB,A), (ABA,eps).  Raises IncompatibleSequence
-    (step 1) when x is empty but y is not, as build_free_lattice does.
+    (step 1) when x is empty but y is not, as free_lattice does.
     """
     if not x:
         if y:

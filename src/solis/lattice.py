@@ -25,13 +25,13 @@ ascending, then successor length, then column), so the results do not
 depend on how many rows are batched.
 
 Compiling turns the moves that the moves module lists into edges.  The
-free system's productions are the distinct moves (free_lattice), and both
-theorems' consumers take that lattice: the solver runs on it, and the
-derivation tables read their steps' assignments off it.  compile_lattice
-keeps the moves of the given productions, so its edges are the free
-lattice's edges over them, in the same order; only sequence_probability and
-enumerate_derivations, which are given a system, compile one.
-lattice_probability scores a probability map on any lattice.
+free system's productions are the distinct moves, the variables of
+free_lattice, and every answer runs on that lattice: the solver iterates on
+it, and the derivation tables read their steps' assignments off it.
+compile_lattice keeps the moves of the given productions, so its edges are
+the free lattice's edges over them, in the same order; only
+sequence_probability and enumerate_derivations, which are given a system,
+compile one.  lattice_probability scores a probability map on any lattice.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import CapExceeded
+from .errors import CapExceeded, IncompatibleSequence
 from .model import LogLinear, Production, S0LSystem, Sequence
 from .moves import Moves, list_moves
 
@@ -183,19 +183,44 @@ def compile_lattice(theta: Sequence, variables: Iterable[Production]) -> StepLat
 
 def free_lattice(theta: Sequence) -> StepLattice:
     """The lattice over theta's free system, whose variables are the free
-    productions (the distinct moves) in canonical order.  The caller checks
-    the edge count and the steps' compatibility first (see
-    free_system.build_free_lattice).
+    productions (the distinct moves) in canonical order.  Raises
+    CapExceeded, before listing any move (a cubic cost in the word
+    lengths), when the lattice would pass EDGE_CEILING, then
+    IncompatibleSequence if some w_i is empty while w_{i+1} is not (with
+    the 1-based step index).
 
     Substring ids are ranks in sorted order and predecessor codes are ranks
     of the sorted symbols, so one np.unique of the moves' (predecessor,
     substring) keys numbers the variables canonically.
     """
+    check_edge_count(_free_edges(theta))
+    for index, (x, y) in enumerate(theta.steps(), start=1):
+        if y and not x:
+            message = f"step {index} is impossible: empty word cannot derive a non-empty word"
+            raise IncompatibleSequence(message, step=index)
     moves, key = list_moves(theta, None)
     owners, var = np.unique(key, return_inverse=True)
     del key
     variables = moves.productions(owners)
     return _assemble(moves, variables, None, _closed(var, len(variables), len(moves.starts)))
+
+
+def _free_edges(theta: Sequence) -> int:
+    """Edges of the free lattice, from word lengths: a lone position of a
+    step x => y moves to all of y, the first and the last of several to
+    any of the |y| + 1 prefixes and suffixes, and an interior one to any
+    substring; a step with fewer positions than the longest source adds one
+    pass-through edge per missing position."""
+    rows = max(len(x) for x, _ in theta.steps())
+    edges = 0
+    for x, y in theta.steps():
+        m, n = len(x), len(y)
+        edges += rows - m
+        if m == 1:
+            edges += 1
+        elif m > 1:
+            edges += 2 * (n + 1) + (m - 2) * (n + 1) * (n + 2) // 2
+    return edges
 
 
 def _assemble(

@@ -29,7 +29,7 @@ from .derivations import (
     count_multisets,
     count_productions,
 )
-from .free_system import build_free_lattice
+from .lattice import free_lattice
 from .model import (
     LogLinear,
     Partial0LSystem,
@@ -118,7 +118,7 @@ def best_derivation(
     returned.  The returned system puts probability count / occurrences on
     each used production, which attains the bound.
     """
-    _, lattice = build_free_lattice(theta)
+    lattice = free_lattice(theta)
     occurrences = occurrence_counts(theta)
     table = count_multisets(lattice, theta, cap, near_best=True)
     scores = table.scores()

@@ -35,8 +35,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import CapExceeded
-from .free_system import build_free_lattice
-from .lattice import EDGE_CEILING, StepLattice, lattice_probability
+from .lattice import EDGE_CEILING, StepLattice, free_lattice, lattice_probability
 from .model import (
     LogLinear,
     Partial0LSystem,
@@ -131,9 +130,9 @@ def build_objective(theta: Sequence, cap: int = DEFAULT_EXPANSION_CAP) -> Posyno
     cap (pass cap=0 to skip expansion, e.g. when only the factored form is
     needed).  The factored form never fails.
     """
-    free, lattice = build_free_lattice(theta)
+    lattice = free_lattice(theta)
     blocks: dict[Symbol, list[Production]] = {}
-    for production in free.productions:
+    for production in lattice.variables:
         blocks.setdefault(production.predecessor, []).append(production)
     monomials: tuple[Monomial, ...] | None = None
     if cap > 0:
@@ -149,12 +148,12 @@ def build_objective(theta: Sequence, cap: int = DEFAULT_EXPANSION_CAP) -> Posyno
                 for i, coefficient in enumerate(table.multiplicity.tolist())
             )
             monomials = tuple(
-                Monomial(coefficient, tuple((free.productions[k], c) for k, c in counts))
+                Monomial(coefficient, tuple((lattice.variables[k], c) for k, c in counts))
                 for counts, coefficient in grouped
             )
     return PosynomialObjective(
         theta=theta,
-        variables=free.productions,
+        variables=lattice.variables,
         blocks={symbol: tuple(block) for symbol, block in blocks.items()},
         monomials=monomials,
         lattice=lattice,

@@ -41,6 +41,12 @@ class TestFree:
         _, second, _ = run(capsys, "free", str(DATA / "aa-aba.seq"))
         assert first == second
 
+    @pytest.mark.parametrize("name", ["aa-aba", "example2"])
+    def test_recorded_output(self, capsys, name):
+        code, out, _ = run(capsys, "free", str(DATA / f"{name}.seq"))
+        assert code == 0
+        assert_recorded(out, name, "free")
+
 
 class TestProb:
     def test_example_probability(self, capsys):

@@ -45,8 +45,7 @@ from solis.derivations import (
     enumerate_step_assignments,
     sequence_probability_naive,
 )
-from solis.free_system import build_free_lattice
-from solis.lattice import compile_lattice, lattice_probability
+from solis.lattice import compile_lattice, free_lattice, lattice_probability
 
 
 class TestEnumeration:
@@ -143,7 +142,7 @@ class TestEnumeration:
 def test_multiset_table_groups_the_enumeration(theta):
     """Rows come in order of their earliest derivation, which each row keeps,
     together with the number of derivations that share its multiset."""
-    free, lattice = build_free_lattice(theta)
+    free, lattice = build_free_system(theta), free_lattice(theta)
     earliest: dict = {}
     multiplicity: Counter = Counter()
     for d in enumerate_derivations(free, theta):
@@ -199,7 +198,7 @@ def test_pruned_table_keeps_the_near_best_rows_in_order(theta):
     """The branch and bound drops rows of the full table, but keeps every row
     within SCORE_WINDOW of the top score, in the same order and with the same
     earliest derivation."""
-    _, lattice = build_free_lattice(theta)
+    lattice = free_lattice(theta)
     try:
         full = count_multisets(lattice, theta, cap=10**5)
     except CapExceeded:
@@ -219,7 +218,7 @@ def test_pruned_table_of_a_large_derivation_space_is_small():
     """173,264 derivations in 59,575 count multisets, of which the branch and
     bound builds a few percent."""
     theta = parse_sequence_file(str(DATA / "enum-seed0.seq"))
-    _, lattice = build_free_lattice(theta)
+    lattice = free_lattice(theta)
     full = count_multisets(lattice, theta)
     pruned = count_multisets(lattice, theta, near_best=True)
     assert len(full.rows) == 59_575

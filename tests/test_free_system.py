@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
-from conftest import random_sequence, word
+from conftest import SMALL_TRACES, random_sequence, word
 from solis import (
     IncompatibleSequence,
     Production,
     Sequence,
+    best_derivation,
     build_free_system,
+    build_objective,
     enumerate_derivations,
 )
 from solis.derivations import enumerate_step_assignments
+from solis.lattice import free_lattice
 
 
 class TestConstruction:
@@ -61,6 +65,30 @@ class TestConstruction:
         with pytest.raises(IncompatibleSequence) as info:
             build_free_system(theta)
         assert info.value.step == 2
+
+
+@pytest.mark.parametrize(
+    "build", [free_lattice, build_free_system, build_objective, best_derivation]
+)
+def test_every_free_builder_refuses_an_impossible_step(build):
+    """Every entry point that builds the free lattice refuses AB, <eps>, A
+    with the same error."""
+    theta = Sequence(words=(word("AB"), (), word("A")))
+    with pytest.raises(IncompatibleSequence) as info:
+        build(theta)
+    assert info.value.step == 2
+    assert str(info.value) == "step 2 is impossible: empty word cannot derive a non-empty word"
+
+
+@settings(max_examples=80, deadline=None)
+@given(SMALL_TRACES)
+@example(Sequence(words=(("Hot", "Hot"), ("Hot", "Cold", "Hot"))))
+# ("A", "B") sorts before ("AA",) as a word, after it as a joined string
+@example(Sequence(words=(("A", "A", "A"), ("A", "B", "AA"))))
+def test_free_lattice_lists_the_productions_in_canonical_order(theta):
+    """The answers read the free productions off the lattice without the
+    system's sort, so the lattice's order must already be canonical."""
+    assert free_lattice(theta).variables == build_free_system(theta).productions
 
 
 class TestFreeness:

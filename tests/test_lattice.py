@@ -32,8 +32,7 @@ from solis import (
     sequence_probability,
 )
 from solis.derivations import enumerate_step_assignments, sequence_probability_naive
-from solis.free_system import _lattice_edges
-from solis.lattice import compile_lattice, lattice_probability
+from solis.lattice import _free_edges, compile_lattice, free_lattice, lattice_probability
 
 WORDS = st.lists(st.sampled_from("AB"), min_size=1, max_size=4).map(tuple)
 TRACES = st.lists(WORDS, min_size=2, max_size=3).map(lambda words: Sequence(tuple(words)))
@@ -133,10 +132,10 @@ def test_subnormal_step_sums_give_exact_counts(n, total):
 @settings(max_examples=80, deadline=None)
 @given(SMALL_TRACES)
 def test_free_lattice_size_from_word_lengths(theta):
-    """build_free_system checks the edge ceiling before listing productions,
-    from a closed form in the word lengths; it must be the compiled size."""
+    """free_lattice checks the edge ceiling before listing any move, from a
+    closed form in the word lengths; it must be the compiled size."""
     lattice = compile_lattice(theta, build_free_system(theta).productions)
-    assert _lattice_edges(theta) == lattice.bounds[-1]
+    assert _free_edges(theta) == lattice.bounds[-1]
 
 
 def test_a_production_listed_twice_is_refused():
@@ -157,6 +156,9 @@ def test_edge_ceiling_is_checked_before_assembling(monkeypatch):
     monkeypatch.setattr(solis.lattice, "EDGE_CEILING", edges - 1)
     with pytest.raises(CapExceeded) as info:
         compile_lattice(theta, variables)
+    assert (info.value.count, info.value.cap) == (edges, edges - 1)
+    with pytest.raises(CapExceeded) as info:
+        free_lattice(theta)
     assert (info.value.count, info.value.cap) == (edges, edges - 1)
     with pytest.raises(CapExceeded):
         build_free_system(theta)

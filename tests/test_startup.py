@@ -86,3 +86,22 @@ def test_infer_derivation_runs_no_solver():
     modules = loaded("infer-derivation", str(DATA / "aa-aba.seq"))
     assert "solis.optimal_derivation" in modules
     assert not modules & solis_modules("optimal_system", "sampler")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("infer-system", str(DATA / "aa-aba.seq"), "--restarts", "2"),
+        ("infer-derivation", str(DATA / "aa-aba.seq")),
+        ("enumerate", str(DATA / "aa-aba.seq")),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_answers_run_on_the_free_lattice_alone(argv):
+    """The answers read the free productions off the free lattice, so no
+    command but free loads the free system's module."""
+    assert "solis.free_system" not in loaded(*argv)
+
+
+def test_free_loads_the_free_system():
+    assert "solis.free_system" in loaded("free", str(DATA / "aa-aba.seq"))
