@@ -11,6 +11,7 @@ with the system at hand, 3 a cap or length guard tripped.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import math
 import os
@@ -38,7 +39,6 @@ from .formats import (
     serialize_system,
     serialize_word,
 )
-from .lattice import lattice_probability, sequence_probability
 
 if TYPE_CHECKING:
     from .optimal_system import PosynomialObjective
@@ -46,8 +46,9 @@ if TYPE_CHECKING:
 
 class _Deferred:
     """Stand-in for the function `name` of a solis module, which it imports
-    on its first call.  Handlers look these names up at call time, so a
-    tracer may replace them."""
+    on its first call, so that importing this module loads no numpy (run
+    turns the collector off first).  Handlers look these names up at call
+    time, so a tracer may replace them."""
 
     def __init__(self, module: str, name: str) -> None:
         self.module = module
@@ -69,6 +70,8 @@ best_derivation = _Deferred("optimal_derivation", "best_derivation")
 assemble_system = _Deferred("optimal_system", "assemble_system")
 build_objective = _Deferred("optimal_system", "build_objective")
 maximize = _Deferred("optimal_system", "maximize")
+lattice_probability = _Deferred("lattice", "lattice_probability")
+sequence_probability = _Deferred("lattice", "sequence_probability")
 sample_sequence = _Deferred("sampler", "sample_sequence")
 
 
@@ -142,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     handler, modules = {
         "free": (_cmd_free, ("free_system",)),
         "enumerate": (_cmd_enumerate, ("derivations",)),
-        "prob": (_cmd_prob, ()),
+        "prob": (_cmd_prob, ("lattice",)),
         "infer-derivation": (_cmd_infer_derivation, ("optimal_derivation",)),
         "infer-system": (_cmd_infer_system, ("optimal_system",)),
         "sample": (_cmd_sample, ("sampler",)),
@@ -180,7 +183,14 @@ def run() -> None:
     process ends with os._exit.  Under a tracer, profiler or coverage tool it
     exits through sys.exit instead, so their reports at exit are written.
     Callers of main never reach this exit.
+
+    The cyclic garbage collector is off for the whole process, from before
+    numpy is imported: a command leaves a fixed, small amount of cyclic
+    garbage, whatever its input, so collections would free nothing that
+    matters, yet cost milliseconds of every start-up.  Callers of main keep
+    their collector.
     """
+    gc.disable()
     try:
         code = main()
         sys.stdout.flush()

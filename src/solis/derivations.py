@@ -6,14 +6,12 @@ contiguous, possibly empty part of y, and the parts concatenate to y.  A
 derivation chains one assignment per step, so it fixes the production that
 rewrote every position; its probability is the product of those
 productions' probabilities, and p(theta) sums it over all derivations.  The
-lattice module computes that sum without materializing any derivation;
-enumerating the derivations here, and a step's assignments as the weak
-compositions of y into |x| parts, is kept as oracles.  Steps are
-independent, so the derivations are grouped by production-count multiset
-one step at a time (count_multisets), again materializing none.  A step's
-assignments are paths through its rows of the step lattice, so one pass
-over its edges counts them, merges them into their distinct multisets or
-lists them in order.  The tables take the lattice their caller already
+lattice module computes that sum without materializing any derivation.
+Steps are independent, so the derivations are grouped by production-count
+multiset one step at a time (count_multisets), again materializing none.
+A step's assignments are paths through its rows of the step lattice, so one
+pass over its edges counts them, merges them into their distinct multisets
+or lists them in order.  The tables take the lattice their caller already
 holds, usually the free lattice, so a trace's moves are listed once;
 enumerate_derivations compiles one over a given system's productions.
 """
@@ -23,8 +21,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, groupby, product
-from typing import Iterator
+from itertools import groupby, product
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -43,8 +41,7 @@ SCORE_WINDOW = 1e-9
 ProductionCounts = Counter[Production]
 
 
-@dataclass(frozen=True)
-class StepAssignment:
+class StepAssignment(NamedTuple):
     """One way to rewrite `source` into `target` in a single parallel step.
 
     parts[i] is the successor assigned to source position i; the parts
@@ -85,14 +82,15 @@ def enumerate_derivations(
     or, if system is None, in the free system (run on the free lattice).
 
     The stream is the Cartesian product of the per-step valid assignments,
-    earlier steps most significant, each step in the enumeration order of
-    enumerate_step_assignments.  Raises IncompatibleSequence if some step
-    admits no valid assignment (1-based step index in the error) and
-    CapExceeded if the derivation count exceeds cap; a step with more than
-    cap + 1 assignments counts as cap + 1, and the count carried by
-    CapExceeded is then a lower bound ("at least" in the message).  Both
-    checks run on counts taken from the step lattice, before any
-    assignment is listed.
+    earlier steps most significant, each step's assignments in
+    lexicographic order of their cuts (the ends of the parts in the
+    target): for x=AA, y=ABA the parts are (eps,ABA), (A,BA), (AB,A),
+    (ABA,eps).  Raises IncompatibleSequence if some step admits no valid
+    assignment (1-based step index in the error) and CapExceeded if the
+    derivation count exceeds cap; a step with more than cap + 1
+    assignments counts as cap + 1, and the count carried by CapExceeded is
+    then a lower bound ("at least" in the message).  Both checks run on
+    counts taken from the step lattice, before any assignment is listed.
     """
     if system is None:
         lattice = free_lattice(theta)
@@ -103,8 +101,7 @@ def enumerate_derivations(
     return (Derivation(steps=combo) for combo in product(*per_step))
 
 
-@dataclass(frozen=True, eq=False)
-class MultisetTable:
+class MultisetTable(NamedTuple):
     """The distinct production-count multisets of a trace's derivations.
 
     Row i of `rows` lists the productions (indices into the lattice's
@@ -245,41 +242,6 @@ def derivation_probability(g: S0LSystem, d: Derivation) -> float:
     return result
 
 
-def sequence_probability_naive(
-    g: S0LSystem, theta: Sequence, cap: int = DEFAULT_DERIVATION_CAP
-) -> float:
-    """Sum of derivation_probability over every derivation, by enumeration.
-
-    Test oracle for sequence_probability; not exported.  Returns 0.0 when theta is incompatible
-    with g.  CapExceeded propagates.
-    """
-    try:
-        stream = enumerate_derivations(g.base, theta, cap)
-        return math.fsum(derivation_probability(g, d) for d in stream)
-    except IncompatibleSequence:
-        return 0.0
-
-
-def enumerate_step_assignments(x: Word, y: Word) -> Iterator[StepAssignment]:
-    """Yield every assignment of y-parts to the positions of x, one per
-    choice of |x|-1 nondecreasing cut positions in y.
-
-    Test oracle for the step lattice's paths; not exported.  Cuts come in
-    lexicographically increasing order, e.g. for x=AA, y=ABA the parts are
-    (eps,ABA), (A,BA), (AB,A), (ABA,eps).  Raises IncompatibleSequence
-    (step 1) when x is empty but y is not, as free_lattice does.
-    """
-    if not x:
-        if y:
-            raise IncompatibleSequence("empty word cannot derive a non-empty word", step=1)
-        return iter((StepAssignment(x, y, ()),))
-    n = len(y)
-    return (
-        StepAssignment(x, y, tuple(y[s:e] for s, e in zip((0, *cuts), (*cuts, n))))
-        for cuts in combinations_with_replacement(range(n + 1), len(x) - 1)
-    )
-
-
 def _assignment_rows(
     lattice: StepLattice, theta: Sequence, cap: int, merge: bool
 ) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], list[int]]:
@@ -343,9 +305,13 @@ def _assignment_rows(
     prefix = np.zeros((len(column), 0), np.min_scalar_type(len(lattice.variables)))
     multiplicity = np.ones(len(column), dtype)
     key = np.promote_types(np.min_scalar_type(lattice.columns), prefix.dtype)
+    # every row's edges by src column, in one stable sort that keeps
+    # successor length ascending
+    row_of_edge = np.repeat(np.arange(len(spans)), np.diff(lattice.bounds))
+    order = np.lexsort((lattice.src, row_of_edge))
     for (lo, hi), finishes in zip(spans, live[1:]):
         src, dst = lattice.src[lo:hi], lattice.dst[lo:hi]
-        by_src = np.argsort(src, kind="stable")  # keeps successor length ascending
+        by_src = order[lo:hi] - lo
         degree = np.bincount(src, minlength=lattice.columns)
         first = np.cumsum(degree) - degree  # each column's first edge in by_src
         out = degree[column]

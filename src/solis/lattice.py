@@ -37,8 +37,7 @@ compile one.  lattice_probability scores a probability map on any lattice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -57,14 +56,14 @@ _INDEX = np.int32
 EDGE_CEILING = 10**7
 
 
-@dataclass(frozen=True, eq=False)
-class StepLattice:
+class StepLattice(NamedTuple):
     """Edges of every step of one trace over a fixed list of variables.
 
     Edge arrays are sorted by (row, step, successor length, src column); the
     edges of row i are those in [bounds[i], bounds[i + 1]), and the edges of
     step j are those whose dst lies in [starts[j], ends[j]].
-    var == len(variables) marks a pass-through edge.
+    var == len(variables) marks a pass-through edge.  A NamedTuple whose
+    fields hold numpy arrays: compare lattices field by field, never with ==.
     """
 
     variables: tuple[Production, ...]

@@ -6,6 +6,9 @@ word is just ``()`` and ``tuple("ABA")`` is the word ABA.  Word positions are
 1-based in documentation and error messages; internal storage is 0-based.
 
 All types here are immutable after construction and safe to share freely.
+Records that check nothing (LogLinear, Production) are typing.NamedTuples,
+which cost less to define and to build than frozen dataclasses; the types
+that validate their fields are dataclasses.
 """
 
 from __future__ import annotations
@@ -70,11 +73,11 @@ class Sequence:
         return frozenset(s for w in self.words for s in w)
 
 
-@dataclass(frozen=True, order=True)
-class Production:
+class Production(NamedTuple):
     """A rewrite rule predecessor -> successor; the successor may be empty.
 
-    Ordering is (predecessor, successor) lexicographic, which is the canonical
+    A plain tuple, so its hash is hash((predecessor, successor)) and its
+    order is (predecessor, successor) lexicographic, which is the canonical
     order used everywhere productions are listed.
     """
 
@@ -99,10 +102,7 @@ class Partial0LSystem:
     productions: tuple[Production, ...]
 
     def __post_init__(self):
-        # the generated __lt__ order; deduplicating and sorting on plain
-        # (predecessor, successor) keys skips the generated __hash__ and __lt__
-        unique = {(p.predecessor, p.successor): p for p in self.productions}
-        canonical = tuple(unique[key] for key in sorted(unique))
+        canonical = tuple(sorted(set(self.productions)))
         object.__setattr__(self, "productions", canonical)
         for s in self.axiom:
             if s not in self.alphabet:

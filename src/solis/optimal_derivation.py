@@ -17,7 +17,6 @@ dropped before it is combined further.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,47 +36,6 @@ from .model import (
     Sequence,
     occurrence_counts,
 )
-
-
-@dataclass(frozen=True)
-class SimplexProductProblem:
-    """Maximize prod x_i^exponents[i] subject to sum coefficients[i]*x_i = budget.
-
-    Input of simplex_product_max, a test oracle; not exported.
-    """
-
-    exponents: tuple[int, ...]
-    coefficients: tuple[float, ...]
-    budget: float
-
-    def __post_init__(self) -> None:
-        if len(self.exponents) != len(self.coefficients):
-            raise ValueError("exponents and coefficients must have equal length")
-        if not self.exponents:
-            raise ValueError("need at least one variable")
-        if any(n <= 0 for n in self.exponents):
-            raise ValueError("exponents must be positive integers")
-        if any(a <= 0.0 for a in self.coefficients):
-            raise ValueError("coefficients must be positive")
-        if self.budget <= 0.0:
-            raise ValueError("budget must be positive")
-
-
-def simplex_product_max(problem: SimplexProductProblem) -> tuple[list[float], float]:
-    """Closed-form argmax and maximum of the constrained product of powers.
-
-    Test oracle for derivation_bound; not exported.  argmax x_i = budget * n_i / (N * a_i) with N the sum of exponents; the
-    maximum is (budget / N)^N * prod (n_i / a_i)^n_i.
-    """
-    total = sum(problem.exponents)
-    argmax = [
-        problem.budget * n / (total * a)
-        for n, a in zip(problem.exponents, problem.coefficients)
-    ]
-    value = (problem.budget / total) ** total
-    for n, a in zip(problem.exponents, problem.coefficients):
-        value *= (n / a) ** n
-    return argmax, value
 
 
 def derivation_bound(theta: Sequence, counts: ProductionCounts) -> LogLinear:

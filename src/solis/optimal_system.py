@@ -30,7 +30,7 @@ search on small instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -59,16 +59,14 @@ BLOCK_COUNT_TOL = 1e-9
 OVERRELAX_GROWTH = 1.5
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     """coefficient * prod variable^exponent; exponents sorted canonically."""
 
     coefficient: int
     exponents: tuple[tuple[Production, int], ...]
 
 
-@dataclass(frozen=True, eq=False)
-class PosynomialObjective:
+class PosynomialObjective(NamedTuple):
     """p(theta) as a polynomial over the free system's production variables.
 
     The factored form (theta's step lattice over the free system's
@@ -158,24 +156,6 @@ def build_objective(theta: Sequence, cap: int = DEFAULT_EXPANSION_CAP) -> Posyno
         monomials=monomials,
         lattice=lattice,
     )
-
-
-def evaluate_monomials(
-    obj: PosynomialObjective, x: Mapping[Production, float]
-) -> float:
-    """Objective value by expanded monomials; requires them to be present.
-
-    Test oracle for the factored form, obj.lattice.values; not exported.
-    """
-    if obj.monomials is None:
-        raise ValueError("objective was built without monomial expansion")
-    total = 0.0
-    for monomial in obj.monomials:
-        term = float(monomial.coefficient)
-        for production, exponent in monomial.exponents:
-            term *= x.get(production, 0.0) ** exponent
-        total += term
-    return total
 
 
 def maximize(

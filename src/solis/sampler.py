@@ -9,8 +9,8 @@ stream on every platform, so sampled corpora are reproducible bit for bit.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .model import S0LSystem, Sequence, Symbol, Word
 MAX_WORD_LENGTH = 10**6
 
 
-@dataclass(frozen=True)
-class SampleRecord:
+class SampleRecord(NamedTuple):
     """A sampled trace, the derivation that produced it, and its probability."""
 
     sequence: Sequence

@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from conftest import random_generator, random_sequence, random_system_for
+from oracles import sequence_probability_naive
 from solis import (
     Production,
     Sequence,
@@ -26,7 +27,6 @@ from solis import (
     sample_sequence,
     sequence_probability,
 )
-from solis.derivations import sequence_probability_naive
 from solis.lattice import compile_lattice
 
 

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import word
+from oracles import enumerate_step_assignments
 from solis import IncompatibleSequence, Production, Sequence, build_free_system
-from solis.derivations import enumerate_step_assignments
 
 
 def brute_parts(x, y):

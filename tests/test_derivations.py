@@ -23,6 +23,7 @@ from conftest import (
     traces,
     word,
 )
+from oracles import enumerate_step_assignments, sequence_probability_naive
 from solis import (
     CapExceeded,
     Derivation,
@@ -38,13 +39,7 @@ from solis import (
     parse_sequence_file,
     sequence_probability,
 )
-from solis.derivations import (
-    SCORE_WINDOW,
-    _bounds,
-    count_multisets,
-    enumerate_step_assignments,
-    sequence_probability_naive,
-)
+from solis.derivations import SCORE_WINDOW, _bounds, count_multisets
 from solis.lattice import compile_lattice, free_lattice, lattice_probability
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import SMALL_TRACES, random_sequence, word
+from oracles import enumerate_step_assignments
 from solis import (
     IncompatibleSequence,
     Production,
@@ -14,7 +15,6 @@ from solis import (
     build_objective,
     enumerate_derivations,
 )
-from solis.derivations import enumerate_step_assignments
 from solis.lattice import free_lattice
 
 

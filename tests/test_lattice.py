@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import solis.lattice
 from conftest import DATA, SMALL_TRACES, random_system_for, traces
+from oracles import enumerate_step_assignments, sequence_probability_naive
 from solis import (
     DEFAULT_EXPANSION_CAP,
     CapExceeded,
@@ -31,7 +32,6 @@ from solis import (
     parse_sequence_file,
     sequence_probability,
 )
-from solis.derivations import enumerate_step_assignments, sequence_probability_naive
 from solis.lattice import _free_edges, compile_lattice, free_lattice, lattice_probability
 
 WORDS = st.lists(st.sampled_from("AB"), min_size=1, max_size=4).map(tuple)
@@ -68,7 +68,7 @@ def test_index_arrays_are_int32():
     """Three int32 arrays per edge (12 bytes) and two per step."""
     theta = Sequence.from_strings("AB", "ABBA", "BAABAB")
     lattice = compile_lattice(theta, build_free_system(theta).productions)
-    arrays = [v for v in vars(lattice).values() if isinstance(v, np.ndarray)]
+    arrays = [v for v in lattice._asdict().values() if isinstance(v, np.ndarray)]
     assert {a.dtype for a in arrays} == {np.dtype(np.int32)}
     edges, steps = lattice.src.size, theta.step_count
     assert sum(a.nbytes for a in arrays) == 4 * (3 * edges + 2 * steps)

@@ -59,6 +59,30 @@ class TestProduction:
         c = Production("B", ())
         assert sorted([c, b, a]) == [a, b, c]
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from("ABC"),
+                st.lists(st.sampled_from("ABC"), max_size=4).map(tuple),
+            ),
+            max_size=30,
+        )
+    )
+    def test_hash_and_order_are_those_of_the_pair(self, pairs):
+        """Dicts and sets keyed on productions, and the canonical order,
+        are those of plain (predecessor, successor) tuples."""
+        productions = [Production(a, successor) for a, successor in pairs]
+        for production, pair in zip(productions, pairs):
+            assert hash(production) == hash(pair)
+        assert [tuple(p) for p in sorted(productions)] == sorted(pairs)
+
+    def test_repr_names_the_fields(self):
+        assert repr(Production("A", ("A", "B"))) == (
+            "Production(predecessor='A', successor=('A', 'B'))"
+        )
+        assert repr(Production("A", ())) == "Production(predecessor='A', successor=())"
+
 
 class TestPartial0LSystem:
     def test_productions_deduplicated_and_sorted(self):

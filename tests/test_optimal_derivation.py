@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import solis.optimal_derivation
 from conftest import SMALL_TRACES, random_sequence, random_system_for, traces
+from oracles import SimplexProductProblem, simplex_product_max
 from solis import (
     CapExceeded,
     SolisError,
@@ -28,7 +29,6 @@ from solis import (
     enumerate_derivations,
     occurrence_counts,
 )
-from solis.optimal_derivation import SimplexProductProblem, simplex_product_max
 
 
 def outcome(call):

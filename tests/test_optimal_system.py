@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import SMALL_TRACES, make_system, random_sequence
+from oracles import evaluate_monomials
 from solis import optimal_system
 from solis import (
     Monomial,
@@ -31,7 +32,6 @@ from solis import (
     sample_sequence,
     sequence_probability,
 )
-from solis.optimal_system import evaluate_monomials
 
 A_EPS = Production("A", ())
 A_A = Production("A", ("A",))
@@ -348,7 +348,7 @@ class TestMaximize:
                 return values, counts * (1 + 1e-6)
 
         obj = build_objective(theta2, cap=0)
-        skewed = dataclasses.replace(obj, lattice=Skewed(obj.lattice))
+        skewed = obj._replace(lattice=Skewed(obj.lattice))
         with pytest.raises(ArithmeticError, match="iteration 1.*'A'"):
             maximize(skewed)
 

@@ -1,10 +1,12 @@
 """The `solis` process: `python -m solis.cli` and the installed script run
-`solis.cli.run`, which ends the process without interpreter teardown.
+`solis.cli.run`, which turns the cyclic garbage collector off and ends the
+process without interpreter teardown.
 
 Each case runs a fresh interpreter with block-buffered standard output, as
 when it is redirected to a file, and compares it with `main` in process.
 """
 
+import gc
 import os
 import subprocess
 import sys
@@ -145,3 +147,60 @@ def test_teardown_only_under_a_tracer_or_profiler(hook, teardown, tmp_path):
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "out").read_text() == (DATA / "long-seed0.prob.out").read_text()
     assert ("teardown" in untimed(done.stderr)) == teardown
+
+
+def test_run_turns_the_collector_off():
+    probe = "import gc, solis.cli as cli; cli.main = lambda: print(gc.isenabled()) or 0; cli.run()"
+    done = spawn(["-c", probe], subprocess.PIPE)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_keeps_the_callers_collector(enabled, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["prob", *LONG]) == 0
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+#: runs main on the command line's arguments with the collector off, as run
+#: does, then prints how many unreachable objects a collection finds
+GARBAGE = """
+import contextlib, gc, io, sys
+gc.disable()
+from solis.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, gc.collect())
+"""
+
+
+@pytest.mark.parametrize(
+    "small, large",
+    [
+        (
+            ["infer-system", "tests/data/growth-seed0.seq", "--restarts", "2", "--max-iters", "2"],
+            ["infer-system", "tests/data/growth-seed0.seq", "--restarts", "2", "--max-iters", "40"],
+        ),
+        (["enumerate", "tests/data/aa-aba.seq"], ["enumerate", "tests/data/example2.seq"]),
+    ],
+    ids=["infer-system", "enumerate"],
+)
+def test_garbage_does_not_grow_with_the_work(small, large):
+    """Without the collector, cycles made while a command runs would stay in
+    memory until the process ends.  A command that does more work leaves no
+    more of them: what a collection finds is the fixed garbage of importing
+    the command's modules."""
+    found = []
+    for argv in (small, large):
+        done = spawn(["-c", GARBAGE, *argv], subprocess.PIPE)
+        assert done.returncode == 0, done.stderr
+        code, garbage = done.stdout.split()
+        assert code == "0"
+        found.append(int(garbage))
+    assert found[0] == found[1]

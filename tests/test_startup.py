@@ -105,3 +105,14 @@ def test_answers_run_on_the_free_lattice_alone(argv):
 
 def test_free_loads_the_free_system():
     assert "solis.free_system" in loaded("free", str(DATA / "aa-aba.seq"))
+
+
+def test_importing_the_cli_loads_no_numpy():
+    """run turns the collector off before main imports numpy, so the
+    command line module itself must not import it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = "import sys, solis.cli; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "False\n"
