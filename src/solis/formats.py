@@ -186,6 +186,8 @@ def _parse_rule(
     predecessor = pred_text.strip()
     if not predecessor or any(c.isspace() for c in predecessor):
         raise FormatError(f"bad predecessor {predecessor!r}", source, line)
+    if predecessor == EPSILON_TOKEN:
+        raise FormatError(f"{EPSILON_TOKEN} cannot be a predecessor", source, line)
     if not tokens and len(predecessor) != 1:
         raise FormatError(
             f"multi-character predecessor {predecessor!r}; use token mode",

@@ -24,14 +24,15 @@ sum the terms arrive in the order of the textbook recurrences (rows
 ascending, then successor length, then column), so the results do not
 depend on how many rows are batched.
 
-Compiling turns the moves that the moves module lists into edges.  The
-free system's productions are the distinct moves, the variables of
-free_lattice, and every answer runs on that lattice: the solver iterates on
-it, and the derivation tables read their steps' assignments off it.
-compile_lattice keeps the moves of the given productions, so its edges are
-the free lattice's edges over them, in the same order; only
-sequence_probability and enumerate_derivations, which are given a system,
-compile one.  lattice_probability scores a probability map on any lattice.
+Compiling turns the moves that the moves module lists into edges.  The free
+system's productions are the distinct moves, which that module lists as
+Production values: the variables of free_lattice.  Every answer runs on that
+lattice: the solver iterates on it, and the derivation tables read their
+steps' assignments off it.  compile_lattice matches the given productions to
+the listed ones by value and keeps their moves, so its edges are the free
+lattice's edges over them, in the same order; only sequence_probability and
+enumerate_derivations, which are given a system, compile one.
+lattice_probability scores a probability map on any lattice.
 """
 
 from __future__ import annotations
@@ -44,9 +45,6 @@ import numpy as np
 from .errors import CapExceeded, IncompatibleSequence
 from .model import LogLinear, Production, S0LSystem, Sequence
 from .moves import Moves, list_moves
-
-#: index arrays are stored narrow: they are the bulk of a lattice's memory
-_INDEX = np.int32
 
 #: compile_lattice refuses traces with more edges than this.  A lattice
 #: stores 12 bytes of indices per edge, and a pass of the kernel holds
@@ -155,29 +153,22 @@ def compile_lattice(theta: Sequence, variables: Iterable[Production]) -> StepLat
     """Compile every step of theta over the given productions.
 
     Lists the moves of every position over the substrings of the variables'
-    successor lengths (moves.list_moves), finds each move's (predecessor,
-    substring) key among the variables' sorted keys, and keeps the moves
-    that match one: the lattice holds exactly the free lattice's edges whose
-    production is a variable, in the same order.  Productions that fit no
-    step contribute no edges; a step that no combination of them can
-    perform gets a zero sum.  Raises ValueError if a production is listed
-    twice, and CapExceeded, before the edge arrays are assembled, when the
-    lattice would hold more than EDGE_CEILING edges.
+    successor lengths (moves.list_moves), matches each listed production to
+    a variable by value, not by the moves module's private keys, and keeps
+    the moves of those that match: the lattice holds exactly the free
+    lattice's edges whose production is a variable, in the same order.
+    Productions that fit no step contribute no edges; a step that no
+    combination of them can perform gets a zero sum.  Raises ValueError if a
+    production is listed twice, and CapExceeded, before the edge arrays are
+    assembled, when the lattice would hold more than EDGE_CEILING edges.
     """
     variables = tuple(variables)
-    successors = [p.successor for p in variables]
-    moves, key = list_moves(theta, set(map(len, successors)))
-    known = moves.keys([p.predecessor for p in variables], successors)
-    order = np.argsort(known)[np.count_nonzero(known < 0) :]
-    known = known[order]
-    if (known[1:] == known[:-1]).any():
+    index = {p: i for i, p in enumerate(variables)}
+    if len(index) < len(variables):
         raise ValueError("a production is listed twice among the variables")
-    at = np.searchsorted(known, key)
-    keep = at < known.size
-    keep[keep] = known[at[keep]] == key[keep]
-    var = order[at[keep]]
-    del key, at
-    return _assemble(moves, variables, keep, _closed(var, len(variables), len(moves.starts)))
+    moves, listed, owner = list_moves(theta, {len(p.successor) for p in variables})
+    lookup = np.array([index.get(p, -1) for p in listed], np.int64)
+    return _assemble(moves, variables, lookup[owner])
 
 
 def free_lattice(theta: Sequence) -> StepLattice:
@@ -187,21 +178,14 @@ def free_lattice(theta: Sequence) -> StepLattice:
     lengths), when the lattice would pass EDGE_CEILING, then
     IncompatibleSequence if some w_i is empty while w_{i+1} is not (with
     the 1-based step index).
-
-    Substring ids are ranks in sorted order and predecessor codes are ranks
-    of the sorted symbols, so one np.unique of the moves' (predecessor,
-    substring) keys numbers the variables canonically.
     """
     check_edge_count(_free_edges(theta))
     for index, (x, y) in enumerate(theta.steps(), start=1):
         if y and not x:
             message = f"step {index} is impossible: empty word cannot derive a non-empty word"
             raise IncompatibleSequence(message, step=index)
-    moves, key = list_moves(theta, None)
-    owners, var = np.unique(key, return_inverse=True)
-    del key
-    variables = moves.productions(owners)
-    return _assemble(moves, variables, None, _closed(var, len(variables), len(moves.starts)))
+    moves, variables, owner = list_moves(theta, None)
+    return _assemble(moves, variables, owner)
 
 
 def _free_edges(theta: Sequence) -> int:
@@ -222,15 +206,9 @@ def _free_edges(theta: Sequence) -> int:
     return edges
 
 
-def _assemble(
-    moves: Moves,
-    variables: tuple[Production, ...],
-    keep: np.ndarray | None,
-    var: np.ndarray,
-) -> StepLattice:
-    """The lattice of the moves where keep is set (all if None).  var gives
-    each kept move's variable, then the pass-through moves' len(variables)."""
-    bounds, src, dst, edge = moves.edges(keep, check_edge_count)
+def _assemble(moves: Moves, variables: tuple[Production, ...], var: np.ndarray) -> StepLattice:
+    """The lattice of the moves whose variable index var is not negative."""
+    bounds, src, dst, var = moves.edges(var, len(variables), check_edge_count)
     return StepLattice(
         variables=variables,
         columns=int(moves.ends[-1]) + 1,
@@ -239,16 +217,8 @@ def _assemble(
         bounds=bounds,
         src=src,
         dst=dst,
-        var=var[edge],
+        var=var,
     )
-
-
-def _closed(values: np.ndarray, fill: int, count: int) -> np.ndarray:
-    """values, then count copies of fill (one per pass-through move), as int32."""
-    out = np.empty(values.size + count, _INDEX)
-    out[: values.size] = values
-    out[values.size :] = fill
-    return out
 
 
 def check_edge_count(edges: int) -> None:

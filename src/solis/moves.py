@@ -10,25 +10,25 @@ before it.  So a position's moves depend only on |y| and its class, and the
 moves of every position of every step are gathers from a few per-class
 arrays, made once per target length.
 
-Every substring is named by an integer (Karp, Miller & Rosenberg 1972):
-each word is encoded as a str of one character per symbol, in the symbols'
-sorted order, so that str order is word order; every substring some
-position can produce is sliced once, and its id is its rank among the
-distinct ones.  A production is then an integer (predecessor code,
-substring id) key, whose order is the productions' canonical order.
+Every substring is named by an integer (Karp, Miller & Rosenberg 1972): each
+word is encoded as a str of one character per symbol, in the symbols' sorted
+order, so that str order is word order; every substring some position can
+produce is sliced once, and its id is its rank among the distinct ones.  A
+move's (predecessor code, substring id) key sorts as its production does, so
+one np.unique of the keys numbers the productions canonically.  The keys
+stay here: callers get Productions, matched by value.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .model import Production, Sequence, Symbol, Word
+from .model import Production, Sequence, Symbol
 
-#: as the lattice stores its index arrays; moves and edges stay under the
-#: lattice's edge ceiling, so every index fits
+#: index arrays, the bulk of a lattice's memory, are stored narrow: moves
+#: and edges stay under the lattice's edge ceiling, so every index fits
 _INDEX = np.int32
 
 
@@ -84,15 +84,9 @@ class Moves(NamedTuple):
     move count.  groups[r, j] is the group of row r of step j, or, for a
     step with no row r, len(sizes) + j: the group of its pass-through move.
     src and dst end with those pass-through moves, one per step, from its
-    end column to itself.  A move's substring id is the rank of its
-    substring among the sorted distinct substrings listed.
+    end column to itself.
     """
 
-    symbols: list[Symbol]
-    codes: dict[Symbol, int]
-    letters: dict[Symbol, str] | None
-    substrings: list[str]
-    rank: dict[str, int]
     starts: np.ndarray
     ends: np.ndarray
     sizes: np.ndarray
@@ -100,59 +94,44 @@ class Moves(NamedTuple):
     src: np.ndarray
     dst: np.ndarray
 
-    def keys(self, predecessors: list[Symbol], successors: list[Word]) -> np.ndarray:
-        """Each production's (predecessor, substring) key, or -1 for one
-        whose predecessor is no symbol or whose successor is no listed
-        substring."""
-        count = len(predecessors)
-        codes = np.fromiter(map(self.codes.get, predecessors, repeat(-1)), np.int64, count)
-        words = map(_encode, successors, repeat(self.letters))
-        subs = np.fromiter(map(self.rank.get, words, repeat(-1)), np.int64, count)
-        return np.where((codes < 0) | (subs < 0), -1, codes * len(self.substrings) + subs)
-
-    def productions(self, keys: np.ndarray) -> tuple[Production, ...]:
-        """The productions of (predecessor, substring) keys."""
-        codes, subs = np.divmod(keys, len(self.substrings))
-        words = map(self.substrings.__getitem__, subs.tolist())
-        if self.letters is None:
-            successors = map(tuple, words)
-        else:
-            successors = (tuple(self.symbols[ord(c)] for c in word) for word in words)
-        return tuple(map(Production, map(self.symbols.__getitem__, codes.tolist()), successors))
-
     def edges(
-        self, keep: np.ndarray | None, check: Callable[[int], None]
+        self, var: np.ndarray, fill: int, check: Callable[[int], None]
     ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
-        """The edges of the moves where keep is set (all if None), sorted by
-        (row, step) and then in move order: the row bounds, and per edge its
-        src and dst columns and its index into the kept moves followed by
-        the pass-through moves.  check gets the edge count before any
-        per-edge array is allocated."""
+        """The edges of the moves whose var is not negative, sorted by (row,
+        step) and then in move order: the row bounds, and per edge its src
+        and dst columns and its var, fill for a pass-through edge.  check
+        gets the edge count before any per-edge array is allocated."""
         steps = len(self.starts)
         sizes, src, dst = self.sizes, self.src, self.dst
-        if keep is not None:
+        if var.size and var.min() < 0:
+            keep = var >= 0
             groups = np.repeat(np.arange(sizes.size), sizes)[keep]
             sizes = np.bincount(groups, minlength=sizes.size)
+            var = var[keep]
             keep = np.concatenate((keep, np.ones(steps, bool)))
             src, dst = src[keep], dst[keep]
+        var = np.concatenate((var, np.full(steps, fill)), dtype=_INDEX)
         sizes = np.concatenate((sizes, np.ones(steps, sizes.dtype)))
         per_segment = sizes[self.groups]
         per_row = per_segment.sum(axis=1)
         check(int(per_row.sum()))
         edge = ranges((np.cumsum(sizes) - sizes)[self.groups].ravel(), per_segment.ravel())
         bounds = tuple(np.concatenate(([0], np.cumsum(per_row))).tolist())
-        return bounds, src[edge], dst[edge], edge
+        return bounds, src[edge], dst[edge], var[edge]
 
 
-def list_moves(theta: Sequence, lengths: set[int] | None) -> tuple[Moves, np.ndarray]:
+def list_moves(
+    theta: Sequence, lengths: set[int] | None
+) -> tuple[Moves, tuple[Production, ...], np.ndarray]:
     """Every move of every position of theta whose successor length is in
-    lengths (any length if None), with each move's (predecessor, substring)
-    key, code * len(substrings) + substring id.
+    lengths (any length if None), the distinct productions of those moves in
+    canonical order, and owner: move k's index among them.
 
     One pass slices every listed substring of every target and ranks the
     distinct ones; the groups then take their moves from their steps'
     (position count, target length) layouts, each made once, in one gather
-    over all groups.
+    over all groups; one np.unique of the moves' keys, which stay here,
+    numbers the productions.
     """
     steps = list(theta.steps())
     symbols = sorted(theta.symbols())
@@ -195,7 +174,7 @@ def list_moves(theta: Sequence, lengths: set[int] | None) -> tuple[Moves, np.nda
         rows.extend(range(m))
         row_steps.extend([j] * m)
         if spans:
-            word = _encode(y, letters)
+            word = "".join(y if letters is None else map(letters.__getitem__, y))
             listed += map(word.__getitem__, spans)
         starts.append(column)
         column += n + 1
@@ -213,11 +192,6 @@ def list_moves(theta: Sequence, lengths: set[int] | None) -> tuple[Moves, np.nda
     groups[:] = np.arange(len(steps)) + len(sizes)
     groups[rows, row_steps] = row_groups
     moves = Moves(
-        symbols=symbols,
-        codes=codes,
-        letters=letters,
-        substrings=substrings,
-        rank=rank,
         starts=starts,
         ends=ends,
         sizes=sizes,
@@ -227,20 +201,18 @@ def list_moves(theta: Sequence, lengths: set[int] | None) -> tuple[Moves, np.nda
     )
     code *= len(substrings)
     code += sub_of[span[at] + listing]
-    return moves, code
-
-
-def _encode(word: Word, letters: dict[Symbol, str] | None) -> str | None:
-    """word as a str of one character per symbol, or None if some symbol
-    has no character: without letters, a symbol that is not one character
-    would pass for several."""
+    # freed first, so that sorting the keys and decoding them add no peak
+    del listed, rank, sub_of, span, begin, end, at, listing, column
+    keys, owner = np.unique(code, return_inverse=True)
+    del code
+    heads, subs = np.divmod(keys, len(substrings))
+    words = map(substrings.__getitem__, subs.tolist())
     if letters is None:
-        text = "".join(word)
-        return text if len(text) == len(word) else None
-    try:
-        return "".join(map(letters.__getitem__, word))
-    except KeyError:
-        return None
+        successors = map(tuple, words)
+    else:
+        successors = (tuple(symbols[ord(c)] for c in word) for word in words)
+    productions = tuple(map(Production, map(symbols.__getitem__, heads.tolist()), successors))
+    return moves, productions, owner
 
 
 def ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:

@@ -99,6 +99,8 @@ class SolverConfig:
             raise ValueError("rel_tol must lie in (0, 1)")
         if not 0.0 < self.prune_eps < 1.0:
             raise ValueError("prune_eps must lie in (0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass

@@ -50,6 +50,8 @@ def sample_sequence(g: S0LSystem, steps: int, seed: int) -> SampleRecord:
     """
     if steps < 1:
         raise ValueError("steps must be a positive integer")
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     rng = np.random.default_rng(seed)
     tables = _cumulative_tables(g)
     words: list[Word] = [g.base.axiom]

@@ -17,12 +17,13 @@ def _derivable(words: list[tuple[str, ...]]) -> bool:
     return not any(not x and y for x, y in zip(words, words[1:]))
 
 
-def traces(max_symbols: int) -> st.SearchStrategy[Sequence]:
-    """Traces of 2-4 words of at most max_symbols symbols over A (many tied
+def traces(max_symbols: int, alphabets=("A", "AB", "ABC")) -> st.SearchStrategy[Sequence]:
+    """Traces of 2-4 words of at most max_symbols symbols over one of the
+    alphabets, each a sequence of symbols: by default A (many tied
     derivations), AB or ABC; empty words never precede nonempty ones, and
     all-empty traces are included."""
     return (
-        st.sampled_from(["A", "AB", "ABC"])
+        st.sampled_from(alphabets)
         .flatmap(
             lambda alphabet: st.lists(
                 st.lists(st.sampled_from(alphabet), max_size=max_symbols).map(tuple),

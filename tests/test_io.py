@@ -192,6 +192,13 @@ class TestSystemFiles:
         with pytest.raises(FormatError, match="token mode"):
             parse_system_file(path)
 
+    @pytest.mark.parametrize("tokens", [False, True])
+    def test_eps_is_no_predecessor(self, tmp_path, tokens):
+        path = tmp_path / "sys.sys"
+        path.write_text("axiom: A\nrule: <eps> -> A p=1\n")
+        with pytest.raises(FormatError, match="sys.sys:2: <eps> cannot be a predecessor"):
+            parse_system_file(path, tokens=tokens)
+
     def test_simplex_violation_reported_as_format_error(self, tmp_path):
         path = tmp_path / "sys.sys"
         path.write_text("axiom: A\nrule: A -> A p=0.7\nrule: A -> AA p=0.7\n")

@@ -139,8 +139,8 @@ def test_free_lattice_size_from_word_lengths(theta):
 
 
 def test_a_production_listed_twice_is_refused():
-    """A variable is found by its (predecessor, substring) key, so two
-    variables may not share one."""
+    """Listed moves are matched to the variables as productions, by value,
+    so no production may be two variables."""
     theta = Sequence.from_strings("AB", "ABBA")
     twice = build_free_system(theta).productions[:2] * 2
     with pytest.raises(ValueError, match="listed twice"):
@@ -166,15 +166,43 @@ def test_edge_ceiling_is_checked_before_assembling(monkeypatch):
 
 #: productions that fit no step of a trace over A, B, C of at most 4 symbols
 UNFIT = (Production("D", ("A",)), Production("A", ("D",)), Production("B", tuple("ABCAB")))
+#: symbols of several characters, whose letters spell words of others:
+#: A b and Ab, c A b and cAb
+TOKENS = ("A", "b", "c", "Ab", "cAb")
+#: Ab -> c Ab, then c -> cAb and Ab -> c A b, among others
+SPELLED = Sequence((("Ab",), ("c", "Ab"), ("cAb", "c", "A", "b")))
+#: productions that fit no step of SPELLED, though their successors' letters
+#: spell those of c -> cAb and Ab -> c A b, which do
+LOOKALIKES = (Production("c", ("c", "A", "b")), Production("Ab", ("cAb",)))
 
 
 @settings(max_examples=150, deadline=None)
-@given(traces(4), st.data())
+@given(st.one_of(traces(4), traces(4, [TOKENS])), st.data())
 def test_lattice_over_a_subset_is_the_free_lattice_filtered(theta, data):
     """compile_lattice over any productions holds exactly the free lattice's
     edges whose production it lists, in the free lattice's order."""
     free = build_objective(theta, cap=0).lattice
-    chosen = data.draw(st.lists(st.sampled_from(free.variables + UNFIT), unique=True))
+    pool = free.variables + UNFIT + LOOKALIKES
+    chosen = data.draw(st.lists(st.sampled_from(pool), unique=True))
+    _assert_free_lattice_filtered(theta, free, chosen)
+
+
+def test_tokens_are_matched_as_symbols_not_letters():
+    """A token is one symbol, whatever its letters spell: c -> cAb and
+    Ab -> c A b fit SPELLED, and their lookalikes, whose successors spell
+    the same letters, add no edge."""
+    free = build_objective(SPELLED, cap=0).lattice
+    fits = [Production("c", ("cAb",)), Production("Ab", ("c", "A", "b"))]
+    for chosen in (
+        [Production("Ab", ("c", "Ab")), *LOOKALIKES, *fits],
+        list(reversed(free.variables + LOOKALIKES)),
+    ):
+        _assert_free_lattice_filtered(SPELLED, free, chosen)
+
+
+def _assert_free_lattice_filtered(theta, free, chosen):
+    """compile_lattice(theta, chosen) is free, theta's free lattice, with
+    the edges of every production not chosen dropped."""
     lattice = compile_lattice(theta, chosen)
     assert lattice.columns == free.columns
     assert np.array_equal(lattice.starts, free.starts)

@@ -367,6 +367,8 @@ class TestMaximize:
             SolverConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(prune_eps=1.5)
+        with pytest.raises(ValueError, match="seed"):
+            SolverConfig(seed=-1)
 
 
 class TestInferOptimalSystem:

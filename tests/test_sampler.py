@@ -88,6 +88,10 @@ class TestSampleSequence:
         with pytest.raises(ValueError):
             sample_sequence(g1, steps=0, seed=0)
 
+    def test_seed_must_be_non_negative(self, g1):
+        with pytest.raises(ValueError, match="seed"):
+            sample_sequence(g1, steps=1, seed=-1)
+
     def test_word_length_guard(self, monkeypatch):
         monkeypatch.setattr(solis.sampler, "MAX_WORD_LENGTH", 8)
         g = make_system("AA", {("A", "AA"): 1.0})
