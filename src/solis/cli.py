@@ -328,7 +328,7 @@ def _objective_text(obj: PosynomialObjective, tokens: bool) -> str:
     terms = []
     for monomial in obj.monomials:
         factors = []
-        if monomial.coefficient != 1:
+        if monomial.coefficient != 1 or not monomial.exponents:
             factors.append(str(monomial.coefficient))
         for production, exponent in monomial.exponents:
             factor = f"X[{production_text(production, tokens)}]"

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import groupby, product
 from typing import Iterator, NamedTuple
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from .errors import CapExceeded, IncompatibleSequence
 from .lattice import StepLattice, compile_lattice, free_lattice
-from .model import Partial0LSystem, Production, S0LSystem, Sequence, Word
+from .model import Partial0LSystem, Production, S0LSystem, Sequence, Word, _checked
 
 #: refuse to stream a derivation space larger than this unless told otherwise
 DEFAULT_DERIVATION_CAP = 10**7
@@ -59,18 +58,23 @@ class StepAssignment(NamedTuple):
             yield Production(a, part)
 
 
-@dataclass(frozen=True)
-class Derivation:
-    """One per-step assignment chain: each step's target is the next source."""
-
+class _DerivationFields(NamedTuple):
     steps: tuple[StepAssignment, ...]
 
-    def __post_init__(self) -> None:
-        for first, second in zip(self.steps, self.steps[1:]):
+
+class Derivation(_DerivationFields):
+    """One per-step assignment chain: each step's target is the next source."""
+
+    __slots__ = ()
+    _make = classmethod(_checked)
+
+    def __new__(cls, steps: tuple[StepAssignment, ...]) -> "Derivation":
+        for first, second in zip(steps, steps[1:]):
             if first.target != second.source:
                 raise ValueError(
                     f"steps do not chain: {first.target!r} != {second.source!r}"
                 )
+        return super().__new__(cls, steps)
 
 
 def enumerate_derivations(

@@ -13,7 +13,7 @@ scientific notation, and exact fractions like `2/9`.
 
 from __future__ import annotations
 
-import hashlib
+import sys
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import FormatError
@@ -165,8 +165,19 @@ def serialize_derivation(d: Derivation) -> str:
 
 
 def file_digest(path: str) -> str:
+    """The sha256 hex digest of the file's bytes, from the interpreter's own
+    sha256 module (_sha256 up to Python 3.11, _sha2 from 3.12): importing
+    hashlib loads OpenSSL, which costs a command more than the hashing.
+    hashlib serves an interpreter built without that module."""
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
     with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
+        return sha256(handle.read()).hexdigest()
 
 
 def _parse_rule(

@@ -6,15 +6,17 @@ word is just ``()`` and ``tuple("ABA")`` is the word ABA.  Word positions are
 1-based in documentation and error messages; internal storage is 0-based.
 
 All types here are immutable after construction and safe to share freely.
-Records that check nothing (LogLinear, Production) are typing.NamedTuples,
-which cost less to define and to build than frozen dataclasses; the types
-that validate their fields are dataclasses.
+Every record is a typing.NamedTuple, which costs less to define and to
+build than a frozen dataclass and spares a command importing dataclasses.
+A record that validates its fields (Sequence, Partial0LSystem, S0LSystem
+here; Derivation and SolverConfig elsewhere) subclasses a NamedTuple of
+those fields, since a NamedTuple cannot define __new__, and checks them in
+its own __new__; its _make, and so _replace, build through that __new__.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterator, Mapping, NamedTuple
 
 Symbol = str
@@ -37,19 +39,30 @@ class LogLinear(NamedTuple):
     linear: float
 
 
-@dataclass(frozen=True)
-class Sequence:
+def _checked(cls, fields):
+    """_make for a record that validates its fields: build through its
+    __new__, so that _replace checks the new fields too."""
+    return cls(*fields)
+
+
+class _SequenceFields(NamedTuple):
+    words: tuple[Word, ...]
+
+
+class Sequence(_SequenceFields):
     """An ordered trace of words (w_0, ..., w_m) with m >= 1.
 
     w_0 plays the role of the axiom; every later word is expected to be
     derivable from its predecessor (checked where it matters, not here).
     """
 
-    words: tuple[Word, ...]
+    __slots__ = ()
+    _make = classmethod(_checked)
 
-    def __post_init__(self):
-        if len(self.words) < 2:
+    def __new__(cls, words: tuple[Word, ...]) -> "Sequence":
+        if len(words) < 2:
             raise ValueError("a sequence needs at least two words (axiom plus one step)")
+        return super().__new__(cls, words)
 
     @classmethod
     def from_strings(cls, *texts: str) -> "Sequence":
@@ -89,68 +102,85 @@ class Production(NamedTuple):
         return f"{self.predecessor} -> {succ}"
 
 
-@dataclass(frozen=True)
-class Partial0LSystem:
+class _Partial0LSystemFields(NamedTuple):
+    alphabet: frozenset[Symbol]
+    axiom: Word
+    productions: tuple[Production, ...]
+
+
+class Partial0LSystem(_Partial0LSystemFields):
     """A context-free parallel rewriting system (V, axiom, P).
 
     Partial: a symbol may have no production at all.  Productions are stored
     deduplicated in canonical order.
     """
 
-    alphabet: frozenset[Symbol]
-    axiom: Word
-    productions: tuple[Production, ...]
+    __slots__ = ()
+    _make = classmethod(_checked)
 
-    def __post_init__(self):
-        canonical = tuple(sorted(set(self.productions)))
-        object.__setattr__(self, "productions", canonical)
-        for s in self.axiom:
-            if s not in self.alphabet:
+    def __new__(
+        cls, alphabet: frozenset[Symbol], axiom: Word, productions: tuple[Production, ...]
+    ) -> "Partial0LSystem":
+        canonical = tuple(sorted(set(productions)))
+        for s in axiom:
+            if s not in alphabet:
                 raise ValueError(f"axiom symbol {s!r} not in alphabet")
         for p in canonical:
-            if p.predecessor not in self.alphabet:
+            if p.predecessor not in alphabet:
                 raise ValueError(f"predecessor {p.predecessor!r} not in alphabet")
-            if not self.alphabet.issuperset(p.successor):
-                s = next(s for s in p.successor if s not in self.alphabet)
+            if not alphabet.issuperset(p.successor):
+                s = next(s for s in p.successor if s not in alphabet)
                 raise ValueError(f"successor symbol {s!r} of {p} not in alphabet")
+        return super().__new__(cls, alphabet, axiom, canonical)
 
     def productions_for(self, symbol: Symbol) -> tuple[Production, ...]:
         return tuple(p for p in self.productions if p.predecessor == symbol)
 
 
-@dataclass(frozen=True)
-class S0LSystem:
+class _S0LSystemFields(NamedTuple):
+    base: Partial0LSystem
+    prob: dict[Production, float]
+    defaults: frozenset[Production]
+
+
+class S0LSystem(_S0LSystemFields):
     """A partial 0L system plus a probability for each of its productions.
 
     Probabilities are strictly positive and, for every predecessor that has
     productions, sum to 1 within SIMPLEX_TOL.  Rules that would get
-    probability zero must be dropped before construction, not stored.
+    probability zero must be dropped before construction, not stored.  The
+    system keeps its own copy of `prob`, a dict.
 
     `defaults` marks productions that carry no evidence from data (identity
     rules added only to make an inferred system total); serialization flags
     them so users can tell them apart.
     """
 
-    base: Partial0LSystem
-    prob: Mapping[Production, float]
-    defaults: frozenset[Production] = field(default_factory=frozenset)
+    __slots__ = ()
+    _make = classmethod(_checked)
 
-    def __post_init__(self):
-        object.__setattr__(self, "prob", dict(self.prob))
-        have = set(self.prob)
-        expected = set(self.base.productions)
+    def __new__(
+        cls,
+        base: Partial0LSystem,
+        prob: Mapping[Production, float],
+        defaults: frozenset[Production] = frozenset(),
+    ) -> "S0LSystem":
+        prob = dict(prob)
+        have = set(prob)
+        expected = set(base.productions)
         if have != expected:
             raise ValueError("probability map must cover exactly the system's productions")
-        if not self.defaults <= expected:
+        if not defaults <= expected:
             raise ValueError("defaults must be a subset of the productions")
         sums: dict[Symbol, float] = {}
-        for p, v in self.prob.items():
+        for p, v in prob.items():
             if not v > 0.0:
                 raise ValueError(f"probability of {p} must be strictly positive, got {v}")
             sums[p.predecessor] = sums.get(p.predecessor, 0.0) + v
         for a, s in sums.items():
             if abs(s - 1.0) > SIMPLEX_TOL:
                 raise ValueError(f"probabilities for predecessor {a!r} sum to {s}, not 1")
+        return super().__new__(cls, base, prob, defaults)
 
     def probability(self, production: Production) -> float:
         """Probability of `production`, or 0.0 if the system lacks it."""

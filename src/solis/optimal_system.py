@@ -29,7 +29,6 @@ search on small instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -43,6 +42,7 @@ from .model import (
     S0LSystem,
     Sequence,
     Symbol,
+    _checked,
     occurrence_counts,
 )
 
@@ -82,28 +82,39 @@ class PosynomialObjective(NamedTuple):
     lattice: StepLattice
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    restarts: int = 16
-    max_iters: int = 5000
-    rel_tol: float = 1e-10
-    prune_eps: float = 1e-9
-    seed: int = 0
+class _SolverConfigFields(NamedTuple):
+    restarts: int
+    max_iters: int
+    rel_tol: float
+    prune_eps: float
+    seed: int
 
-    def __post_init__(self) -> None:
-        if self.restarts < 1:
+
+class SolverConfig(_SolverConfigFields):
+    __slots__ = ()
+    _make = classmethod(_checked)
+
+    def __new__(
+        cls,
+        restarts: int = 16,
+        max_iters: int = 5000,
+        rel_tol: float = 1e-10,
+        prune_eps: float = 1e-9,
+        seed: int = 0,
+    ) -> "SolverConfig":
+        if restarts < 1:
             raise ValueError("restarts must be positive")
-        if self.max_iters < 1:
+        if max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if not 0.0 < self.rel_tol < 1.0:
+        if not 0.0 < rel_tol < 1.0:
             raise ValueError("rel_tol must lie in (0, 1)")
-        if not 0.0 < self.prune_eps < 1.0:
+        if not 0.0 < prune_eps < 1.0:
             raise ValueError("prune_eps must lie in (0, 1)")
-        if self.seed < 0:
+        if seed < 0:
             raise ValueError("seed must be non-negative")
+        return super().__new__(cls, restarts, max_iters, rel_tol, prune_eps, seed)
 
 
-@dataclass
 class RestartTrace:
     """log p(theta) at the start and after each update of one restart.
 
@@ -112,9 +123,18 @@ class RestartTrace:
     stops with it unset.
     """
 
-    restart: int
-    values: list[float]
-    converged: bool = False
+    __slots__ = ("restart", "values", "converged")
+
+    def __init__(self, restart: int, values: list[float], converged: bool = False) -> None:
+        self.restart = restart
+        self.values = values
+        self.converged = converged
+
+    def __repr__(self) -> str:
+        return (
+            f"RestartTrace(restart={self.restart!r}, values={self.values!r}, "
+            f"converged={self.converged!r})"
+        )
 
     @property
     def iterations(self) -> int:
@@ -179,10 +199,14 @@ def maximize(
     The kernel's arrays hold one entry per edge and restart, so restarts
     run in chunks of at most EDGE_CEILING / edges; restarts do not interact
     in the kernel, so the results do not depend on the chunking.
+
+    An objective without variables, that of a trace of empty words, has
+    one point, the empty system, where p(theta) = 1: every restart starts
+    there and stops converged, after no update.
     """
     cfg = cfg or SolverConfig()
     if not obj.variables:
-        raise ValueError("objective has no variables")
+        return {}, 0, tuple(RestartTrace(r, [0.0], True) for r in range(cfg.restarts))
     start = np.array([_start_point(obj, cfg, restart) for restart in range(cfg.restarts)])
     chunk = max(1, EDGE_CEILING // max(obj.lattice.bounds[-1], 1))
     parts = [_ascend(obj, start[lo : lo + chunk], cfg, lo) for lo in range(0, len(start), chunk)]

@@ -246,6 +246,24 @@ class TestInferSystem:
             " + X[A -> A] X[A -> BA]" in out
         )
 
+    def test_trace_of_empty_words(self, capsys, tmp_path):
+        """The empty system derives <eps>, <eps> with probability 1, as
+        infer-derivation answers; its objective is the constant 1."""
+        path = tmp_path / "empty.seq"
+        path.write_text("<eps>\n<eps>\n")
+        code, out, _ = run(capsys, "infer-system", str(path), "--show-objective")
+        assert code == 0
+        assert out.splitlines()[2:] == [
+            "restarts: 16",
+            "best restart: 0",
+            "iterations: 0",
+            "converged: yes",
+            "objective: 1",
+            "value = 1",
+            "log value = 0",
+            "axiom: <eps>",
+        ]
+
     def test_solver_flags_are_accepted(self, capsys):
         code, out, _ = run(
             capsys,

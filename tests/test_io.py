@@ -1,6 +1,8 @@
 """File formats: parsing, canonical serialization, and error reporting."""
 
 import hashlib
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -298,7 +300,17 @@ class TestSerialization:
 
 
 class TestDigest:
-    def test_digest_matches_hashlib(self, tmp_path):
-        path = tmp_path / "blob"
-        path.write_bytes(b"solis\n")
-        assert file_digest(path) == hashlib.sha256(b"solis\n").hexdigest()
+    def test_digest_matches_hashlib(self, tmp_path, monkeypatch):
+        """On an empty, a one-byte and a 3 MiB file, both from the
+        interpreter's own sha256, which needs no hashlib, and from the
+        hashlib fallback, taken when neither of its names (_sha256 up to
+        Python 3.11, _sha2 from 3.12) imports."""
+        for size in (0, 1, 3 << 20):
+            data = random.Random(size).randbytes(size)
+            path = tmp_path / f"blob{size}"
+            path.write_bytes(data)
+            for blocked in (["hashlib"], ["_sha256", "_sha2"]):
+                with monkeypatch.context() as patch:
+                    for name in blocked:
+                        patch.setitem(sys.modules, name, None)
+                    assert file_digest(path) == hashlib.sha256(data).hexdigest()

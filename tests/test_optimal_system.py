@@ -5,7 +5,6 @@ grid search (coarse pass plus local refinement) on instances with few
 variables, and dominance over large batches of random feasible points.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -17,8 +16,10 @@ from oracles import evaluate_monomials
 from solis import optimal_system
 from solis import (
     Monomial,
+    Partial0LSystem,
     Production,
     RestartTrace,
+    S0LSystem,
     Sequence,
     SolverConfig,
     assemble_system,
@@ -328,8 +329,8 @@ class TestMaximize:
         chunked = maximize(obj, cfg)
         assert chunked[0] == batched[0]
         assert chunked[1] == batched[1]
-        assert [dataclasses.astuple(t) for t in chunked[2]] == [
-            dataclasses.astuple(t) for t in batched[2]
+        assert [(t.restart, t.values, t.converged) for t in chunked[2]] == [
+            (t.restart, t.values, t.converged) for t in batched[2]
         ]
         assert [t.restart for t in chunked[2]] == [0, 1, 2, 3]
 
@@ -352,11 +353,16 @@ class TestMaximize:
         with pytest.raises(ArithmeticError, match="iteration 1.*'A'"):
             maximize(skewed)
 
-    def test_no_variables_rejected(self):
-        theta = Sequence(words=((), ()))
-        obj = build_objective(theta, cap=0)
-        with pytest.raises(ValueError, match="no variables"):
-            maximize(obj)
+    def test_trace_of_empty_words_gets_the_empty_system(self):
+        theta = Sequence(((), (), ()))
+        system, value = infer_optimal_system(theta, SolverConfig(restarts=3))
+        assert system == S0LSystem(Partial0LSystem(frozenset(), (), ()), {})
+        assert value == (0.0, 1.0)
+        x_star, best, traces = maximize(build_objective(theta), SolverConfig(restarts=3))
+        assert (x_star, best) == ({}, 0)
+        assert [(t.restart, t.values, t.converged) for t in traces] == [
+            (r, [0.0], True) for r in range(3)
+        ]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -107,6 +107,39 @@ def test_free_loads_the_free_system():
     assert "solis.free_system" in loaded("free", str(DATA / "aa-aba.seq"))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("prob", str(DATA / "long-seed0.seq"), "--system", str(DATA / "long.sys")),
+        ("free", str(DATA / "aa-aba.seq")),
+        ("enumerate", str(DATA / "aa-aba.seq")),
+        ("infer-derivation", str(DATA / "aa-aba.seq")),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_load_neither_dataclasses_nor_openssl(argv):
+    """The records are NamedTuples, and file_digest hashes with the
+    interpreter's own sha256, not hashlib, whose import loads OpenSSL."""
+    assert not loaded(*argv) & {"dataclasses", "hashlib", "_hashlib"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("infer-system", str(DATA / "aa-aba.seq"), "--restarts", "2"),
+        ("sample", "--system", str(DATA / "g1.sys"), "--steps", "2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_random_commands_load_no_dataclasses(argv):
+    """These commands draw from numpy.random.default_rng, and importing
+    numpy.random imports hashlib (through secrets and hmac), so they load
+    OpenSSL whatever solis imports; dataclasses they need not load."""
+    modules = loaded(*argv)
+    assert "numpy.random" in modules
+    assert "dataclasses" not in modules
+
+
 def test_importing_the_cli_loads_no_numpy():
     """run turns the collector off before main imports numpy, so the
     command line module itself must not import it."""
