@@ -12,6 +12,9 @@ A record that validates its fields (Sequence, Partial0LSystem, S0LSystem
 here; Derivation and SolverConfig elsewhere) subclasses a NamedTuple of
 those fields, since a NamedTuple cannot define __new__, and checks them in
 its own __new__; its _make, and so _replace, build through that __new__.
+So every record, validating or not, is also a tuple of its fields: len
+counts its fields (len(theta) is 1, not theta.step_count), iterating yields
+the fields in order, and a record equals any tuple of the same field values.
 """
 
 from __future__ import annotations

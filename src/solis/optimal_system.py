@@ -136,6 +136,15 @@ class RestartTrace:
             f"converged={self.converged!r})"
         )
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.restart, self.values, self.converged) == (
+            other.restart, other.values, other.converged
+        )
+
+    __hash__ = None  # mutable, so unhashable, as the dataclass it replaces was
+
     @property
     def iterations(self) -> int:
         return len(self.values) - 1

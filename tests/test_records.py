@@ -3,8 +3,9 @@ Partial0LSystem, S0LSystem, Derivation and SolverConfig.
 
 Each case pins what a caller can observe of a record: the exception type
 and message of every rejected input, that fields cannot be assigned, that
-keyword and positional construction agree, equality, and the repr; and that
-_replace checks its new fields as construction does.
+keyword and positional construction agree, equality, the repr, and the
+tuple each record is underneath; and that _replace checks its new fields as
+construction does.  The mutable RestartTrace compares by value too.
 """
 
 import copy
@@ -16,6 +17,7 @@ from solis import (
     Derivation,
     Partial0LSystem,
     Production,
+    RestartTrace,
     S0LSystem,
     Sequence,
     SolverConfig,
@@ -192,3 +194,22 @@ def test_unequal_values_compare_unequal():
 
 def test_solver_config_defaults():
     assert SolverConfig() == SolverConfig(16, 5000, 1e-10, 1e-9, 0)
+
+
+@valid
+def test_records_are_tuples_of_their_fields(record, fields, text):
+    """Each record is a NamedTuple underneath, so it has a tuple's length,
+    iteration and equality: len(theta) is 1, not theta.step_count."""
+    built = record(**fields)
+    assert len(built) == len(fields)
+    assert list(built) == list(fields.values())
+    assert built == tuple(fields.values())
+
+
+def test_restart_traces_compare_by_value():
+    trace = RestartTrace(0, [-2.0, -1.0], True)
+    assert trace == RestartTrace(0, [-2.0, -1.0], True)
+    assert trace != RestartTrace(0, [-2.0, -1.0])
+    assert trace != (0, [-2.0, -1.0], True)
+    with pytest.raises(TypeError):
+        hash(trace)
