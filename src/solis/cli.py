@@ -307,7 +307,7 @@ def _cmd_infer_system(args: argparse.Namespace) -> list[str]:
     cap = DEFAULT_EXPANSION_CAP if args.show_objective else 0
     obj = build_objective(theta, cap=cap)
     x_star, best, traces = maximize(obj, cfg)
-    system = assemble_system(theta, obj, x_star, cfg.prune_eps)
+    system = assemble_system(obj, x_star, cfg.prune_eps)
     value = lattice_probability(obj.lattice, system.prob)
     lines = _header("infer-system", [args.sequence])
     lines.append(f"restarts: {cfg.restarts}")

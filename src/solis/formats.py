@@ -70,10 +70,11 @@ def production_text(production: Production, tokens: bool) -> str:
 
 
 def parse_sequence_file(path: str, tokens: bool = False) -> Sequence:
-    """Read a sequence of words, one per line, first line the axiom."""
+    """Read a sequence of words, one per line, first line the axiom; a
+    leading byte-order mark is skipped, as in parse_system_file."""
     source = str(path)
     words: list[Word] = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for number, raw in enumerate(handle, start=1):
             text = raw.strip()
             if not text or text.startswith("#"):
@@ -90,7 +91,7 @@ def parse_system_file(path: str, tokens: bool = False) -> S0LSystem:
     axiom: Word | None = None
     prob: dict[Production, float] = {}
     defaults: set[Production] = set()
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for number, raw in enumerate(handle, start=1):
             text = raw.strip()
             if not text or text.startswith("#"):

@@ -3,12 +3,27 @@ and p(theta) and its expected counts computed on it.
 
 One rewriting step x => y is a path problem.  Column k of the step means
 "the positions rewritten so far produced y[:k]", and position i of x moves
-from column s to column e by the production x[i] -> y[s:e].  Compiling a
-trace turns every such move into an integer edge (src column, dst column,
-variable id), grouped into rows by i.  Steps are independent, so row i of
-every step runs in the same pass: the kernel makes max_j |w_j| sequential
-row passes, not sum_j |w_j|.  A step with fewer positions than the current
-row carries its end column forward along a pass-through edge of weight 1.
+from column s to column e by the production x[i] -> y[s:e].  A lone
+position (|x| = 1) moves from 0 to |y|, the first of several from 0, the
+last to |y|, and an interior one from any column to any not before it, so
+every position's moves are gathers from a few per-class arrays made once
+per target length (_layout; _free_edges counts them in closed form).
+Compiling a trace turns every move into an integer edge (src column, dst
+column, variable id), grouped into rows by i.  Row i of every step runs in
+the same pass: the kernel makes max_j |w_j| row passes, not sum_j |w_j|.  A
+step with fewer positions than the current row carries its end column
+forward along a pass-through edge of weight 1.
+
+list_moves names every substring by an integer, its rank among the distinct
+ones (Karp, Miller & Rosenberg 1972; each target is encoded as a str whose
+order is word order), so one np.unique of the moves' (predecessor,
+substring) keys numbers their productions canonically.  The keys stay
+inside it: it hands out the distinct moves' Productions, the free system's,
+which are free_lattice's variables.  Every answer runs on that lattice.
+compile_lattice matches given productions to the listed ones by value, so
+its edges are the free lattice's edges over them, in the same order; only
+sequence_probability and enumerate_derivations, which are given a system,
+compile one.  lattice_probability scores a probability map on any lattice.
 
 Forward, backward and expected counts are gathers, multiplies and
 np.bincount scatters over an (R, V) weight matrix, one row per weighting, so
@@ -23,16 +38,6 @@ and one scatter of these shares gives the expected counts.  Within every
 sum the terms arrive in the order of the textbook recurrences (rows
 ascending, then successor length, then column), so the results do not
 depend on how many rows are batched.
-
-Compiling turns the moves that the moves module lists into edges.  The free
-system's productions are the distinct moves, which that module lists as
-Production values: the variables of free_lattice.  Every answer runs on that
-lattice: the solver iterates on it, and the derivation tables read their
-steps' assignments off it.  compile_lattice matches the given productions to
-the listed ones by value and keeps their moves, so its edges are the free
-lattice's edges over them, in the same order; only sequence_probability and
-enumerate_derivations, which are given a system, compile one.
-lattice_probability scores a probability map on any lattice.
 """
 
 from __future__ import annotations
@@ -43,8 +48,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import CapExceeded, IncompatibleSequence
-from .model import LogLinear, Production, S0LSystem, Sequence
-from .moves import Moves, list_moves
+from .model import LogLinear, Production, S0LSystem, Sequence, Symbol
 
 #: compile_lattice refuses traces with more edges than this.  A lattice
 #: stores 12 bytes of indices per edge, and a pass of the kernel holds
@@ -52,6 +56,10 @@ from .moves import Moves, list_moves
 #: at most EDGE_CEILING / edges restarts per pass: 10^7 edges take 120 MB to
 #: store, and a pass holds arrays of at most 10^7 entries at any restarts.
 EDGE_CEILING = 10**7
+
+#: index arrays, the bulk of a lattice's memory, are stored narrow: moves
+#: and edges stay under EDGE_CEILING, so every index fits
+_INDEX = np.int32
 
 
 class StepLattice(NamedTuple):
@@ -153,14 +161,14 @@ def compile_lattice(theta: Sequence, variables: Iterable[Production]) -> StepLat
     """Compile every step of theta over the given productions.
 
     Lists the moves of every position over the substrings of the variables'
-    successor lengths (moves.list_moves), matches each listed production to
-    a variable by value, not by the moves module's private keys, and keeps
-    the moves of those that match: the lattice holds exactly the free
-    lattice's edges whose production is a variable, in the same order.
-    Productions that fit no step contribute no edges; a step that no
-    combination of them can perform gets a zero sum.  Raises ValueError if a
-    production is listed twice, and CapExceeded, before the edge arrays are
-    assembled, when the lattice would hold more than EDGE_CEILING edges.
+    successor lengths, matches each listed production to a variable by
+    value, not by list_moves' private keys, and keeps the moves of those
+    that match: the lattice holds exactly the free lattice's edges whose
+    production is a variable, in the same order.  Productions that fit no
+    step contribute no edges; a step that no combination of them can
+    perform gets a zero sum.  Raises ValueError if a production is listed
+    twice, and CapExceeded, before the edge arrays are assembled, when the
+    lattice would hold more than EDGE_CEILING edges.
     """
     variables = tuple(variables)
     index = {p: i for i, p in enumerate(variables)}
@@ -188,12 +196,65 @@ def free_lattice(theta: Sequence) -> StepLattice:
     return _assemble(moves, variables, owner)
 
 
+def check_edge_count(edges: int) -> None:
+    """Raise CapExceeded if a lattice of this many edges passes EDGE_CEILING."""
+    if edges > EDGE_CEILING:
+        raise CapExceeded(
+            f"step lattice would hold {edges} edges, ceiling is {EDGE_CEILING}",
+            count=edges,
+            cap=EDGE_CEILING,
+        )
+
+
+#: position classes: a step x => y with |x| = 1 has one lone position,
+#: which produces all of y; with |x| >= 2 the first position produces a
+#: prefix, the last a suffix and every other (interior) one any substring
+_ONLY, _FIRST, _LAST, _INTERIOR = range(4)
+
+
+def _layout(m: int, n: int, lengths: set[int] | None) -> tuple[list[slice], dict]:
+    """The substrings y[s:e] that the positions of a step with |x| = m and
+    |y| = n can produce, sorted by length, then start: their slices, and per
+    position class its moves into them in the same order, as a (3, moves)
+    array of (span index, s, e).  lengths, if given, are the successor
+    lengths allowed.
+
+    Only a step with interior positions lists every substring; a step of
+    one or two positions lists y, or its prefixes and suffixes.
+    """
+    allowed = [k for k in range(n + 1) if lengths is None or k in lengths]
+    if m == 1:
+        if allowed[-1:] != [n]:
+            return [], {_ONLY: np.zeros((3, 0), _INDEX)}
+        return [slice(0, n)], {_ONLY: np.array([[0], [0], [n]], _INDEX)}
+    count = len(allowed)
+    if m == 2:
+        first = [range(count), [0] * count, allowed]
+        last = [range(count, 2 * count), [n - k for k in allowed], [n] * count]
+        spans = [slice(0, k) for k in allowed] + [slice(n - k, n) for k in allowed]
+        return spans, {_FIRST: np.array(first, _INDEX), _LAST: np.array(last, _INDEX)}
+    allowed = np.array(allowed, np.int64)
+    sizes = n + 1 - allowed
+    firsts = np.cumsum(sizes) - sizes
+    index = np.arange(sizes.sum())
+    begin = index - np.repeat(firsts, sizes)
+    end = begin + np.repeat(allowed, sizes)
+    interior = np.array((index, begin, end), _INDEX)
+    classes = {
+        _FIRST: interior[:, firsts],
+        _LAST: interior[:, firsts + sizes - 1],
+        _INTERIOR: interior,
+    }
+    return list(map(slice, begin.tolist(), end.tolist())), classes
+
+
 def _free_edges(theta: Sequence) -> int:
-    """Edges of the free lattice, from word lengths: a lone position of a
-    step x => y moves to all of y, the first and the last of several to
-    any of the |y| + 1 prefixes and suffixes, and an interior one to any
-    substring; a step with fewer positions than the longest source adds one
-    pass-through edge per missing position."""
+    """Edges of the free lattice, from word lengths, as _layout lays them
+    out with every length allowed: a lone position of a step x => y moves
+    to all of y, the first and the last of several to any of the |y| + 1
+    prefixes and suffixes, and an interior one to any substring; a step
+    with fewer positions than the longest source adds one pass-through edge
+    per missing position."""
     rows = max(len(x) for x, _ in theta.steps())
     edges = 0
     for x, y in theta.steps():
@@ -206,29 +267,162 @@ def _free_edges(theta: Sequence) -> int:
     return edges
 
 
+class Moves(NamedTuple):
+    """Every move of every position of a trace, grouped.
+
+    A group is the moves of one step that some positions share: those of
+    the lone, first or last position, or those of every interior position
+    with one predecessor.  Moves are stored group after group, each group
+    sorted by (successor length, src column), and sizes holds each group's
+    move count.  groups[r, j] is the group of row r of step j, or, for a
+    step with no row r, len(sizes) + j: the group of its pass-through move.
+    src and dst end with those pass-through moves, one per step, from its
+    end column to itself.
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    sizes: np.ndarray
+    groups: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+
+
+def list_moves(
+    theta: Sequence, lengths: set[int] | None
+) -> tuple[Moves, tuple[Production, ...], np.ndarray]:
+    """Every move of every position of theta whose successor length is in
+    lengths (any length if None), the distinct productions of those moves in
+    canonical order, and owner: move k's index among them.
+
+    One pass slices every listed substring of every target and ranks the
+    distinct ones; the groups then take their moves from their steps'
+    (position count, target length) layouts, each made once, in one gather
+    over all groups; one np.unique of the moves' keys, which never leave
+    this function, numbers the productions.
+    """
+    steps = list(theta.steps())
+    symbols = sorted(theta.symbols())
+    letters = None if all(len(a) == 1 for a in symbols) else {
+        a: chr(i) for i, a in enumerate(symbols)
+    }
+    codes = {a: i for i, a in enumerate(symbols)}
+    layouts: dict[tuple[int, int], tuple[list[slice], dict[int, tuple[int, int]]]] = {}
+    pool: list[np.ndarray] = []  # per layout and class: (span index, s, e) rows
+    pooled = 0
+    listed: list[str] = []
+    # per group: first pool column, moves, first listed substring, column, code
+    info: list[tuple[int, int, int, int, int]] = []
+    rows, row_steps, row_groups = [], [], []
+    starts, column = [], 0
+    for j, (x, y) in enumerate(steps):
+        m, n = len(x), len(y)
+        shape = (min(m, 3), n)
+        if shape not in layouts:
+            spans, classes = _layout(m, n, lengths) if m else ([], {})
+            places = {}
+            for position, table in classes.items():
+                pool.append(table)
+                places[position] = (pooled, table.shape[1])
+                pooled += table.shape[1]
+            layouts[shape] = spans, places
+        spans, places = layouts[shape]
+
+        def group(position: int, a: Symbol) -> int:
+            info.append((*places[position], len(listed), column, codes[a]))
+            return len(info) - 1
+
+        if m == 1:
+            row_groups.append(group(_ONLY, x[0]))
+        elif m >= 2:
+            row_groups.append(group(_FIRST, x[0]))
+            inner = {a: group(_INTERIOR, a) for a in sorted(set(x[1:-1]))}
+            row_groups.extend(map(inner.__getitem__, x[1:-1]))
+            row_groups.append(group(_LAST, x[-1]))
+        rows.extend(range(m))
+        row_steps.extend([j] * m)
+        if spans:
+            word = "".join(y if letters is None else map(letters.__getitem__, y))
+            listed += map(word.__getitem__, spans)
+        starts.append(column)
+        column += n + 1
+    substrings = sorted(set(listed))
+    rank = {word: i for i, word in enumerate(substrings)}
+    sub_of = np.fromiter(map(rank.__getitem__, listed), _INDEX, len(listed))
+    span, begin, end = np.concatenate([np.zeros((3, 0), _INDEX)] + pool, axis=1)
+    info = np.array(info, np.int64).reshape(-1, 5).T
+    sizes = info[1]
+    at = _ranges(info[0], sizes)
+    listing, column, code = np.repeat(info[[2, 3, 4]], sizes, axis=1)
+    starts = np.array(starts, _INDEX)
+    ends = np.array([start + len(y) for start, (_, y) in zip(starts.tolist(), steps)], _INDEX)
+    groups = np.empty((max(len(x) for x, _ in steps), len(steps)), np.int64)
+    groups[:] = np.arange(len(steps)) + len(sizes)
+    groups[rows, row_steps] = row_groups
+    moves = Moves(
+        starts=starts,
+        ends=ends,
+        sizes=sizes,
+        groups=groups,
+        src=np.concatenate((begin[at] + column, ends)).astype(_INDEX),
+        dst=np.concatenate((end[at] + column, ends)).astype(_INDEX),
+    )
+    code *= len(substrings)
+    code += sub_of[span[at] + listing]
+    # freed first, so that sorting the keys and decoding them add no peak
+    del listed, rank, sub_of, span, begin, end, at, listing, column
+    keys, owner = np.unique(code, return_inverse=True)
+    del code
+    heads, subs = np.divmod(keys, len(substrings))
+    words = map(substrings.__getitem__, subs.tolist())
+    if letters is None:
+        successors = map(tuple, words)
+    else:
+        successors = (tuple(symbols[ord(c)] for c in word) for word in words)
+    productions = tuple(map(Production, map(symbols.__getitem__, heads.tolist()), successors))
+    return moves, productions, owner
+
+
 def _assemble(moves: Moves, variables: tuple[Production, ...], var: np.ndarray) -> StepLattice:
-    """The lattice of the moves whose variable index var is not negative."""
-    bounds, src, dst, var = moves.edges(var, len(variables), check_edge_count)
+    """The lattice of the moves whose variable index var is not negative:
+    their edges sorted by (row, step) and then in move order, a pass-through
+    edge's var being len(variables).  Raises CapExceeded, before any
+    per-edge array is allocated, when the edges pass EDGE_CEILING."""
+    steps = len(moves.starts)
+    sizes, src, dst = moves.sizes, moves.src, moves.dst
+    if var.size and var.min() < 0:
+        keep = var >= 0
+        groups = np.repeat(np.arange(sizes.size), sizes)[keep]
+        sizes = np.bincount(groups, minlength=sizes.size)
+        var = var[keep]
+        keep = np.concatenate((keep, np.ones(steps, bool)))
+        src, dst = src[keep], dst[keep]
+    var = np.concatenate((var, np.full(steps, len(variables))), dtype=_INDEX)
+    sizes = np.concatenate((sizes, np.ones(steps, sizes.dtype)))
+    per_segment = sizes[moves.groups]
+    per_row = per_segment.sum(axis=1)
+    check_edge_count(int(per_row.sum()))
+    edge = _ranges((np.cumsum(sizes) - sizes)[moves.groups].ravel(), per_segment.ravel())
     return StepLattice(
         variables=variables,
         columns=int(moves.ends[-1]) + 1,
         starts=moves.starts,
         ends=moves.ends,
-        bounds=bounds,
-        src=src,
-        dst=dst,
-        var=var,
+        bounds=tuple(np.concatenate(([0], np.cumsum(per_row))).tolist()),
+        src=src[edge],
+        dst=dst[edge],
+        var=var[edge],
     )
 
 
-def check_edge_count(edges: int) -> None:
-    """Raise CapExceeded if a lattice of this many edges passes EDGE_CEILING."""
-    if edges > EDGE_CEILING:
-        raise CapExceeded(
-            f"step lattice would hold {edges} edges, ceiling is {EDGE_CEILING}",
-            count=edges,
-            cap=EDGE_CEILING,
-        )
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(start, start + size) for each start and
+    its size, as int32: every caller indexes moves or edges, both under
+    EDGE_CEILING."""
+    ends = np.cumsum(sizes, dtype=np.int64)
+    out = np.repeat((starts - ends + sizes).astype(_INDEX), sizes)
+    out += np.arange(out.size, dtype=_INDEX)
+    return out
 
 
 def sequence_probability(g: S0LSystem, theta: Sequence) -> LogLinear:

@@ -29,6 +29,7 @@ search on small instances.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -72,14 +73,21 @@ class PosynomialObjective(NamedTuple):
     The factored form (theta's step lattice over the free system's
     productions) is always available; the expanded monomial list is only
     populated when the derivation space fits under the expansion cap.
-    Variables are grouped by block, blocks in the order of `blocks`.
     """
 
     theta: Sequence
-    variables: tuple[Production, ...]
-    blocks: dict[Symbol, tuple[Production, ...]]
     monomials: tuple[Monomial, ...] | None
     lattice: StepLattice
+
+    @property
+    def variables(self) -> tuple[Production, ...]:
+        return self.lattice.variables
+
+    @property
+    def blocks(self) -> dict[Symbol, tuple[Production, ...]]:
+        """The variables of each predecessor: the lattice's variables are
+        in canonical order, so each block is a contiguous run of them."""
+        return {a: tuple(block) for a, block in groupby(self.variables, lambda p: p.predecessor)}
 
 
 class _SolverConfigFields(NamedTuple):
@@ -115,35 +123,17 @@ class SolverConfig(_SolverConfigFields):
         return super().__new__(cls, restarts, max_iters, rel_tol, prune_eps, seed)
 
 
-class RestartTrace:
+class RestartTrace(NamedTuple):
     """log p(theta) at the start and after each update of one restart.
 
     `converged` is set when the restart stopped on |delta log p| <= rel_tol;
     a restart that hit max_iters, or reached a point where p(theta) is 0,
-    stops with it unset.
+    stops with it unset.  values is a list, so a trace is not hashable.
     """
 
-    __slots__ = ("restart", "values", "converged")
-
-    def __init__(self, restart: int, values: list[float], converged: bool = False) -> None:
-        self.restart = restart
-        self.values = values
-        self.converged = converged
-
-    def __repr__(self) -> str:
-        return (
-            f"RestartTrace(restart={self.restart!r}, values={self.values!r}, "
-            f"converged={self.converged!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.restart, self.values, self.converged) == (
-            other.restart, other.values, other.converged
-        )
-
-    __hash__ = None  # mutable, so unhashable, as the dataclass it replaces was
+    restart: int
+    values: list[float]
+    converged: bool = False
 
     @property
     def iterations(self) -> int:
@@ -160,9 +150,6 @@ def build_objective(theta: Sequence, cap: int = DEFAULT_EXPANSION_CAP) -> Posyno
     needed).  The factored form never fails.
     """
     lattice = free_lattice(theta)
-    blocks: dict[Symbol, list[Production]] = {}
-    for production in lattice.variables:
-        blocks.setdefault(production.predecessor, []).append(production)
     monomials: tuple[Monomial, ...] | None = None
     if cap > 0:
         from .derivations import count_multisets  # only expansion lists multisets
@@ -180,13 +167,7 @@ def build_objective(theta: Sequence, cap: int = DEFAULT_EXPANSION_CAP) -> Posyno
                 Monomial(coefficient, tuple((lattice.variables[k], c) for k, c in counts))
                 for counts, coefficient in grouped
             )
-    return PosynomialObjective(
-        theta=theta,
-        variables=lattice.variables,
-        blocks={symbol: tuple(block) for symbol, block in blocks.items()},
-        monomials=monomials,
-        lattice=lattice,
-    )
+    return PosynomialObjective(theta=theta, monomials=monomials, lattice=lattice)
 
 
 def maximize(
@@ -216,7 +197,8 @@ def maximize(
     cfg = cfg or SolverConfig()
     if not obj.variables:
         return {}, 0, tuple(RestartTrace(r, [0.0], True) for r in range(cfg.restarts))
-    start = np.array([_start_point(obj, cfg, restart) for restart in range(cfg.restarts)])
+    sizes = [len(block) for block in obj.blocks.values()]
+    start = np.array([_start_point(sizes, cfg, restart) for restart in range(cfg.restarts)])
     chunk = max(1, EDGE_CEILING // max(obj.lattice.bounds[-1], 1))
     parts = [_ascend(obj, start[lo : lo + chunk], cfg, lo) for lo in range(0, len(start), chunk)]
     x = np.concatenate([part[0] for part in parts])
@@ -237,17 +219,14 @@ def infer_optimal_system(
     cfg = cfg or SolverConfig()
     obj = build_objective(theta, cap=0)
     x_star, _, _ = maximize(obj, cfg)
-    system = assemble_system(theta, obj, x_star, cfg.prune_eps)
+    system = assemble_system(obj, x_star, cfg.prune_eps)
     return system, lattice_probability(obj.lattice, system.prob)
 
 
 def assemble_system(
-    theta: Sequence,
-    obj: PosynomialObjective,
-    x_star: Mapping[Production, float],
-    prune_eps: float,
+    obj: PosynomialObjective, x_star: Mapping[Production, float], prune_eps: float
 ) -> S0LSystem:
-    """Turn a solver point into a stochastic system.
+    """Turn a solver point into a stochastic system for obj's trace.
 
     Drops productions below prune_eps, renormalizes each block, and gives
     symbols that occur only in the last word (hence are never rewritten) the
@@ -262,6 +241,7 @@ def assemble_system(
         total = sum(x_star[p] for p in survivors)
         for p in survivors:
             prob[p] = x_star[p] / total
+    theta = obj.theta
     occurrences = occurrence_counts(theta)
     defaults: list[Production] = []
     for symbol in sorted(theta.symbols()):
@@ -277,8 +257,9 @@ def assemble_system(
     return S0LSystem(base=base, prob=prob, defaults=frozenset(defaults))
 
 
-def _start_point(obj: PosynomialObjective, cfg: SolverConfig, restart: int) -> np.ndarray:
-    sizes = [len(block) for block in obj.blocks.values()]
+def _start_point(sizes: list[int], cfg: SolverConfig, restart: int) -> np.ndarray:
+    """Restart 0's point, uniform per block of the given sizes, or another
+    restart's, drawn from its own seed."""
     if restart == 0:
         return np.concatenate([np.full(size, 1.0 / size) for size in sizes])
     rng = np.random.default_rng([cfg.seed, restart])
@@ -299,15 +280,17 @@ def _ascend(
     first on; returns the final points and one trace per row.  A row stops
     changing once it converges, hits max_iters or reaches a point where
     p(theta) is 0."""
-    symbols = list(obj.blocks)
-    sizes = [len(block) for block in obj.blocks.values()]
+    blocks = obj.blocks
+    symbols = list(blocks)
+    sizes = [len(block) for block in blocks.values()]
     occurrences = occurrence_counts(obj.theta)
     block_counts = np.array([occurrences[symbol] for symbol in symbols], dtype=float)
     variable_counts = np.repeat(block_counts, sizes)
     block_starts = np.cumsum([0] + sizes[:-1])
     values, counts = obj.lattice.expected_counts(x)
     log_p = _log_p(values)
-    traces = [RestartTrace(restart=first + r, values=[v]) for r, v in enumerate(log_p.tolist())]
+    history = [[v] for v in log_p.tolist()]
+    converged = np.zeros(len(x), bool)
     eta = np.ones(len(x))
     active = np.arange(len(x))
     for iteration in range(1, cfg.max_iters + 1):
@@ -343,14 +326,16 @@ def _ascend(
         previous = log_p[active]
         log_p[active] = step_log_p
         for r, value in zip(active.tolist(), log_p[active].tolist()):
-            traces[r].values.append(value)
+            history[r].append(value)
         done = np.abs(log_p[active] - previous) <= cfg.rel_tol
-        for r in active[done]:
-            traces[r].converged = True
+        converged[active[done]] = True
         active = active[~done]
         if not active.size:
             break
-    return x, traces
+    return x, [
+        RestartTrace(first + r, logs, stopped)
+        for r, (logs, stopped) in enumerate(zip(history, converged.tolist()))
+    ]
 
 
 def _overrelax(

@@ -246,6 +246,20 @@ class TestInferSystem:
             " + X[A -> A] X[A -> BA]" in out
         )
 
+    def test_show_objective_past_the_expansion_cap(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "infer-system",
+            str(DATA / "enum-seed0.seq"),
+            "--show-objective",
+            "--restarts",
+            "1",
+            "--max-iters",
+            "1",
+        )
+        assert code == 0
+        assert "objective: not expanded (derivation space exceeds cap)" in out.splitlines()
+
     def test_trace_of_empty_words(self, capsys, tmp_path):
         """The empty system derives <eps>, <eps> with probability 1, as
         infer-derivation answers; its objective is the constant 1."""
@@ -394,6 +408,13 @@ class TestUsageAndErrors:
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert "error: FormatError" in err
+
+    @pytest.mark.parametrize("command", ["enumerate", "infer-derivation"])
+    def test_zero_derivation_cap_exits_1(self, capsys, command):
+        code, out, err = run(capsys, command, str(DATA / "aa-aba.seq"), "--max-derivations", "0")
+        assert code == 1
+        assert out == ""
+        assert "error: ValueError: cap must be a positive integer" in err
 
     def test_unknown_command_exits_1(self, capsys):
         code, _, _ = run(capsys, "frobnicate")

@@ -124,6 +124,20 @@ class TestSequenceFiles:
         assert str(path) in str(info.value)
         assert ":2:" in str(info.value)
 
+    @pytest.mark.parametrize(
+        ("text", "tokens"), [("AA\nABA\n", False), ("Start Start\nStart Mid\n", True)]
+    )
+    def test_byte_order_mark_is_no_symbol(self, tmp_path, text, tokens):
+        """A UTF-8 byte-order mark opening the file is skipped; one after
+        the first character is read as the symbol U+FEFF."""
+        plain, marked = tmp_path / "plain.seq", tmp_path / "marked.seq"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert parse_sequence_file(marked, tokens) == parse_sequence_file(plain, tokens)
+        marked.write_text("A\ufeff\nA\n", encoding="utf-8")
+        assert parse_sequence_file(marked).words[0] == ("A", "\ufeff")
+
 
 class TestSystemFiles:
     def test_reads_fixture_with_fractions(self):
@@ -200,6 +214,37 @@ class TestSystemFiles:
         path.write_text("axiom: A\nrule: <eps> -> A p=1\n")
         with pytest.raises(FormatError, match="sys.sys:2: <eps> cannot be a predecessor"):
             parse_system_file(path, tokens=tokens)
+
+    def test_blank_and_comment_lines_between_rules_skipped(self, tmp_path):
+        path = tmp_path / "sys.sys"
+        path.write_text("axiom: A\nrule: A -> A p=1/2\n\n# note\n   \nrule: A -> AA p=1/2\n")
+        g = parse_system_file(path)
+        assert g.prob == {Production("A", ("A",)): 0.5, Production("A", ("A", "A")): 0.5}
+
+    def test_rule_without_arrow_rejected(self, tmp_path):
+        path = tmp_path / "sys.sys"
+        path.write_text("axiom: A\nrule: A B p=1\n")
+        with pytest.raises(FormatError, match="sys.sys:2: rule line must contain '->'"):
+            parse_system_file(path)
+
+    def test_predecessor_with_space_rejected(self, tmp_path):
+        path = tmp_path / "sys.sys"
+        path.write_text("axiom: A\nrule: A B -> A p=1\n")
+        with pytest.raises(FormatError, match="sys.sys:2: bad predecessor 'A B'"):
+            parse_system_file(path)
+
+    @pytest.mark.parametrize(
+        ("text", "tokens"),
+        [
+            ("axiom: AA\nrule: A -> AB p=1\n", False),
+            ("axiom: Start\nrule: Start -> Start Mid p=1\n", True),
+        ],
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, text, tokens):
+        plain, marked = tmp_path / "plain.sys", tmp_path / "marked.sys"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert parse_system_file(marked, tokens) == parse_system_file(plain, tokens)
 
     def test_simplex_violation_reported_as_format_error(self, tmp_path):
         path = tmp_path / "sys.sys"

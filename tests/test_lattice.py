@@ -229,7 +229,7 @@ def test_assembled_system_scores_bitwise_on_the_free_lattice(theta, seed, prune_
     for block in obj.blocks.values():
         draws = rng.exponential(size=len(block)) ** 3
         x_star.update(zip(block, (draws / draws.sum()).tolist()))
-    system = assemble_system(theta, obj, x_star, prune_eps)
+    system = assemble_system(obj, x_star, prune_eps)
     weights = np.array([[system.prob.get(p, 0.0) for p in obj.variables]])
     compiled = compile_lattice(theta, system.base.productions)
     own = np.array([[system.prob[p] for p in compiled.variables]])

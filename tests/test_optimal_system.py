@@ -164,6 +164,18 @@ class TestObjective:
         coefficients = sorted(m.coefficient for m in obj.monomials)
         assert coefficients == sorted(math.comb(45, k) * 2**k for k in range(46))
 
+    def test_variables_and_blocks_are_read_off_the_lattice(self, theta2):
+        """A replaced lattice brings its own variables and blocks, not stale
+        copies of the old one's."""
+        obj = build_objective(theta2, cap=0)
+        other = build_objective(Sequence.from_strings("AB", "B"), cap=0).lattice
+        replaced = obj._replace(lattice=other)
+        assert replaced.variables == other.variables
+        assert replaced.blocks == {
+            "A": (A_EPS, Production("A", ("B",))),
+            "B": (Production("B", ()), Production("B", ("B",))),
+        }
+
     def test_small_cap_skips_expansion(self, theta2):
         obj = build_objective(theta2, cap=3)
         assert obj.monomials is None
@@ -281,6 +293,20 @@ class TestMaximize:
             monkeypatch.setattr(optimal_system, "_ascend", ascend)
             assert maximize(obj, cfg)[1] == winner
 
+    def test_random_start_falls_back_to_uniform_when_every_draw_is_zero(
+        self, theta2, monkeypatch
+    ):
+        class ZeroDraws:
+            def __init__(self, seed):
+                pass
+
+            def exponential(self, size):
+                return np.zeros(size)
+
+        monkeypatch.setattr(np.random, "default_rng", ZeroDraws)
+        _, _, traces = maximize(build_objective(theta2, cap=0), SolverConfig(restarts=3))
+        assert traces[1:] == (traces[0]._replace(restart=1), traces[0]._replace(restart=2))
+
     def test_ties_go_to_restart_zero(self):
         """A -> B is the only variable, so every restart ends at log p = 0."""
         obj = build_objective(Sequence.from_strings("A", "B"), cap=0)
@@ -299,7 +325,7 @@ class TestMaximize:
         assert traces[best].values[-1] >= generator.log
         for trace in traces:
             assert trace.converged and trace.iterations > 1
-        inferred = sequence_probability(assemble_system(theta, obj, x_star, cfg.prune_eps), theta)
+        inferred = sequence_probability(assemble_system(obj, x_star, cfg.prune_eps), theta)
         assert inferred.log >= generator.log
 
     def test_overrelaxation_passes_the_generator_where_plain_em_does_not(self, monkeypatch):
@@ -405,7 +431,7 @@ class TestInferOptimalSystem:
             theta = random_sequence(rng)
             obj = build_objective(theta, cap=0)
             x_star, best, traces = maximize(obj, cfg)
-            system = assemble_system(theta, obj, x_star, cfg.prune_eps)
+            system = assemble_system(obj, x_star, cfg.prune_eps)
             final = sequence_probability(system, theta).linear
             assert abs(final - best_value(traces, best)) < 1e-6
 

@@ -5,7 +5,8 @@ Each case pins what a caller can observe of a record: the exception type
 and message of every rejected input, that fields cannot be assigned, that
 keyword and positional construction agree, equality, the repr, and the
 tuple each record is underneath; and that _replace checks its new fields as
-construction does.  The mutable RestartTrace compares by value too.
+construction does.  RestartTrace, a NamedTuple that checks nothing, is a
+tuple of its fields too, and unhashable because its values are a list.
 """
 
 import copy
@@ -207,9 +208,11 @@ def test_records_are_tuples_of_their_fields(record, fields, text):
 
 
 def test_restart_traces_compare_by_value():
+    """A RestartTrace is a NamedTuple too, so it equals the tuple of its
+    fields; its values are a list, so it cannot be hashed."""
     trace = RestartTrace(0, [-2.0, -1.0], True)
     assert trace == RestartTrace(0, [-2.0, -1.0], True)
     assert trace != RestartTrace(0, [-2.0, -1.0])
-    assert trace != (0, [-2.0, -1.0], True)
+    assert trace == (0, [-2.0, -1.0], True)
     with pytest.raises(TypeError):
         hash(trace)
