@@ -9,10 +9,11 @@ productions' probabilities, and p(theta) sums it over all derivations.  The
 lattice module computes that sum without materializing any derivation.
 Steps are independent, so the derivations are grouped by production-count
 multiset one step at a time (count_multisets), again materializing none.
-A step's assignments are paths through its rows of the step lattice, so one
-pass over its edges counts them, merges them into their distinct multisets
-or lists them in order.  The tables take the lattice their caller already
-holds, usually the free lattice, so a trace's moves are listed once;
+A step's assignments are paths through its rows of the step lattice: the
+lattice's sweep (StepLattice.sweep), run backward over unit weights, counts
+them, and one forward pass over its edges merges them into their distinct
+multisets or lists them in order.  The tables take the lattice their caller
+already holds, usually the free lattice, so a trace's moves are listed once;
 enumerate_derivations compiles one over a given system's productions.
 """
 
@@ -100,7 +101,7 @@ def enumerate_derivations(
         lattice = free_lattice(theta)
     else:
         lattice = compile_lattice(theta, system.productions)
-    steps, _ = _assignment_rows(lattice, theta, cap, merge=False)
+    steps = _assignment_rows(lattice, theta, cap, merge=False)
     per_step = [_assignments(x, y, cuts) for (x, y), (cuts, _, _) in zip(theta.steps(), steps)]
     return (Derivation(steps=combo) for combo in product(*per_step))
 
@@ -175,7 +176,7 @@ def count_multisets(
     every other step.  The incumbent is the score of a real multiset, built
     by keeping the best pair at every step.
     """
-    steps, counts = _assignment_rows(lattice, theta, cap, merge=True)
+    steps = _assignment_rows(lattice, theta, cap, merge=True)
     rows = np.zeros((1, 0), dtype=steps[0][1].dtype)
     first = np.zeros((1, 0), dtype=np.int64)
     if near_best:
@@ -192,9 +193,8 @@ def count_multisets(
         floor = incumbent * (1.0 - 2 * SCORE_WINDOW) - SCORE_WINDOW
         multiplicity = None
     else:
-        # derivation counts are exact: int64 while their total fits, else Python ints
-        count_dtype = np.int64 if math.prod(counts) <= np.iinfo(np.int64).max else object
-        multiplicity = np.ones(1, dtype=count_dtype)
+        # exact in the steps' dtype: the cap check bounds every product by the cap
+        multiplicity = np.ones(1, dtype=steps[0][2].dtype)
     for j, (_, step_rows, step_multiplicity) in enumerate(steps):
         picked = np.arange(len(step_rows))
         if near_best:
@@ -211,8 +211,8 @@ def count_multisets(
         rows = pairs[keep]
         first = np.column_stack([first[left[keep]], right[keep]])
         if multiplicity is not None:
-            merged = np.zeros(len(keep), dtype=count_dtype)
-            shares = multiplicity[left] * step_multiplicity.astype(count_dtype)[right]
+            merged = np.zeros(len(keep), dtype=multiplicity.dtype)
+            shares = multiplicity[left] * step_multiplicity[right]
             np.add.at(merged, inverse, shares)
             multiplicity = merged
     return MultisetTable(
@@ -248,9 +248,9 @@ def derivation_probability(g: S0LSystem, d: Derivation) -> float:
 
 def _assignment_rows(
     lattice: StepLattice, theta: Sequence, cap: int, merge: bool
-) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], list[int]]:
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Each step's assignments in cut-lexicographic order, read off theta's
-    step lattice, and their counts.
+    step lattice.
 
     Per step come (cuts, rows, multiplicity).  Row k of cuts holds, per
     position of the step's source, the end of that position's part in the
@@ -258,16 +258,18 @@ def _assignment_rows(
     multiset in row k of rows (sorted production indices), which
     multiplicity[k] assignments share.
 
-    First a backward pass with unit weights counts every step's assignments,
-    saturating at cap + 2, and marks the columns from which each row can
-    still finish its step.  The checks of enumerate_derivations run on
-    these counts, before anything is listed.  Then a forward pass extends
-    every live state (column, cut path, sorted production prefix) by the
-    row's edges out of its column, shortest successor first, so states stay
-    in cut-lexicographic order.  With merge, states that share (column,
-    prefix) collapse into the first, which holds the earliest cut path;
-    every completion of a later one is matched by an earlier completion of
-    the first, so each final row keeps its earliest assignment.
+    First the lattice's backward sweep over unit weights counts every
+    step's assignments, saturating at cap + 2, in int64 or, where a row's
+    sum could pass 2**63, in Python ints; it marks the edges whose dst
+    column can still finish the step.  The checks of enumerate_derivations
+    run on these counts, before anything is listed.  Then a forward pass
+    extends every state (column, cut path, sorted production prefix) by the
+    row's marked edges out of its column, shortest successor first, so
+    states stay in cut-lexicographic order.  With merge, states that share
+    (column, prefix) collapse into the first, which holds the earliest cut
+    path; every completion of a later one is matched by an earlier
+    completion of the first, so each final row keeps its earliest
+    assignment.
     """
     if cap < 1:
         raise ValueError("cap must be a positive integer")
@@ -277,16 +279,15 @@ def _assignment_rows(
     limit = cap + 2
     widest = max((hi - lo for lo, hi in spans), default=0)
     dtype = np.int64 if limit * max(widest, 1) < 2**63 else object
-    table = np.zeros(lattice.columns, dtype)
-    table[lattice.ends] = 1
-    live = [table > 0]
-    for lo, hi in reversed(spans):
-        finishing = np.zeros(lattice.columns, dtype)
-        np.add.at(finishing, lattice.src[lo:hi], table[lattice.dst[lo:hi]])
-        table = np.minimum(finishing, limit)
-        live.append(table > 0)
-    live.reverse()
-    counts = table[lattice.starts].tolist()
+    live = np.empty(lattice.bounds[-1], bool)
+
+    def saturate(lo: int, hi: int, finishing: np.ndarray) -> None:
+        np.minimum(finishing, limit, out=finishing)
+        live[lo:hi] = finishing[0] > 0
+
+    unit = np.ones((1, len(lattice.variables)), dtype)
+    table = lattice.sweep(lattice.ends, 1, unit, saturate, backward=True, scatter=_add_at)
+    counts = np.minimum(table[0, lattice.starts], limit).tolist()
     for number, count in enumerate(counts, start=1):
         if count == 0:
             raise IncompatibleSequence(
@@ -313,7 +314,7 @@ def _assignment_rows(
     # successor length ascending
     row_of_edge = np.repeat(np.arange(len(spans)), np.diff(lattice.bounds))
     order = np.lexsort((lattice.src, row_of_edge))
-    for (lo, hi), finishes in zip(spans, live[1:]):
+    for lo, hi in spans:
         src, dst = lattice.src[lo:hi], lattice.dst[lo:hi]
         by_src = order[lo:hi] - lo
         degree = np.bincount(src, minlength=lattice.columns)
@@ -323,7 +324,7 @@ def _assignment_rows(
         # the k-th edge out of each state's column, k = 0 .. out - 1
         shift = np.repeat(first[column] - (np.cumsum(out) - out), out)
         edge = by_src[shift + np.arange(len(parent))]
-        alive = finishes[dst[edge]]
+        alive = live[lo:hi][edge]
         parent, edge = parent[alive], edge[alive]
         column = dst[edge].astype(np.int64)
         multiplicity = multiplicity[parent]
@@ -348,7 +349,16 @@ def _assignment_rows(
             np.split(multiplicity, pieces[:-1]),
         )
     ]
-    return steps, counts
+    return steps
+
+
+def _add_at(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """out[r, c] sums values[r, e] over the edges e with index[e] == c, exactly
+    in any integer dtype (np.bincount sums in float64, which rounds past 2**53)."""
+    out = np.zeros((len(values), size), values.dtype)
+    for r, row in enumerate(values):
+        np.add.at(out[r], index, row)
+    return out
 
 
 def _assignments(x: Word, y: Word, cuts: np.ndarray) -> list[StepAssignment]:

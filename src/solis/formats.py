@@ -156,11 +156,11 @@ def serialize_partial_system(system: Partial0LSystem) -> str:
 
 
 def serialize_derivation(d: Derivation) -> str:
-    """One line per step; parts separated by ' | ' in position order."""
+    """One line per step; parts separated by ' | ' in position order, <eps> if none."""
     tokens = needs_tokens(symbol for step in d.steps for symbol in step.source + step.target)
     lines = []
     for number, step in enumerate(d.steps, start=1):
-        parts = " | ".join(serialize_word(part, tokens) for part in step.parts)
+        parts = " | ".join(serialize_word(part, tokens) for part in step.parts) or EPSILON_TOKEN
         lines.append(f"step {number}: {parts}")
     return "\n".join(lines) + "\n"
 

@@ -25,19 +25,21 @@ its edges are the free lattice's edges over them, in the same order; only
 sequence_probability and enumerate_derivations, which are given a system,
 compile one.  lattice_probability scores a probability map on any lattice.
 
-Forward, backward and expected counts are gathers, multiplies and
-np.bincount scatters over an (R, V) weight matrix, one row per weighting, so
-the solver's R restarts advance in the same pass.  Every array a pass makes
-is laid out (R, ...), and a scatter is one np.bincount per restart over a
-stored slice of the edge arrays, so no flat index is built per call.  The
-forward pass keeps the table entries it gathers at each edge's src column,
-and the backward pass, which starts each step's end column at 1 / S_j (the
-scaled backward pass of Rabiner 1989), multiplies them by those it gathers
-at the edge's dst column: the product is the edge's share of its step sum,
-and one scatter of these shares gives the expected counts.  Within every
-sum the terms arrive in the order of the textbook recurrences (rows
-ascending, then successor length, then column), so the results do not
-depend on how many rows are batched.
+Every pass over the rows is one sweep (StepLattice.sweep): gathers,
+multiplies and scatters that move a table row by row, forward from the
+start columns or backward from the end columns, under an (R, V) weight
+matrix whose rows are the solver's R restarts.  Its instances differ in
+where they start, what they do with the entries gathered at each row and
+how they add (the semiring view of Goodman 1999).  values is a forward
+sweep.  expected_counts multiplies the forward sweep's entries at each
+edge's src column by those a backward sweep, started at 1 / S_j (Rabiner
+1989), gathers at its dst column: the product is the edge's share of its
+step sum, and one scatter of the shares gives the expected counts.
+derivations counts assignments with a saturating backward sweep over unit
+integer weights and exact np.add.at scatters.  Float sums add their terms
+in the order of the textbook recurrences (rows ascending, then successor
+length, then column), so the results do not depend on how many rows are
+batched.
 """
 
 from __future__ import annotations
@@ -62,6 +64,16 @@ EDGE_CEILING = 10**7
 _INDEX = np.int32
 
 
+def _scatter(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Bincount per row: out[r, c] is the sum of values[r, e] over the edges
+    e with index[e] == c, added in edge order starting from 0.0."""
+    out = np.empty((values.shape[0], size))
+    index = index.astype(np.intp)  # once, not once per np.bincount call
+    for r, row in enumerate(values):
+        out[r] = np.bincount(index, row, minlength=size)
+    return out
+
+
 class StepLattice(NamedTuple):
     """Edges of every step of one trace over a fixed list of variables.
 
@@ -83,78 +95,69 @@ class StepLattice(NamedTuple):
 
     def values(self, weights: np.ndarray) -> np.ndarray:
         """Per-step sums, shape (R, steps), for weights of shape (R, V)."""
-        return self._forward(_with_pass_through(weights))
+        return self.sweep(self.starts, 1.0, weights)[:, self.ends]
 
     def expected_counts(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-step sums and x_p * d log p(theta) / d x_p for every variable.
 
         The second array is the expected number of times each production
         fires in a derivation drawn in proportion to its weight.  The
-        backward pass starts each step's end column at 1 / S_j, so an edge's
-        mass is its share of its step sum and one scatter gives the counts.
-        A step sum below the smallest normal double, where 1 / S_j would
-        overflow, starts at 1 instead, and its edges' masses are divided by
-        S_j afterwards.  In a row with a zero step sum, every variable with
-        an edge in that step gets a non-finite count.
+        backward sweep starts each step's end column at 1 / S_j and
+        multiplies each edge's tail, kept by the forward sweep, by its head,
+        so an edge's mass is its share of its step sum and one scatter gives
+        the counts.  A step sum below the smallest normal double, where
+        1 / S_j would overflow, starts at 1 instead, and its edges' masses
+        are divided by S_j afterwards.  In a row with a zero step sum, every
+        variable with an edge in that step gets a non-finite count.
         """
-        padded = _with_pass_through(weights)
         tails: list[np.ndarray] = []
-        values = self._forward(padded, tails)
+        values = self.sweep(self.starts, 1.0, weights, lambda lo, hi, tail: tails.append(tail))
+        values = values[:, self.ends]
         small = values < np.finfo(float).tiny
+        mass = np.empty((len(weights), self.bounds[-1]))
+
+        def pop(lo: int, hi: int, head: np.ndarray) -> None:
+            mass[:, lo:hi] = tails.pop() * head
+
         with np.errstate(divide="ignore", invalid="ignore"):
-            mass = self._backward(padded, tails, 1.0 / np.where(small, 1.0, values))
+            self.sweep(self.ends, 1.0 / np.where(small, 1.0, values), weights, pop, backward=True)
             if small.any():
                 # the edges of step j are those with dst in [starts[j], ends[j]]
                 mass /= np.where(small, values, 1.0)[:, np.searchsorted(self.ends, self.dst)]
             return values, weights * _scatter(self.var, mass, len(self.variables) + 1)[:, :-1]
 
-    # The passes keep every per-row array contiguous (numpy multiplies
-    # strided 2-D slices of an (R, edges) array several times slower), and
-    # each gathers its edge weights from the small (R, V + 1) matrix rather
-    # than keeping an (R, edges) copy: that reads faster at large R and
-    # saves the memory.
-
-    def _forward(self, padded: np.ndarray, tails: list[np.ndarray] | None = None) -> np.ndarray:
-        """Per-step sums, shape (R, steps).
-
-        After row i, table[r, c] is the weight of rewriting the first i
-        positions of each step into the prefix of its target that ends at
-        column c.  If tails is given, it receives per row the table entries
-        at the edges' src columns: the weight of everything before each edge.
-        """
-        table = np.zeros((len(padded), self.columns))
-        table[:, self.starts] = 1.0
-        for lo, hi in zip(self.bounds, self.bounds[1:]):
-            tail = table.take(self.src[lo:hi], axis=1)
-            if tails is not None:
-                tails.append(tail)
-            moved = tail * padded.take(self.var[lo:hi], axis=1)
-            table = _scatter(self.dst[lo:hi], moved, self.columns)
-        return table[:, self.ends]
-
-    def _backward(
-        self, padded: np.ndarray, tails: list[np.ndarray], scale: np.ndarray
+    def sweep(
+        self, columns, start, weights: np.ndarray, visit=None, backward=False, scatter=_scatter
     ) -> np.ndarray:
-        """Edge masses, shape (R, edges): each edge's tail, popped from the
-        forward pass's list, times the weight of everything after the edge,
-        times its step's scale (shape (R, steps)).
+        """Move a table of shape (R, columns), in the dtype of weights and
+        start, over the rows of edges and return it.
 
-        Before row i, table[r, c] is the scaled weight of rewriting
-        positions i+1.. of each step into the suffix of its target that
-        starts at column c.
+        The table starts at start in the given columns, 0 elsewhere, and the
+        weights (R, V) gain a pass-through column of 1.  Forward, row i's
+        edges carry table[src] * weight to dst, rows ascending, so table[r, c]
+        becomes the weight of the prefixes that end at column c; backward,
+        they carry table[dst] * weight to src, rows descending, for the
+        suffixes that start at c.  Before a row moves, visit(lo, hi, near)
+        sees the entries gathered at its edges' near ends, to keep or change
+        in place; scatter(index, moved, size) sums what arrives at each
+        column.  Per-row arrays stay contiguous (numpy multiplies strided 2-D
+        slices several times slower), and edge weights are gathered from the
+        small (R, V + 1) matrix rather than copied to (R, edges).
         """
-        table = np.zeros((len(padded), self.columns))
-        table[:, self.ends] = scale
-        mass = np.empty((len(padded), self.bounds[-1]))
-        for lo, hi in reversed(list(zip(self.bounds, self.bounds[1:]))):
-            head = table.take(self.dst[lo:hi], axis=1)
-            tail = tails.pop()
-            tail *= head
-            mass[:, lo:hi] = tail
+        dtype = np.result_type(weights.dtype, np.asarray(start).dtype)
+        padded = np.concatenate((weights, np.ones((len(weights), 1), dtype)), axis=1)
+        table = np.zeros((len(weights), self.columns), dtype)
+        table[:, columns] = start
+        near, far = (self.dst, self.src) if backward else (self.src, self.dst)
+        rows = list(zip(self.bounds, self.bounds[1:]))
+        for lo, hi in reversed(rows) if backward else rows:
+            gathered = table.take(near[lo:hi], axis=1)
+            if visit is not None:
+                visit(lo, hi, gathered)
             moved = padded.take(self.var[lo:hi], axis=1)
-            moved *= head
-            table = _scatter(self.src[lo:hi], moved, self.columns)
-        return mass
+            moved *= gathered
+            table = scatter(far[lo:hi], moved, self.columns)
+        return table
 
 
 def compile_lattice(theta: Sequence, variables: Iterable[Production]) -> StepLattice:
@@ -452,18 +455,3 @@ def log_linear(values: list[float]) -> LogLinear:
             return LogLinear(float("-inf"), 0.0)
         log += math.log(value)
     return LogLinear(log, math.prod(values))
-
-
-def _with_pass_through(weights: np.ndarray) -> np.ndarray:
-    """weights with a column of ones appended, the weight of var == V."""
-    return np.concatenate((weights, np.ones((len(weights), 1))), axis=1)
-
-
-def _scatter(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """Bincount per row: out[r, c] is the sum of values[r, e] over the edges
-    e with index[e] == c, added in edge order starting from 0.0."""
-    out = np.empty((values.shape[0], size))
-    index = index.astype(np.intp)  # once, not once per np.bincount call
-    for r, row in enumerate(values):
-        out[r] = np.bincount(index, row, minlength=size)
-    return out

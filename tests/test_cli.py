@@ -192,6 +192,17 @@ class TestInferDerivation:
         assert_recorded(out, "derivations-5m", "infer-derivation")
 
 
+@pytest.mark.parametrize("command", ["infer-derivation", "enumerate"])
+def test_empty_step_prints_as_eps(capsys, tmp_path, command):
+    """The one derivation of <eps>, <eps> rewrites nothing, and its step
+    prints as <eps>, not as an empty line."""
+    path = tmp_path / "empty.seq"
+    path.write_text("<eps>\n<eps>\n")
+    code, out, _ = run(capsys, command, str(path))
+    assert code == 0
+    assert "  step 1: <eps>" in out.splitlines()
+
+
 class TestInferSystem:
     def test_two_word_example(self, capsys):
         code, out, _ = run(

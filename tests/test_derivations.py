@@ -130,6 +130,44 @@ class TestEnumeration:
                 assert by_symbol == {s: c for s, c in occurrences.items() if c}
 
 
+def _assignments_within(x, y, productions) -> int:
+    """The oracle's assignments of x => y that use only the productions; an
+    empty source with a non-empty target has none."""
+    try:
+        assignments = list(enumerate_step_assignments(x, y))
+    except IncompatibleSequence:
+        return 0
+    return sum(all(p in productions for p in a.productions()) for a in assignments)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SMALL_TRACES, st.data())
+def test_count_check_matches_the_oracle(theta, data):
+    """Over a random subset of the free productions and a cap, three of
+    them past int64 (the object path), enumerate_derivations refuses at the
+    first step the oracle finds no assignment for, refuses past the cap
+    with the count of every step saturated at cap + 1 ("at least" exactly
+    when one saturates), or yields every derivation."""
+    free = build_free_system(theta)
+    mask = data.draw(st.lists(st.booleans(), min_size=len(free.productions)))
+    subset = tuple(p for p, keep in zip(free.productions, mask) if keep)
+    cap = data.draw(st.sampled_from([1, 2, 3, 7, 2**62, 2**63, 2**80]))
+    system = Partial0LSystem(free.alphabet, free.axiom, subset)
+    counts = [_assignments_within(x, y, set(subset)) for x, y in theta.steps()]
+    total = math.prod(min(c, cap + 1) for c in counts)
+    if 0 in counts:
+        with pytest.raises(IncompatibleSequence) as refused:
+            enumerate_derivations(system, theta, cap)
+        assert refused.value.step == counts.index(0) + 1
+    elif total > cap:
+        with pytest.raises(CapExceeded) as refused:
+            enumerate_derivations(system, theta, cap)
+        assert refused.value.count == total
+        assert ("at least " in str(refused.value)) == (max(counts) > cap + 1)
+    else:
+        assert sum(1 for _ in enumerate_derivations(system, theta, cap)) == math.prod(counts)
+
+
 @settings(max_examples=80, deadline=None)
 @given(SMALL_TRACES)
 @example(Sequence(((), ())))

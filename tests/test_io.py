@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from conftest import DATA
 from solis import (
+    Derivation,
     FormatError,
     Production,
     Sequence,
+    StepAssignment,
     best_derivation,
     build_free_system,
     enumerate_derivations,
@@ -333,6 +335,14 @@ class TestSerialization:
     def test_derivation_text(self, theta2):
         derivation, _, _ = best_derivation(theta2)
         assert serialize_derivation(derivation) == "step 1: <eps> | ABA\n"
+
+    def test_empty_step_text(self):
+        """A step of the empty word has no parts, and prints as <eps> like
+        every other empty word."""
+        step = StepAssignment((), (), ())
+        assert serialize_derivation(Derivation(steps=(step, step))) == (
+            "step 1: <eps>\nstep 2: <eps>\n"
+        )
 
     def test_multi_step_derivation_text(self):
         theta = Sequence.from_strings("A", "AA", "AAAA")

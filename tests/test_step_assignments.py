@@ -1,9 +1,10 @@
-"""Step assignments: enumeration order, and the candidate productions of a
+"""Step assignments: the order in which the oracle
+enumerate_step_assignments lists them, and the candidate productions of a
 step, which the free system of the one-step trace lists.
 
 The brute-force splitter below regrows every assignment recursively, first
-part first, and serves as the oracle for the enumeration; the enumeration
-is in turn the oracle for the candidates.
+part first, and checks the oracle's enumeration; the enumeration in turn
+checks the candidates.
 """
 
 from itertools import product
