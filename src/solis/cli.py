@@ -41,6 +41,7 @@ from .formats import (
 )
 
 if TYPE_CHECKING:
+    from .derivations import Derivation
     from .optimal_system import PosynomialObjective
 
 
@@ -261,19 +262,23 @@ def _cmd_enumerate(args: argparse.Namespace) -> list[str]:
     probabilities = []
     for number, derivation in enumerate(derivations, start=1):
         lines.append(f"derivation {number}:")
-        for step_line in serialize_derivation(derivation).splitlines():
-            lines.append(f"  {step_line}")
+        lines += _indented(derivation)
         counts = count_productions(derivation)
         counts_text = "; ".join(
             f"{production_text(p, tokens)}: {c}" for p, c in sorted(counts.items())
         )
-        lines.append(f"  counts: {counts_text}")
+        lines.append(f"  counts: {counts_text}".rstrip())
         if system is not None:
             probabilities.append(derivation_probability(system, derivation))
             lines.append(f"  p(d) = {format_real(probabilities[-1])}")
     if system is not None:
         lines.append(f"p(theta) = {format_real(math.fsum(probabilities))}")
     return lines
+
+
+def _indented(derivation: Derivation) -> list[str]:
+    """The derivation's serialized step lines, each indented by two spaces."""
+    return [f"  {line}" for line in serialize_derivation(derivation).splitlines()]
 
 
 def _cmd_prob(args: argparse.Namespace) -> list[str]:
@@ -293,8 +298,7 @@ def _cmd_infer_derivation(args: argparse.Namespace) -> list[str]:
     lines.append(f"value = {format_real(value.linear)}")
     lines.append(f"log value = {format_real(value.log)}")
     lines.append("derivation:")
-    for step_line in serialize_derivation(derivation).splitlines():
-        lines.append(f"  {step_line}")
+    lines += _indented(derivation)
     lines.extend(serialize_system(system).splitlines())
     return lines
 

@@ -286,7 +286,7 @@ def _assignment_rows(
         live[lo:hi] = finishing[0] > 0
 
     unit = np.ones((1, len(lattice.variables)), dtype)
-    table = lattice.sweep(lattice.ends, 1, unit, saturate, backward=True, scatter=_add_at)
+    table = lattice.sweep(1, unit, saturate, backward=True)
     counts = np.minimum(table[0, lattice.starts], limit).tolist()
     for number, count in enumerate(counts, start=1):
         if count == 0:
@@ -350,15 +350,6 @@ def _assignment_rows(
         )
     ]
     return steps
-
-
-def _add_at(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """out[r, c] sums values[r, e] over the edges e with index[e] == c, exactly
-    in any integer dtype (np.bincount sums in float64, which rounds past 2**53)."""
-    out = np.zeros((len(values), size), values.dtype)
-    for r, row in enumerate(values):
-        np.add.at(out[r], index, row)
-    return out
 
 
 def _assignments(x: Word, y: Word, cuts: np.ndarray) -> list[StepAssignment]:

@@ -14,7 +14,7 @@ scientific notation, and exact fractions like `2/9`.
 from __future__ import annotations
 
 import sys
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import FormatError
 from .model import Partial0LSystem, Production, S0LSystem, Sequence, Symbol, Word
@@ -70,16 +70,9 @@ def production_text(production: Production, tokens: bool) -> str:
 
 
 def parse_sequence_file(path: str, tokens: bool = False) -> Sequence:
-    """Read a sequence of words, one per line, first line the axiom; a
-    leading byte-order mark is skipped, as in parse_system_file."""
+    """Read a sequence of words, one per line, first line the axiom."""
     source = str(path)
-    words: list[Word] = []
-    with open(path, encoding="utf-8-sig") as handle:
-        for number, raw in enumerate(handle, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            words.append(parse_word(text, tokens, source=source, line=number))
+    words = [parse_word(text, tokens, source=source, line=number) for number, text in _lines(path)]
     if len(words) < 2:
         raise FormatError("a sequence file needs at least two words", source)
     return Sequence(words=tuple(words))
@@ -91,29 +84,23 @@ def parse_system_file(path: str, tokens: bool = False) -> S0LSystem:
     axiom: Word | None = None
     prob: dict[Production, float] = {}
     defaults: set[Production] = set()
-    with open(path, encoding="utf-8-sig") as handle:
-        for number, raw in enumerate(handle, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            if text.startswith("axiom:"):
-                if axiom is not None:
-                    raise FormatError("more than one axiom line", source, number)
-                axiom = parse_word(
-                    text[len("axiom:") :].strip(), tokens, source=source, line=number
-                )
-                continue
-            if text.startswith("rule:"):
-                production, value, is_default = _parse_rule(
-                    text[len("rule:") :], tokens, source, number
-                )
-                if production in prob:
-                    raise FormatError(f"duplicate rule {production}", source, number)
-                prob[production] = value
-                if is_default:
-                    defaults.add(production)
-                continue
-            raise FormatError(f"unrecognized line {text!r}", source, number)
+    for number, text in _lines(path):
+        if text.startswith("axiom:"):
+            if axiom is not None:
+                raise FormatError("more than one axiom line", source, number)
+            axiom = parse_word(text[len("axiom:") :].strip(), tokens, source=source, line=number)
+            continue
+        if text.startswith("rule:"):
+            production, value, is_default = _parse_rule(
+                text[len("rule:") :], tokens, source, number
+            )
+            if production in prob:
+                raise FormatError(f"duplicate rule {production}", source, number)
+            prob[production] = value
+            if is_default:
+                defaults.add(production)
+            continue
+        raise FormatError(f"unrecognized line {text!r}", source, number)
     if axiom is None:
         raise FormatError("missing axiom line", source)
     alphabet = set(axiom) | {p.predecessor for p in prob}
@@ -148,7 +135,7 @@ def serialize_partial_system(system: Partial0LSystem) -> str:
     """Text form of a probability-free system (the free system, typically)."""
     tokens = needs_tokens(system.alphabet)
     lines = [
-        f"alphabet: {' '.join(sorted(system.alphabet))}",
+        " ".join(["alphabet:", *sorted(system.alphabet)]),
         f"axiom: {serialize_word(system.axiom, tokens)}",
     ]
     lines += (f"rule: {production_text(p, tokens)}" for p in system.productions)
@@ -179,6 +166,17 @@ def file_digest(path: str) -> str:
         from hashlib import sha256
     with open(path, "rb") as handle:
         return sha256(handle.read()).hexdigest()
+
+
+def _lines(path: str) -> Iterator[tuple[int, str]]:
+    """The stripped lines of a text file that are neither blank nor
+    comments, with their 1-based numbers; a leading byte-order mark is
+    skipped."""
+    with open(path, encoding="utf-8-sig") as handle:
+        for number, raw in enumerate(handle, start=1):
+            text = raw.strip()
+            if text and not text.startswith("#"):
+                yield number, text
 
 
 def _parse_rule(

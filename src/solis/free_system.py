@@ -16,7 +16,7 @@ every answer runs on; this module wraps them in a system for `solis free`.
 from __future__ import annotations
 
 from .lattice import free_lattice
-from .model import Partial0LSystem, Sequence
+from .model import Partial0LSystem, Sequence, system_over
 
 
 def build_free_system(sequence: Sequence) -> Partial0LSystem:
@@ -25,5 +25,4 @@ def build_free_system(sequence: Sequence) -> Partial0LSystem:
     Symbols appearing only in the last word get no productions; they never
     need to be rewritten.  Raises as lattice.free_lattice does.
     """
-    variables = free_lattice(sequence).variables
-    return Partial0LSystem(frozenset(sequence.symbols()), sequence.axiom, variables)
+    return system_over(sequence, free_lattice(sequence).variables)

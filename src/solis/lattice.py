@@ -27,19 +27,20 @@ compile one.  lattice_probability scores a probability map on any lattice.
 
 Every pass over the rows is one sweep (StepLattice.sweep): gathers,
 multiplies and scatters that move a table row by row, forward from the
-start columns or backward from the end columns, under an (R, V) weight
-matrix whose rows are the solver's R restarts.  Its instances differ in
-where they start, what they do with the entries gathered at each row and
-how they add (the semiring view of Goodman 1999).  values is a forward
-sweep.  expected_counts multiplies the forward sweep's entries at each
-edge's src column by those a backward sweep, started at 1 / S_j (Rabiner
-1989), gathers at its dst column: the product is the edge's share of its
-step sum, and one scatter of the shares gives the expected counts.
+steps' start columns or backward from their end columns, under an (R, V)
+weight matrix whose rows are the solver's R restarts.  The direction fixes
+the start columns and the table's dtype fixes the adder: np.bincount rows
+for floats, exact np.add.at for int64 and Python ints.  So its instances
+differ only in their start values and weights and in what they do with the
+entries gathered at each row (the semiring view of Goodman 1999).  values
+is a forward sweep.  expected_counts multiplies the forward sweep's entries
+at each edge's src column by those a backward sweep, started at 1 / S_j
+(Rabiner 1989), gathers at its dst column: the product is the edge's share
+of its step sum, and one scatter of the shares gives the expected counts.
 derivations counts assignments with a saturating backward sweep over unit
-integer weights and exact np.add.at scatters.  Float sums add their terms
-in the order of the textbook recurrences (rows ascending, then successor
-length, then column), so the results do not depend on how many rows are
-batched.
+integer weights.  Float sums add their terms in the order of the textbook
+recurrences (rows ascending, then successor length, then column), so the
+results do not depend on how many rows are batched.
 """
 
 from __future__ import annotations
@@ -74,6 +75,15 @@ def _scatter(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
+def _add_at(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """out[r, c] sums values[r, e] over the edges e with index[e] == c, exactly
+    in any integer dtype (np.bincount sums in float64, which rounds past 2**53)."""
+    out = np.zeros((len(values), size), values.dtype)
+    for r, row in enumerate(values):
+        np.add.at(out[r], index, row)
+    return out
+
+
 class StepLattice(NamedTuple):
     """Edges of every step of one trace over a fixed list of variables.
 
@@ -95,7 +105,7 @@ class StepLattice(NamedTuple):
 
     def values(self, weights: np.ndarray) -> np.ndarray:
         """Per-step sums, shape (R, steps), for weights of shape (R, V)."""
-        return self.sweep(self.starts, 1.0, weights)[:, self.ends]
+        return self.sweep(1.0, weights)[:, self.ends]
 
     def expected_counts(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-step sums and x_p * d log p(theta) / d x_p for every variable.
@@ -111,7 +121,7 @@ class StepLattice(NamedTuple):
         variable with an edge in that step gets a non-finite count.
         """
         tails: list[np.ndarray] = []
-        values = self.sweep(self.starts, 1.0, weights, lambda lo, hi, tail: tails.append(tail))
+        values = self.sweep(1.0, weights, lambda lo, hi, tail: tails.append(tail))
         values = values[:, self.ends]
         small = values < np.finfo(float).tiny
         mass = np.empty((len(weights), self.bounds[-1]))
@@ -120,34 +130,35 @@ class StepLattice(NamedTuple):
             mass[:, lo:hi] = tails.pop() * head
 
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.sweep(self.ends, 1.0 / np.where(small, 1.0, values), weights, pop, backward=True)
+            self.sweep(1.0 / np.where(small, 1.0, values), weights, pop, backward=True)
             if small.any():
                 # the edges of step j are those with dst in [starts[j], ends[j]]
                 mass /= np.where(small, values, 1.0)[:, np.searchsorted(self.ends, self.dst)]
             return values, weights * _scatter(self.var, mass, len(self.variables) + 1)[:, :-1]
 
-    def sweep(
-        self, columns, start, weights: np.ndarray, visit=None, backward=False, scatter=_scatter
-    ) -> np.ndarray:
+    def sweep(self, start, weights: np.ndarray, visit=None, backward=False) -> np.ndarray:
         """Move a table of shape (R, columns), in the dtype of weights and
         start, over the rows of edges and return it.
 
-        The table starts at start in the given columns, 0 elsewhere, and the
-        weights (R, V) gain a pass-through column of 1.  Forward, row i's
-        edges carry table[src] * weight to dst, rows ascending, so table[r, c]
-        becomes the weight of the prefixes that end at column c; backward,
-        they carry table[dst] * weight to src, rows descending, for the
-        suffixes that start at c.  Before a row moves, visit(lo, hi, near)
-        sees the entries gathered at its edges' near ends, to keep or change
-        in place; scatter(index, moved, size) sums what arrives at each
-        column.  Per-row arrays stay contiguous (numpy multiplies strided 2-D
-        slices several times slower), and edge weights are gathered from the
-        small (R, V + 1) matrix rather than copied to (R, edges).
+        The table starts at start in the steps' start columns forward, their
+        end columns backward, 0 elsewhere, and the weights (R, V) gain a
+        pass-through column of 1.  Forward, row i's edges carry
+        table[src] * weight to dst, rows ascending, so table[r, c] becomes
+        the weight of the prefixes that end at column c; backward, they carry
+        table[dst] * weight to src, rows descending, for the suffixes that
+        start at c.  Before a row moves, visit(lo, hi, near) sees the entries
+        gathered at its edges' near ends, to keep or change in place.  What
+        arrives at each column is summed by np.bincount in a float table and
+        exactly, by np.add.at, in an integer or object one.  Per-row arrays
+        stay contiguous (numpy multiplies strided 2-D slices several times
+        slower), and edge weights are gathered from the small (R, V + 1)
+        matrix rather than copied to (R, edges).
         """
         dtype = np.result_type(weights.dtype, np.asarray(start).dtype)
+        scatter = _scatter if dtype.kind == "f" else _add_at
         padded = np.concatenate((weights, np.ones((len(weights), 1), dtype)), axis=1)
         table = np.zeros((len(weights), self.columns), dtype)
-        table[:, columns] = start
+        table[:, self.ends if backward else self.starts] = start
         near, far = (self.dst, self.src) if backward else (self.src, self.dst)
         rows = list(zip(self.bounds, self.bounds[1:]))
         for lo, hi in reversed(rows) if backward else rows:

@@ -20,7 +20,7 @@ the fields in order, and a record equals any tuple of the same field values.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 Symbol = str
 Word = tuple[Symbol, ...]
@@ -138,6 +138,13 @@ class Partial0LSystem(_Partial0LSystemFields):
 
     def productions_for(self, symbol: Symbol) -> tuple[Production, ...]:
         return tuple(p for p in self.productions if p.predecessor == symbol)
+
+
+def system_over(theta: Sequence, productions: Iterable[Production]) -> Partial0LSystem:
+    """The system of these productions over theta's symbols, with theta's
+    first word as its axiom: the free system, and the base of every system
+    solis infers for theta."""
+    return Partial0LSystem(frozenset(theta.symbols()), theta.axiom, productions)
 
 
 class _S0LSystemFields(NamedTuple):

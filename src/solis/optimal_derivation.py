@@ -29,13 +29,7 @@ from .derivations import (
     count_productions,
 )
 from .lattice import free_lattice
-from .model import (
-    LogLinear,
-    Partial0LSystem,
-    S0LSystem,
-    Sequence,
-    occurrence_counts,
-)
+from .model import LogLinear, S0LSystem, Sequence, occurrence_counts, system_over
 
 
 def derivation_bound(theta: Sequence, counts: ProductionCounts) -> LogLinear:
@@ -89,11 +83,6 @@ def best_derivation(
         production: count / occurrences[production.predecessor]
         for production, count in best_counts.items()
     }
-    base = Partial0LSystem(
-        alphabet=frozenset(theta.symbols()),
-        axiom=theta.axiom,
-        productions=tuple(best_counts),
-    )
-    system = S0LSystem(base=base, prob=prob)
+    system = S0LSystem(base=system_over(theta, best_counts), prob=prob)
     return derivation, system, derivation_bound(theta, best_counts)
 

@@ -38,13 +38,13 @@ from .errors import CapExceeded
 from .lattice import EDGE_CEILING, StepLattice, free_lattice, lattice_probability
 from .model import (
     LogLinear,
-    Partial0LSystem,
     Production,
     S0LSystem,
     Sequence,
     Symbol,
     _checked,
     occurrence_counts,
+    system_over,
 )
 
 #: skip monomial expansion when the derivation space is larger than this
@@ -249,12 +249,7 @@ def assemble_system(
             identity = Production(symbol, (symbol,))
             prob[identity] = 1.0
             defaults.append(identity)
-    base = Partial0LSystem(
-        alphabet=frozenset(theta.symbols()),
-        axiom=theta.axiom,
-        productions=tuple(prob),
-    )
-    return S0LSystem(base=base, prob=prob, defaults=frozenset(defaults))
+    return S0LSystem(base=system_over(theta, prob), prob=prob, defaults=frozenset(defaults))
 
 
 def _start_point(sizes: list[int], cfg: SolverConfig, restart: int) -> np.ndarray:

@@ -203,6 +203,35 @@ def test_empty_step_prints_as_eps(capsys, tmp_path, command):
     assert "  step 1: <eps>" in out.splitlines()
 
 
+@pytest.mark.parametrize("trace", ["aa-aba", "tokens", "empty"])
+@pytest.mark.parametrize(
+    "command", ["free", "enumerate", "infer-derivation", "infer-system", "prob", "sample"]
+)
+def test_no_stdout_line_ends_in_whitespace(capsys, tmp_path, command, trace):
+    """No command ends a line of stdout in whitespace, also on a trace of
+    empty words, whose alphabet and derivation counts are empty."""
+    flags, sequence, system = [], tmp_path / "trace.seq", tmp_path / "trace.sys"
+    if trace == "tokens":
+        flags, sequence, system = ["--tokens"], DATA / "tokens.seq", DATA / "tokens.sys"
+    elif trace == "aa-aba":
+        sequence = DATA / "aa-aba.seq"
+        system.write_text("axiom: AA\nrule: A -> A p=1/2\nrule: A -> BA p=1/2\nrule: B -> B p=1\n")
+    else:
+        sequence.write_text("<eps>\n<eps>\n")
+        system.write_text("axiom: <eps>\n")
+    if command == "sample":
+        argv = [command, *flags, "--system", str(system), "--steps", "3", "--seed", "0"]
+    else:
+        argv = [command, *flags, str(sequence)]
+        if command == "prob":
+            argv += ["--system", str(system)]
+        if command == "infer-system":
+            argv += ["--restarts", "2"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert [line for line in out.splitlines() if line != line.rstrip()] == []
+
+
 class TestInferSystem:
     def test_two_word_example(self, capsys):
         code, out, _ = run(

@@ -64,6 +64,25 @@ def test_batched_counts_equal_single_rows(theta, seed, rows):
                 assert np.array_equal(whole[r], alone[0])
 
 
+@PROPERTY
+@given(TRACES, SEEDS, st.integers(1, 3))
+def test_sweep_starts_by_direction_and_adds_by_dtype(theta, seed, rows):
+    """A forward float sweep read at the steps' end columns gives their
+    sums; a backward sweep of unit integer weights read at their start
+    columns counts each step's assignments, in int64 and, exactly equal,
+    in Python ints."""
+    lattice = free_lattice(theta)
+    weights = np.random.default_rng(seed).exponential(size=(rows, len(lattice.variables)))
+    assert np.array_equal(lattice.sweep(1.0, weights)[:, lattice.ends], lattice.values(weights))
+    expected = [sum(1 for _ in enumerate_step_assignments(x, y)) for x, y in theta.steps()]
+    for dtype in (np.int64, object):
+        unit = np.ones((1, len(lattice.variables)), dtype)
+        counts = lattice.sweep(1, unit, backward=True)[0, lattice.starts]
+        assert counts.dtype == dtype
+        assert counts.tolist() == expected
+    assert all(type(count) is int for count in counts)  # the object sweep's
+
+
 def test_index_arrays_are_int32():
     """Three int32 arrays per edge (12 bytes) and two per step."""
     theta = Sequence.from_strings("AB", "ABBA", "BAABAB")
