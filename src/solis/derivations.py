@@ -337,16 +337,16 @@ def _assignment_rows(
         else:
             prefix = prefix[parent]
         cuts = np.column_stack((cuts[parent], column.astype(np.int32)))
-    # every state now sits at its step's end column
-    pieces = np.cumsum(np.bincount(np.searchsorted(lattice.ends, column), minlength=len(counts)))
+    # every state now sits at its step's end column, the steps in order
+    pieces = np.searchsorted(column, lattice.ends[:-1], side="right")
     steps = [
         (c[:, : len(x)] - start, r[:, : len(x)], m)
         for (x, _), start, c, r, m in zip(
             theta.steps(),
             lattice.starts.tolist(),
-            np.split(cuts, pieces[:-1]),
-            np.split(prefix, pieces[:-1]),
-            np.split(multiplicity, pieces[:-1]),
+            np.split(cuts, pieces),
+            np.split(prefix, pieces),
+            np.split(multiplicity, pieces),
         )
     ]
     return steps

@@ -190,7 +190,12 @@ def _parse_rule(
     head, sep, prob_text = work.rpartition(" p=")
     if not sep:
         raise FormatError("rule line must end with ' p=<probability>'", source, line)
-    pred_text, arrow, succ_text = head.partition("->")
+    if tokens:
+        # the arrow is a token of its own, as serialize_system writes it, so
+        # that a symbol may contain "->" or be it
+        pred_text, arrow, succ_text = (" ".join(head.split()) + " ").partition(" -> ")
+    else:
+        pred_text, arrow, succ_text = head.partition("->")
     if not arrow:
         raise FormatError("rule line must contain '->'", source, line)
     predecessor = pred_text.strip()

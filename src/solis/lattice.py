@@ -6,7 +6,7 @@ One rewriting step x => y is a path problem.  Column k of the step means
 from column s to column e by the production x[i] -> y[s:e].  A lone
 position (|x| = 1) moves from 0 to |y|, the first of several from 0, the
 last to |y|, and an interior one from any column to any not before it, so
-every position's moves are gathers from a few per-class arrays made once
+every position's moves are copies of a few per-class arrays made once
 per target length (_layout; _free_edges counts them in closed form).
 Compiling a trace turns every move into an integer edge (src column, dst
 column, variable id), grouped into rows by i.  Row i of every step runs in
@@ -54,10 +54,10 @@ from .errors import CapExceeded, IncompatibleSequence
 from .model import LogLinear, Production, S0LSystem, Sequence, Symbol
 
 #: compile_lattice refuses traces with more edges than this.  A lattice
-#: stores 12 bytes of indices per edge, and a pass of the kernel holds
-#: float64 arrays of one entry per edge and restart, so the solver runs
-#: at most EDGE_CEILING / edges restarts per pass: 10^7 edges take 120 MB to
-#: store, and a pass holds arrays of at most 10^7 entries at any restarts.
+#: stores 12 bytes of indices per edge, and a pass of expected_counts holds
+#: float64 arrays of one entry per edge and weight row, so it runs at most
+#: EDGE_CEILING / edges rows per pass: 10^7 edges take 120 MB to store, and
+#: a pass holds arrays of at most 10^7 entries for any number of rows.
 EDGE_CEILING = 10**7
 
 #: index arrays, the bulk of a lattice's memory, are stored narrow: moves
@@ -105,7 +105,7 @@ class StepLattice(NamedTuple):
 
     def values(self, weights: np.ndarray) -> np.ndarray:
         """Per-step sums, shape (R, steps), for weights of shape (R, V)."""
-        return self.sweep(1.0, weights)[:, self.ends]
+        return self.sweep(1.0, weights).take(self.ends, axis=1)
 
     def expected_counts(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-step sums and x_p * d log p(theta) / d x_p for every variable.
@@ -119,10 +119,21 @@ class StepLattice(NamedTuple):
         1 / S_j would overflow, starts at 1 instead, and its edges' masses
         are divided by S_j afterwards.  In a row with a zero step sum, every
         variable with an edge in that step gets a non-finite count.
+
+        Rows run in chunks of at most EDGE_CEILING / edges, whose results
+        are concatenated.  Rows do not interact, and the step sums come
+        back C-contiguous, so that np.log(values).sum(axis=1) adds a row's
+        steps in one order: a row's results do not depend on the rows
+        beside it.
         """
+        chunk = max(1, EDGE_CEILING // max(self.bounds[-1], 1))
+        if len(weights) > chunk:
+            rows = range(0, len(weights), chunk)
+            parts = [self.expected_counts(weights[lo : lo + chunk]) for lo in rows]
+            return np.concatenate([v for v, _ in parts]), np.concatenate([c for _, c in parts])
         tails: list[np.ndarray] = []
         values = self.sweep(1.0, weights, lambda lo, hi, tail: tails.append(tail))
-        values = values[:, self.ends]
+        values = values.take(self.ends, axis=1)
         small = values < np.finfo(float).tiny
         mass = np.empty((len(weights), self.bounds[-1]))
 
@@ -222,8 +233,10 @@ def check_edge_count(edges: int) -> None:
 
 #: position classes: a step x => y with |x| = 1 has one lone position,
 #: which produces all of y; with |x| >= 2 the first position produces a
-#: prefix, the last a suffix and every other (interior) one any substring
-_ONLY, _FIRST, _LAST, _INTERIOR = range(4)
+#: prefix, the last a suffix and every other (interior) one any substring.
+#: Position i of x is of class (i > 0) + 2 * (i == |x| - 1): whether its
+#: part may start past column 0, and whether it must end at column |y|.
+_FIRST, _INTERIOR, _ONLY, _LAST = range(4)
 
 
 def _layout(m: int, n: int, lengths: set[int] | None) -> tuple[list[slice], dict]:
@@ -284,14 +297,13 @@ def _free_edges(theta: Sequence) -> int:
 class Moves(NamedTuple):
     """Every move of every position of a trace, grouped.
 
-    A group is the moves of one step that some positions share: those of
-    the lone, first or last position, or those of every interior position
-    with one predecessor.  Moves are stored group after group, each group
-    sorted by (successor length, src column), and sizes holds each group's
-    move count.  groups[r, j] is the group of row r of step j, or, for a
-    step with no row r, len(sizes) + j: the group of its pass-through move.
-    src and dst end with those pass-through moves, one per step, from its
-    end column to itself.
+    A group is the moves of one step that some positions share: positions
+    of the same class with the same predecessor share one.  Moves are
+    stored group after group, each group sorted by (successor length, src
+    column), and sizes holds each group's move count.  groups[r, j] is the
+    group of row r of step j, or, for a step with no row r, len(sizes) + j:
+    the group of its pass-through move.  src and dst end with those
+    pass-through moves, one per step, from its end column to itself.
     """
 
     starts: np.ndarray
@@ -310,9 +322,9 @@ def list_moves(
     canonical order, and owner: move k's index among them.
 
     One pass slices every listed substring of every target and ranks the
-    distinct ones; the groups then take their moves from their steps'
-    (position count, target length) layouts, each made once, in one gather
-    over all groups; one np.unique of the moves' keys, which never leave
+    distinct ones; each group takes its moves from its step's (position
+    count, target length) layout, made once, and the groups' tables are
+    concatenated once; one np.unique of the moves' keys, which never leave
     this function, numbers the productions.
     """
     steps = list(theta.steps())
@@ -321,70 +333,55 @@ def list_moves(
         a: chr(i) for i, a in enumerate(symbols)
     }
     codes = {a: i for i, a in enumerate(symbols)}
-    layouts: dict[tuple[int, int], tuple[list[slice], dict[int, tuple[int, int]]]] = {}
-    pool: list[np.ndarray] = []  # per layout and class: (span index, s, e) rows
-    pooled = 0
+    layouts: dict[tuple[int, int], tuple[list[slice], dict[int, np.ndarray]]] = {}
     listed: list[str] = []
-    # per group: first pool column, moves, first listed substring, column, code
-    info: list[tuple[int, int, int, int, int]] = []
-    rows, row_steps, row_groups = [], [], []
-    starts, column = [], 0
-    for j, (x, y) in enumerate(steps):
+    tables: list[np.ndarray] = []  # per group: (span index, s, e) rows
+    anchors: list[tuple[int, int, int]] = []  # per group: first listed substring, column, code
+    per_step: list[list[int]] = []  # per step: the group of each position
+    starts, ends, column = [], [], 0
+    for x, y in steps:
         m, n = len(x), len(y)
         shape = (min(m, 3), n)
         if shape not in layouts:
-            spans, classes = _layout(m, n, lengths) if m else ([], {})
-            places = {}
-            for position, table in classes.items():
-                pool.append(table)
-                places[position] = (pooled, table.shape[1])
-                pooled += table.shape[1]
-            layouts[shape] = spans, places
-        spans, places = layouts[shape]
-
-        def group(position: int, a: Symbol) -> int:
-            info.append((*places[position], len(listed), column, codes[a]))
-            return len(info) - 1
-
-        if m == 1:
-            row_groups.append(group(_ONLY, x[0]))
-        elif m >= 2:
-            row_groups.append(group(_FIRST, x[0]))
-            inner = {a: group(_INTERIOR, a) for a in sorted(set(x[1:-1]))}
-            row_groups.extend(map(inner.__getitem__, x[1:-1]))
-            row_groups.append(group(_LAST, x[-1]))
-        rows.extend(range(m))
-        row_steps.extend([j] * m)
+            layouts[shape] = _layout(m, n, lengths) if m else ([], {})
+        spans, classes = layouts[shape]
+        shared: dict[tuple[int, Symbol], int] = {}
+        row = []
+        for i, a in enumerate(x):
+            key = (i > 0) + 2 * (i == m - 1), a
+            if key not in shared:
+                shared[key] = len(tables)
+                tables.append(classes[key[0]])
+                anchors.append((len(listed), column, codes[a]))
+            row.append(shared[key])
+        per_step.append(row)
         if spans:
             word = "".join(y if letters is None else map(letters.__getitem__, y))
             listed += map(word.__getitem__, spans)
         starts.append(column)
+        ends.append(column + n)
         column += n + 1
     substrings = sorted(set(listed))
     rank = {word: i for i, word in enumerate(substrings)}
     sub_of = np.fromiter(map(rank.__getitem__, listed), _INDEX, len(listed))
-    span, begin, end = np.concatenate([np.zeros((3, 0), _INDEX)] + pool, axis=1)
-    info = np.array(info, np.int64).reshape(-1, 5).T
-    sizes = info[1]
-    at = _ranges(info[0], sizes)
-    listing, column, code = np.repeat(info[[2, 3, 4]], sizes, axis=1)
-    starts = np.array(starts, _INDEX)
-    ends = np.array([start + len(y) for start, (_, y) in zip(starts.tolist(), steps)], _INDEX)
-    groups = np.empty((max(len(x) for x, _ in steps), len(steps)), np.int64)
-    groups[:] = np.arange(len(steps)) + len(sizes)
-    groups[rows, row_steps] = row_groups
+    span, begin, end = np.concatenate([np.zeros((3, 0), _INDEX), *tables], axis=1)
+    sizes = np.array([table.shape[1] for table in tables], np.int64)
+    listing, column, code = np.repeat(np.array(anchors, np.int64).reshape(-1, 3).T, sizes, axis=1)
+    ends = np.array(ends, _INDEX)
+    width = max(len(x) for x, _ in steps)
+    groups = [row + [len(tables) + j] * (width - len(row)) for j, row in enumerate(per_step)]
     moves = Moves(
-        starts=starts,
+        starts=np.array(starts, _INDEX),
         ends=ends,
         sizes=sizes,
-        groups=groups,
-        src=np.concatenate((begin[at] + column, ends)).astype(_INDEX),
-        dst=np.concatenate((end[at] + column, ends)).astype(_INDEX),
+        groups=np.array(groups, np.int64).T,
+        src=np.concatenate((begin + column, ends)).astype(_INDEX),
+        dst=np.concatenate((end + column, ends)).astype(_INDEX),
     )
     code *= len(substrings)
-    code += sub_of[span[at] + listing]
+    code += sub_of[span + listing]
     # freed first, so that sorting the keys and decoding them add no peak
-    del listed, rank, sub_of, span, begin, end, at, listing, column
+    del listed, rank, sub_of, span, begin, end, listing, column
     keys, owner = np.unique(code, return_inverse=True)
     del code
     heads, subs = np.divmod(keys, len(substrings))
@@ -403,16 +400,13 @@ def _assemble(moves: Moves, variables: tuple[Production, ...], var: np.ndarray) 
     edge's var being len(variables).  Raises CapExceeded, before any
     per-edge array is allocated, when the edges pass EDGE_CEILING."""
     steps = len(moves.starts)
-    sizes, src, dst = moves.sizes, moves.src, moves.dst
-    if var.size and var.min() < 0:
-        keep = var >= 0
-        groups = np.repeat(np.arange(sizes.size), sizes)[keep]
-        sizes = np.bincount(groups, minlength=sizes.size)
-        var = var[keep]
-        keep = np.concatenate((keep, np.ones(steps, bool)))
-        src, dst = src[keep], dst[keep]
     var = np.concatenate((var, np.full(steps, len(variables))), dtype=_INDEX)
-    sizes = np.concatenate((sizes, np.ones(steps, sizes.dtype)))
+    sizes = np.concatenate((moves.sizes, np.ones(steps, moves.sizes.dtype)))
+    src, dst = moves.src, moves.dst
+    if var.min() < 0:
+        keep = var >= 0
+        sizes = np.bincount(np.repeat(np.arange(sizes.size), sizes)[keep], minlength=sizes.size)
+        var, src, dst = var[keep], src[keep], dst[keep]
     per_segment = sizes[moves.groups]
     per_row = per_segment.sum(axis=1)
     check_edge_count(int(per_row.sum()))

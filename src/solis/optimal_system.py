@@ -35,7 +35,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import CapExceeded
-from .lattice import EDGE_CEILING, StepLattice, free_lattice, lattice_probability
+from .lattice import StepLattice, free_lattice, lattice_probability
 from .model import (
     LogLinear,
     Production,
@@ -177,18 +177,16 @@ def maximize(
 
     Restart 0 starts uniform per block; the rest start at random interior
     points drawn via normalized exponentials with per-restart seeds derived
-    from cfg.seed.  All restarts advance together, each stopping on its own
-    once |delta log p| <= cfg.rel_tol; cfg.max_iters bounds the updates.
+    from cfg.seed.  All restarts advance together in one ascent, whose
+    kernel calls take every active restart at once; each restart stops on
+    its own once |delta log p| <= cfg.rel_tol, and cfg.max_iters bounds the
+    updates.
     Within a restart the objective never decreases; across restarts the
     earliest restart whose final log p is within cfg.rel_tol of the highest
     wins, so float noise between restarts that reach the same optimum does
     not pick the winner.  Returns the winning point, the winner's index
     into the traces, and one trace per restart; traces[best].values[-1] is
     the winner's log p(theta).
-
-    The kernel's arrays hold one entry per edge and restart, so restarts
-    run in chunks of at most EDGE_CEILING / edges; restarts do not interact
-    in the kernel, so the results do not depend on the chunking.
 
     An objective without variables, that of a trace of empty words, has
     one point, the empty system, where p(theta) = 1: every restart starts
@@ -199,10 +197,7 @@ def maximize(
         return {}, 0, tuple(RestartTrace(r, [0.0], True) for r in range(cfg.restarts))
     sizes = [len(block) for block in obj.blocks.values()]
     start = np.array([_start_point(sizes, cfg, restart) for restart in range(cfg.restarts)])
-    chunk = max(1, EDGE_CEILING // max(obj.lattice.bounds[-1], 1))
-    parts = [_ascend(obj, start[lo : lo + chunk], cfg, lo) for lo in range(0, len(start), chunk)]
-    x = np.concatenate([part[0] for part in parts])
-    traces = tuple(trace for part in parts for trace in part[1])
+    x, traces = _ascend(obj, start, cfg)
     floor = max(trace.values[-1] for trace in traces) - cfg.rel_tol
     best = next(r for r, trace in enumerate(traces) if trace.values[-1] >= floor)
     return dict(zip(obj.variables, x[best].tolist())), best, traces
@@ -269,12 +264,14 @@ def _start_point(sizes: list[int], cfg: SolverConfig, restart: int) -> np.ndarra
 
 
 def _ascend(
-    obj: PosynomialObjective, x: np.ndarray, cfg: SolverConfig, first: int
-) -> tuple[np.ndarray, list[RestartTrace]]:
-    """Run over-relaxed EM from each row of x, the restarts numbered from
-    first on; returns the final points and one trace per row.  A row stops
-    changing once it converges, hits max_iters or reaches a point where
-    p(theta) is 0."""
+    obj: PosynomialObjective, x: np.ndarray, cfg: SolverConfig
+) -> tuple[np.ndarray, tuple[RestartTrace, ...]]:
+    """Run over-relaxed EM from each row of x, restart r from row r; returns
+    the final points and one trace per row.  A row stops changing once it
+    converges, hits max_iters or reaches a point where p(theta) is 0.  The
+    kernel bounds its own pass memory and gives each row the results it
+    would give that row alone, so a restart's trace does not depend on the
+    restarts beside it."""
     blocks = obj.blocks
     symbols = list(blocks)
     sizes = [len(block) for block in blocks.values()]
@@ -298,7 +295,7 @@ def _ascend(
         if wrong.any():
             r, b = np.argwhere(wrong)[0]
             raise ArithmeticError(
-                f"iteration {iteration}, restart {first + active[r]}: expected counts of "
+                f"iteration {iteration}, restart {active[r]}: expected counts of "
                 f"{symbols[b]!r} sum to {float(totals[r, b])!r}, not its "
                 f"{int(block_counts[b])} occurrences"
             )
@@ -327,10 +324,10 @@ def _ascend(
         active = active[~done]
         if not active.size:
             break
-    return x, [
-        RestartTrace(first + r, logs, stopped)
+    return x, tuple(
+        RestartTrace(r, logs, stopped)
         for r, (logs, stopped) in enumerate(zip(history, converged.tolist()))
-    ]
+    )
 
 
 def _overrelax(

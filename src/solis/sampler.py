@@ -36,7 +36,9 @@ def derive_step(
 ) -> tuple[Word, StepAssignment]:
     """Rewrite every position of w once, drawing rules from g.
 
-    Raises MissingProduction if some symbol of w has no rule at all.
+    Raises MissingProduction if some symbol of w has no rule at all, and
+    WordLengthExceeded, before the new word is built, if it would pass
+    MAX_WORD_LENGTH.
     """
     tables = _cumulative_tables(g)
     return _derive_step(tables, w, rng)
@@ -45,8 +47,7 @@ def derive_step(
 def sample_sequence(g: S0LSystem, steps: int, seed: int) -> SampleRecord:
     """Sample a (steps+1)-word trace from g's axiom, reproducibly per seed.
 
-    Raises WordLengthExceeded if an intermediate word outgrows
-    MAX_WORD_LENGTH, and MissingProduction as in derive_step.
+    Raises WordLengthExceeded and MissingProduction as derive_step does.
     """
     if steps < 1:
         raise ValueError("steps must be a positive integer")
@@ -58,8 +59,6 @@ def sample_sequence(g: S0LSystem, steps: int, seed: int) -> SampleRecord:
     assignments: list[StepAssignment] = []
     for _ in range(steps):
         word, assignment = _derive_step(tables, words[-1], rng)
-        if len(word) > MAX_WORD_LENGTH:
-            raise WordLengthExceeded(len(word), MAX_WORD_LENGTH)
         words.append(word)
         assignments.append(assignment)
     derivation = Derivation(steps=tuple(assignments))
@@ -98,5 +97,8 @@ def _derive_step(
         draw = rng.random()
         index = min(bisect_right(cumulative, draw), len(successors) - 1)
         parts.append(successors[index])
+    length = sum(map(len, parts))
+    if length > MAX_WORD_LENGTH:
+        raise WordLengthExceeded(length, MAX_WORD_LENGTH)
     target = tuple(chain.from_iterable(parts))
     return target, StepAssignment(source=w, target=target, parts=tuple(parts))

@@ -500,6 +500,25 @@ class TestTokenMode:
         assert code == 0
         assert_recorded(out, "tokens", command)
 
+    def test_an_inferred_system_with_arrows_in_its_symbols_scores_its_value(
+        self, capsys, tmp_path
+    ):
+        """A symbol that contains "->" is not read as the arrow: the system
+        infer-system prints scores, read back, the log value it printed."""
+        trace = tmp_path / "t.seq"
+        trace.write_text("A->B\nC A->B\n")
+        code, out, _ = run(capsys, "infer-system", "--tokens", str(trace), "--restarts", "2")
+        assert code == 0
+        assert "rule: A->B -> C A->B p=1" in out
+        lines = out.splitlines()
+        system = tmp_path / "t.sys"
+        rules = [f"{line}\n" for line in lines if line.startswith(("axiom:", "rule:"))]
+        system.write_text("".join(rules))
+        inferred = next(line for line in lines if line.startswith("log value = "))
+        code, out, _ = run(capsys, "prob", "--tokens", str(trace), "--system", str(system))
+        assert code == 0
+        assert f"log p(theta) = {inferred[len('log value = '):]}\n" in out
+
     def test_recorded_sample(self, capsys):
         code, out, _ = run(
             capsys, "sample", "--tokens", "--system", str(DATA / "tokens.sys"),

@@ -13,7 +13,9 @@ from conftest import DATA
 from solis import (
     Derivation,
     FormatError,
+    Partial0LSystem,
     Production,
+    S0LSystem,
     Sequence,
     StepAssignment,
     best_derivation,
@@ -331,6 +333,21 @@ class TestSerialization:
         copy = tmp_path / "copy.sys"
         copy.write_text(text)
         assert serialize_system(parse_system_file(copy, tokens=True)) == text
+
+    def test_token_mode_symbols_that_hold_the_arrow_round_trip(self, tmp_path):
+        """In token mode the arrow is a token of its own, so symbols that
+        are "->", contain it, end in it or look like a probability read back
+        as themselves, as predecessors and inside successors."""
+        symbols = ("->", "A->B", "x->", "p=1")
+        prob = {}
+        for a, b in zip(symbols, symbols[1:] + symbols[:1]):
+            prob[Production(a, (b, "->", a))] = 0.25
+            prob[Production(a, ())] = 0.75
+        base = Partial0LSystem(frozenset(symbols), ("A->B", "->"), tuple(prob))
+        g = S0LSystem(base=base, prob=prob)
+        path = tmp_path / "sys.sys"
+        path.write_text(serialize_system(g))
+        assert parse_system_file(path, tokens=True) == g
 
     def test_derivation_text(self, theta2):
         derivation, _, _ = best_derivation(theta2)

@@ -83,6 +83,21 @@ def test_sweep_starts_by_direction_and_adds_by_dtype(theta, seed, rows):
     assert all(type(count) is int for count in counts)  # the object sweep's
 
 
+def test_chunked_counts_are_c_contiguous_and_equal_one_pass(monkeypatch):
+    """expected_counts runs its rows in chunks of EDGE_CEILING / edges and
+    returns C-contiguous step sums, so np.log(values).sum(axis=1) adds a
+    row's steps in one order at any R; chunked, a call is bitwise the
+    unchunked one."""
+    lattice = free_lattice(parse_sequence_file(str(DATA / "long-seed0.seq")))
+    weights = np.random.default_rng(0).exponential(size=(16, len(lattice.variables)))
+    assert lattice.values(weights).flags.c_contiguous
+    whole = lattice.expected_counts(weights)
+    assert all(array.flags.c_contiguous for array in whole)
+    monkeypatch.setattr(solis.lattice, "EDGE_CEILING", lattice.bounds[-1])
+    chunked = lattice.expected_counts(weights)
+    assert [array.tobytes() for array in chunked] == [array.tobytes() for array in whole]
+
+
 def test_index_arrays_are_int32():
     """Three int32 arrays per edge (12 bytes) and two per step."""
     theta = Sequence.from_strings("AB", "ABBA", "BAABAB")

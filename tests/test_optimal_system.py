@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import SMALL_TRACES, make_system, random_sequence
+from conftest import DATA, SMALL_TRACES, make_system, random_sequence
 from oracles import evaluate_monomials
+import solis.lattice
 from solis import optimal_system
 from solis import (
     Monomial,
@@ -30,6 +31,7 @@ from solis import (
     infer_optimal_system,
     maximize,
     occurrence_counts,
+    parse_sequence_file,
     sample_sequence,
     sequence_probability,
 )
@@ -286,9 +288,9 @@ class TestMaximize:
         cfg = SolverConfig(restarts=2)
         for gain, winner in ((5e-11, 0), (1e-9, 1)):
 
-            def ascend(obj, x, cfg, first, gain=gain):
+            def ascend(obj, x, cfg, gain=gain):
                 values = [[-2.0, -1.0], [-2.0, -1.0 + gain]]
-                return x, [RestartTrace(first + r, v, True) for r, v in enumerate(values)]
+                return x, [RestartTrace(r, v, True) for r, v in enumerate(values)]
 
             monkeypatch.setattr(optimal_system, "_ascend", ascend)
             assert maximize(obj, cfg)[1] == winner
@@ -342,21 +344,34 @@ class TestMaximize:
 
     @pytest.mark.parametrize("chunk", [1, 3])
     def test_chunked_restarts_give_the_same_results(self, monkeypatch, chunk):
-        """Restarts run in chunks of EDGE_CEILING / edges; the points, values
-        and traces are bitwise those of one batch."""
+        """expected_counts runs its rows in chunks of EDGE_CEILING / edges;
+        the points, values and traces are bitwise those of one batch, on a
+        sampled trace and on long-seed0."""
         generator = make_system(
             "AB", {("A", "AB"): 0.6, ("A", "B"): 0.4, ("B", "A"): 0.7, ("B", "BA"): 0.3}
         )
-        theta = sample_sequence(generator, 3, 5).sequence
-        obj = build_objective(theta, cap=0)
+        sampled = sample_sequence(generator, 3, 5).sequence
         cfg = SolverConfig(restarts=4, max_iters=30)
-        batched = maximize(obj, cfg)
-        monkeypatch.setattr(optimal_system, "EDGE_CEILING", chunk * obj.lattice.bounds[-1])
-        chunked = maximize(obj, cfg)
-        assert chunked[0] == batched[0]
-        assert chunked[1] == batched[1]
-        assert chunked[2] == batched[2]
-        assert [t.restart for t in chunked[2]] == [0, 1, 2, 3]
+        for theta in (sampled, parse_sequence_file(str(DATA / "long-seed0.seq"))):
+            obj = build_objective(theta, cap=0)
+            batched = maximize(obj, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(solis.lattice, "EDGE_CEILING", chunk * obj.lattice.bounds[-1])
+                chunked = maximize(obj, cfg)
+            assert chunked[0] == batched[0]
+            assert chunked[1] == batched[1]
+            assert chunked[2] == batched[2]
+            assert [t.restart for t in chunked[2]] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("name", ["growth-seed0", "long-seed0"])
+    def test_a_restart_does_not_depend_on_the_restarts_beside_it(self, name):
+        """Restart 0's log p history is bitwise the same alone and beside 15
+        other restarts."""
+        obj = build_objective(parse_sequence_file(str(DATA / f"{name}.seq")), cap=0)
+        _, _, alone = maximize(obj, SolverConfig(restarts=1))
+        _, _, batch = maximize(obj, SolverConfig(restarts=16))
+        assert np.array(alone[0].values).tobytes() == np.array(batch[0].values).tobytes()
+        assert alone[0] == batch[0]
 
     def test_block_count_invariant_is_checked(self, theta2):
         class Skewed:

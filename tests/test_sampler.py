@@ -1,5 +1,7 @@
 """Forward sampling: reproducibility, recorded derivations, and frequencies."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,22 @@ class TestSampleSequence:
         with pytest.raises(WordLengthExceeded) as info:
             sample_sequence(g, steps=4, seed=0)
         assert info.value.length > 8
+
+
+    def test_word_length_guard_fires_before_the_word_is_built(self, monkeypatch):
+        """A -> A x 100 takes 100**3 symbols at step 3: the guard reports
+        them from the drawn parts' lengths, without joining them."""
+        monkeypatch.setattr(solis.sampler, "MAX_WORD_LENGTH", 10**4)
+        g = make_system("A", {("A", "A" * 100): 1.0})
+        tracemalloc.start()
+        try:
+            with pytest.raises(WordLengthExceeded) as info:
+                sample_sequence(g, steps=3, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert info.value.length == 10**6
+        assert peak < 2 * 2**20
 
 
 class TestFrequencies:
