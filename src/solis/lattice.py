@@ -41,6 +41,16 @@ derivations counts assignments with a saturating backward sweep over unit
 integer weights.  Float sums add their terms in the order of the textbook
 recurrences (rows ascending, then successor length, then column), so the
 results do not depend on how many rows are batched.
+
+expected_counts runs in two arrays of a pass (StepLattice._pass) beside
+the lattice: the edges' variable ids as intp, the index type of np.take and
+np.bincount, which the int32 lattice would otherwise convert row by row,
+and the tails (R, edges) that it keeps from its forward sweep and turns
+into masses in its backward one.  The solver's ascent hands every kernel
+call one buffers list: its first call makes those arrays and every later
+call, of no more rows, runs in prefixes of them, so after its first call
+the ascent's kernel allocates nothing of the lattice's size, only arrays of
+one row of edges, of the columns or of the variables.
 """
 
 from __future__ import annotations
@@ -54,10 +64,12 @@ from .errors import CapExceeded, IncompatibleSequence
 from .model import LogLinear, Production, S0LSystem, Sequence, Symbol
 
 #: compile_lattice refuses traces with more edges than this.  A lattice
-#: stores 12 bytes of indices per edge, and a pass of expected_counts holds
-#: float64 arrays of one entry per edge and weight row, so it runs at most
-#: EDGE_CEILING / edges rows per pass: 10^7 edges take 120 MB to store, and
-#: a pass holds arrays of at most 10^7 entries for any number of rows.
+#: stores 12 bytes of indices per edge, and the tails of a pass of
+#: expected_counts hold one float64 per edge and weight row, so it runs at
+#: most EDGE_CEILING / edges rows per pass: 10^7 edges take 120 MB to store,
+#: and each buffer of a pass (the tails, and the edges' intp variable ids)
+#: holds at most 10^7 entries for any number of rows.  maximize refuses more
+#: restarts times variables than this, the size of the ascent's own arrays.
 EDGE_CEILING = 10**7
 
 #: index arrays, the bulk of a lattice's memory, are stored narrow: moves
@@ -65,23 +77,21 @@ EDGE_CEILING = 10**7
 _INDEX = np.int32
 
 
-def _scatter(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """Bincount per row: out[r, c] is the sum of values[r, e] over the edges
-    e with index[e] == c, added in edge order starting from 0.0."""
-    out = np.empty((values.shape[0], size))
-    index = index.astype(np.intp)  # once, not once per np.bincount call
+def _scatter(index: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
+    """Bincount per row into out: out[r, c] becomes the sum of values[r, e]
+    over the edges e with index[e] == c, added in edge order from 0.0."""
+    index = index.astype(np.intp, copy=False)  # once, not once per np.bincount call
     for r, row in enumerate(values):
-        out[r] = np.bincount(index, row, minlength=size)
-    return out
+        out[r] = np.bincount(index, row, minlength=out.shape[1])
 
 
-def _add_at(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """out[r, c] sums values[r, e] over the edges e with index[e] == c, exactly
-    in any integer dtype (np.bincount sums in float64, which rounds past 2**53)."""
-    out = np.zeros((len(values), size), values.dtype)
+def _add_at(index: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
+    """out[r, c] becomes the sum of values[r, e] over the edges e with
+    index[e] == c, exactly in any integer dtype (np.bincount sums in
+    float64, which rounds past 2**53)."""
+    out[...] = 0
     for r, row in enumerate(values):
         np.add.at(out[r], index, row)
-    return out
 
 
 class StepLattice(NamedTuple):
@@ -107,47 +117,72 @@ class StepLattice(NamedTuple):
         """Per-step sums, shape (R, steps), for weights of shape (R, V)."""
         return self.sweep(1.0, weights).take(self.ends, axis=1)
 
-    def expected_counts(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def expected_counts(self, weights: np.ndarray, buffers=None) -> tuple[np.ndarray, np.ndarray]:
         """Per-step sums and x_p * d log p(theta) / d x_p for every variable.
 
         The second array is the expected number of times each production
         fires in a derivation drawn in proportion to its weight.  The
+        forward sweep copies each edge's tail into the pass's tails; the
         backward sweep starts each step's end column at 1 / S_j and
-        multiplies each edge's tail, kept by the forward sweep, by its head,
-        so an edge's mass is its share of its step sum and one scatter gives
-        the counts.  A step sum below the smallest normal double, where
-        1 / S_j would overflow, starts at 1 instead, and its edges' masses
-        are divided by S_j afterwards.  In a row with a zero step sum, every
-        variable with an edge in that step gets a non-finite count.
+        multiplies each tail by its edge's head in place, so an edge's mass
+        is its share of its step sum and one scatter gives the counts.  A
+        step sum below the smallest normal double, where 1 / S_j would
+        overflow, starts at 1 instead, and its edges' masses are divided by
+        S_j afterwards.  In a row with a zero step sum, every variable with
+        an edge in that step gets a non-finite count.
 
         Rows run in chunks of at most EDGE_CEILING / edges, whose results
-        are concatenated.  Rows do not interact, and the step sums come
-        back C-contiguous, so that np.log(values).sum(axis=1) adds a row's
-        steps in one order: a row's results do not depend on the rows
-        beside it.
+        are concatenated.  Rows do not interact, each row's counts are one
+        np.bincount in edge order, and the step sums come back
+        C-contiguous, so that np.log(values).sum(axis=1) adds a row's steps
+        in one order: a row's results do not depend on the rows beside it.
+
+        buffers, a list that the calls of one solve on this lattice share,
+        keeps the pass arrays (_pass) of its first call, and a later call of
+        no more rows runs in prefixes of them: only the first call allocates
+        arrays of the lattice's size.  The arrays returned are new, never
+        views of the pass arrays.
         """
         chunk = max(1, EDGE_CEILING // max(self.bounds[-1], 1))
         if len(weights) > chunk:
             rows = range(0, len(weights), chunk)
-            parts = [self.expected_counts(weights[lo : lo + chunk]) for lo in rows]
+            parts = [self.expected_counts(weights[lo : lo + chunk], buffers) for lo in rows]
             return np.concatenate([v for v, _ in parts]), np.concatenate([c for _, c in parts])
-        tails: list[np.ndarray] = []
-        values = self.sweep(1.0, weights, lambda lo, hi, tail: tails.append(tail))
-        values = values.take(self.ends, axis=1)
+        work = index, tails, sums = self._pass(weights, float, [] if buffers is None else buffers)
+
+        def keep(lo: int, hi: int, tail: np.ndarray) -> None:
+            tails[:, lo:hi] = tail
+
+        def times_head(lo: int, hi: int, head: np.ndarray) -> None:
+            np.multiply(tails[:, lo:hi], head, out=tails[:, lo:hi])
+
+        values = self.sweep(1.0, weights, keep, work=work).take(self.ends, axis=1)
         small = values < np.finfo(float).tiny
-        mass = np.empty((len(weights), self.bounds[-1]))
-
-        def pop(lo: int, hi: int, head: np.ndarray) -> None:
-            mass[:, lo:hi] = tails.pop() * head
-
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.sweep(1.0 / np.where(small, 1.0, values), weights, pop, backward=True)
+            self.sweep(1.0 / np.where(small, 1.0, values), weights, times_head, True, work)
             if small.any():
                 # the edges of step j are those with dst in [starts[j], ends[j]]
-                mass /= np.where(small, values, 1.0)[:, np.searchsorted(self.ends, self.dst)]
-            return values, weights * _scatter(self.var, mass, len(self.variables) + 1)[:, :-1]
+                tails /= np.where(small, values, 1.0)[:, np.searchsorted(self.ends, self.dst)]
+            _scatter(index, tails, sums)  # over the padded weights, which are spent
+            return values, weights * sums[:, :-1]
 
-    def sweep(self, start, weights: np.ndarray, visit=None, backward=False) -> np.ndarray:
+    def _pass(self, weights: np.ndarray, dtype, kept=None) -> tuple:
+        """The arrays that a pass over the R rows of weights (R, V) runs in:
+        the edges' variable ids, the float64 tails (R, edges) that
+        expected_counts keeps, and the weights padded with the pass-through
+        column of 1, (R, V + 1) in dtype.  A sweep's own pass (kept None)
+        keeps no tails and reads the int32 ids, converted row by row.  Given
+        a list kept whose arrays have room for R rows, the ids are its intp
+        copy, converted once, and the tails a prefix of its (R, edges)
+        array; otherwise these are allocated and put in kept."""
+        padded = np.concatenate((weights, np.ones((len(weights), 1), dtype)), axis=1)
+        if kept is None:
+            return self.var, None, padded
+        if not kept or len(kept[1]) < len(weights):
+            kept[:] = self.var.astype(np.intp), np.empty((len(weights), self.bounds[-1]))
+        return kept[0], kept[1][: len(weights)], padded
+
+    def sweep(self, start, weights, visit=None, backward=False, work=None) -> np.ndarray:
         """Move a table of shape (R, columns), in the dtype of weights and
         start, over the rows of edges and return it.
 
@@ -160,14 +195,16 @@ class StepLattice(NamedTuple):
         start at c.  Before a row moves, visit(lo, hi, near) sees the entries
         gathered at its edges' near ends, to keep or change in place.  What
         arrives at each column is summed by np.bincount in a float table and
-        exactly, by np.add.at, in an integer or object one.  Per-row arrays
-        stay contiguous (numpy multiplies strided 2-D slices several times
-        slower), and edge weights are gathered from the small (R, V + 1)
-        matrix rather than copied to (R, edges).
+        exactly, by np.add.at, in an integer or object one, and overwrites
+        the table.  The sweep reads its padded weights and the edges'
+        variable ids from work, the arrays of a pass (_pass), or makes its
+        own.  Per-row arrays stay contiguous (numpy multiplies strided 2-D
+        slices several times slower), and edge weights are gathered from
+        the small (R, V + 1) matrix rather than copied to (R, edges).
         """
         dtype = np.result_type(weights.dtype, np.asarray(start).dtype)
+        index, _, padded = work or self._pass(weights, dtype)
         scatter = _scatter if dtype.kind == "f" else _add_at
-        padded = np.concatenate((weights, np.ones((len(weights), 1), dtype)), axis=1)
         table = np.zeros((len(weights), self.columns), dtype)
         table[:, self.ends if backward else self.starts] = start
         near, far = (self.dst, self.src) if backward else (self.src, self.dst)
@@ -176,9 +213,9 @@ class StepLattice(NamedTuple):
             gathered = table.take(near[lo:hi], axis=1)
             if visit is not None:
                 visit(lo, hi, gathered)
-            moved = padded.take(self.var[lo:hi], axis=1)
+            moved = padded.take(index[lo:hi], axis=1)
             moved *= gathered
-            table = scatter(far[lo:hi], moved, self.columns)
+            scatter(far[lo:hi], moved, table)
         return table
 
 
@@ -217,8 +254,7 @@ def free_lattice(theta: Sequence) -> StepLattice:
         if y and not x:
             message = f"step {index} is impossible: empty word cannot derive a non-empty word"
             raise IncompatibleSequence(message, step=index)
-    moves, variables, owner = list_moves(theta, None)
-    return _assemble(moves, variables, owner)
+    return _assemble(*list_moves(theta, None))
 
 
 def check_edge_count(edges: int) -> None:
@@ -281,16 +317,13 @@ def _free_edges(theta: Sequence) -> int:
     to all of y, the first and the last of several to any of the |y| + 1
     prefixes and suffixes, and an interior one to any substring; a step
     with fewer positions than the longest source adds one pass-through edge
-    per missing position."""
+    per missing position, so a step of at most one position has one edge
+    per row."""
     rows = max(len(x) for x, _ in theta.steps())
     edges = 0
     for x, y in theta.steps():
         m, n = len(x), len(y)
-        edges += rows - m
-        if m == 1:
-            edges += 1
-        elif m > 1:
-            edges += 2 * (n + 1) + (m - 2) * (n + 1) * (n + 2) // 2
+        edges += rows if m < 2 else rows - m + 2 * (n + 1) + (m - 2) * (n + 1) * (n + 2) // 2
     return edges
 
 

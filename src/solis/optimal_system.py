@@ -35,7 +35,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import CapExceeded
-from .lattice import StepLattice, free_lattice, lattice_probability
+from .lattice import EDGE_CEILING, StepLattice, free_lattice, lattice_probability
 from .model import (
     LogLinear,
     Production,
@@ -190,11 +190,20 @@ def maximize(
 
     An objective without variables, that of a trace of empty words, has
     one point, the empty system, where p(theta) = 1: every restart starts
-    there and stops converged, after no update.
+    there and stops converged, after no update.  The ascent holds several
+    (restarts, variables) arrays, so more restarts times variables than
+    EDGE_CEILING raise CapExceeded before any start point is drawn.
     """
     cfg = cfg or SolverConfig()
     if not obj.variables:
         return {}, 0, tuple(RestartTrace(r, [0.0], True) for r in range(cfg.restarts))
+    entries = cfg.restarts * len(obj.variables)
+    if entries > EDGE_CEILING:
+        message = (
+            f"{cfg.restarts} restarts of {len(obj.variables)} variables would hold"
+            f" {entries} entries per array, ceiling is {EDGE_CEILING}"
+        )
+        raise CapExceeded(message, count=entries, cap=EDGE_CEILING)
     sizes = [len(block) for block in obj.blocks.values()]
     start = np.array([_start_point(sizes, cfg, restart) for restart in range(cfg.restarts)])
     x, traces = _ascend(obj, start, cfg)
@@ -279,7 +288,8 @@ def _ascend(
     block_counts = np.array([occurrences[symbol] for symbol in symbols], dtype=float)
     variable_counts = np.repeat(block_counts, sizes)
     block_starts = np.cumsum([0] + sizes[:-1])
-    values, counts = obj.lattice.expected_counts(x)
+    buffers: list[np.ndarray] = []  # the kernel's pass arrays, made once for every call
+    values, counts = obj.lattice.expected_counts(x, buffers)
     log_p = _log_p(values)
     history = [[v] for v in log_p.tolist()]
     converged = np.zeros(len(x), bool)
@@ -305,13 +315,13 @@ def _ascend(
         step[bold] = _overrelax(
             x[active][bold], em[bold], eta[active][bold], block_starts, sizes
         )
-        step_values, step_counts = obj.lattice.expected_counts(step)
+        step_values, step_counts = obj.lattice.expected_counts(step, buffers)
         step_log_p = _log_p(step_values)
         # an over-relaxed step that lowers log p (or is not finite) gives way to EM
         lost = bold & ~(step_log_p >= log_p[active])
         if lost.any():
             step[lost] = em[lost]
-            step_values[lost], step_counts[lost] = obj.lattice.expected_counts(em[lost])
+            step_values[lost], step_counts[lost] = obj.lattice.expected_counts(em[lost], buffers)
             step_log_p[lost] = _log_p(step_values[lost])
         eta[active] = np.where(lost, 1.0, eta[active] * OVERRELAX_GROWTH)
         x[active], values[active], counts[active] = step, step_values, step_counts

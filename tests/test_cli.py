@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+import solis.optimal_system
 import solis.sampler
 from conftest import DATA
 from solis.cli import main
@@ -274,6 +275,35 @@ class TestInferSystem:
         )
         assert code == 0
         assert_recorded(out, "growth-seed0", "infer-system")
+
+    def test_recorded_output_of_a_trace_with_long_words(self, capsys):
+        """5 steps with words of up to 68 symbols (the found-rng84 trace):
+        89,255 edges, the most of any recorded trace."""
+        code, out, _ = run(
+            capsys, "infer-system", str(DATA / "found-rng84.seq"), "--restarts", "2",
+            "--max-iters", "20", "--seed", "0",
+        )
+        assert code == 0
+        assert_recorded(out, "found-rng84", "infer-system")
+
+    def test_too_many_restarts_exit_3(self, capsys, monkeypatch):
+        """A million restarts of growth-seed0's 1,330 free productions would
+        need arrays of 1.33e9 entries: refused with exit 3, not a
+        MemoryError, before any start point is drawn."""
+
+        def refuse(*args):
+            raise AssertionError("a start point was drawn")
+
+        monkeypatch.setattr(solis.optimal_system, "_start_point", refuse)
+        code, out, err = run(
+            capsys, "infer-system", str(DATA / "growth-seed0.seq"), "--restarts", "1000000"
+        )
+        assert code == 3
+        assert out == ""
+        assert (
+            "error: CapExceeded: 1000000 restarts of 1330 variables would hold 1330000000"
+            " entries per array, ceiling is 10000000"
+        ) in err
 
     def test_show_objective(self, capsys):
         code, out, _ = run(

@@ -6,6 +6,7 @@ polynomials for the gradient.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -137,30 +138,78 @@ def test_free_system_matches_enumeration(theta):
 
 
 def test_zero_step_sums_give_non_finite_counts_without_warning():
+    """Also in pass buffers that a call with finite counts filled."""
     theta = Sequence.from_strings("AB", "BA", "AAB")
     free = build_free_system(theta)
     weights = np.zeros((1, len(free.productions)))
     weights[0, 0] = 1.0
     lattice = compile_lattice(theta, free.productions)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        values, counts = lattice.expected_counts(weights)
-    assert values.min() == 0.0
-    assert not np.isfinite(counts).any()
+    buffers = []
+    lattice.expected_counts(np.ones((2, len(free.productions))), buffers)
+    for shared in (None, buffers):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, counts = lattice.expected_counts(weights, shared)
+        assert values.min() == 0.0
+        assert not np.isfinite(counts).any()
 
 
 @pytest.mark.parametrize("n, total", [(1030, 8.69e-311), (1070, 8e-323)])
 def test_subnormal_step_sums_give_exact_counts(n, total):
     """A^n => B^n under A -> B at 1/2 has the subnormal step sum 2^-n, and
-    A -> B fires exactly n times: 1/S would overflow a double here."""
+    A -> B fires exactly n times: 1/S would overflow a double here.  Also
+    in pass buffers that a call with normal step sums filled."""
     theta = Sequence((("A",) * n, ("B",) * n))
     lattice = compile_lattice(theta, [Production("A", ("B",))])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        values, counts = lattice.expected_counts(np.array([[0.5]]))
-    assert values[0, 0] == 0.5**n
-    assert math.isclose(values[0, 0], total, rel_tol=1e-2)
-    assert counts.tolist() == [[float(n)]]
+    buffers = []
+    lattice.expected_counts(np.array([[1.0], [0.75]]), buffers)
+    for shared in (None, buffers):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, counts = lattice.expected_counts(np.array([[0.5]]), shared)
+        assert values[0, 0] == 0.5**n
+        assert math.isclose(values[0, 0], total, rel_tol=1e-2)
+        assert counts.tolist() == [[float(n)]]
+
+
+@pytest.mark.parametrize("name", ["growth-seed0", "long-seed0"])
+def test_shared_pass_buffers_never_leak_into_results(name):
+    """Calls sharing pass buffers the way the ascent's do, over 16 rows,
+    then 3 of them (the lost rows), then 1, then none, give each row the
+    step sums and counts, bytes, dtype and C order, of a fresh one-row
+    call; the arrays an earlier call returned do not change."""
+    lattice = free_lattice(parse_sequence_file(str(DATA / f"{name}.seq")))
+    weights = np.random.default_rng(0).exponential(size=(16, len(lattice.variables)))
+    buffers, returned = [], []
+    for rows in (list(range(16)), [3, 7, 11], [5], []):
+        results = lattice.expected_counts(weights[rows], buffers)
+        for array in results:
+            assert array.flags.c_contiguous and array.dtype == np.float64
+            assert len(array) == len(rows)
+        for r, row in enumerate(rows):
+            alone = lattice.expected_counts(weights[row : row + 1])
+            assert [a[r].tobytes() for a in results] == [a[0].tobytes() for a in alone]
+        returned.append((results, [a.copy() for a in results]))
+    for results, copies in returned:
+        assert [a.tobytes() for a in results] == [a.tobytes() for a in copies]
+
+
+def test_a_repeated_call_allocates_no_pass_arrays():
+    """A second call made as the ascent makes it, over the first call's
+    buffers, allocates less than one (R, edges) float64 array at its peak
+    on long-seed0 at R = 2: its tails, intp edge variables and padded
+    weights are the first call's."""
+    lattice = free_lattice(parse_sequence_file(str(DATA / "long-seed0.seq")))
+    weights = np.random.default_rng(0).exponential(size=(2, len(lattice.variables)))
+    buffers = []
+    lattice.expected_counts(weights, buffers)
+    tracemalloc.start()
+    try:
+        lattice.expected_counts(weights, buffers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * lattice.bounds[-1] * 8
 
 
 @settings(max_examples=80, deadline=None)

@@ -16,6 +16,7 @@ from oracles import evaluate_monomials
 import solis.lattice
 from solis import optimal_system
 from solis import (
+    CapExceeded,
     Monomial,
     Partial0LSystem,
     Production,
@@ -383,8 +384,8 @@ class TestMaximize:
             def __getattr__(self, name):
                 return getattr(self.lattice, name)
 
-            def expected_counts(self, weights):
-                values, counts = self.lattice.expected_counts(weights)
+            def expected_counts(self, weights, buffers=None):
+                values, counts = self.lattice.expected_counts(weights, buffers)
                 return values, counts * (1 + 1e-6)
 
         obj = build_objective(theta2, cap=0)
@@ -400,6 +401,45 @@ class TestMaximize:
         x_star, best, traces = maximize(build_objective(theta), SolverConfig(restarts=3))
         assert (x_star, best) == ({}, 0)
         assert traces == tuple(RestartTrace(r, [0.0], True) for r in range(3))
+
+    def test_too_many_restarts_are_refused_before_any_start_point(self, monkeypatch):
+        """The ascent holds several (restarts, variables) arrays, so restarts
+        times variables past EDGE_CEILING raise CapExceeded, naming both
+        numbers, before a start point is drawn; at the ceiling it runs."""
+        obj = build_objective(parse_sequence_file(str(DATA / "growth-seed0.seq")), cap=0)
+        variables = len(obj.variables)
+        start_point = optimal_system._start_point
+        drawn = []
+
+        def counted(sizes, cfg, restart):
+            # a draw past the ceiling fails at once, not after gigabytes of draws
+            assert cfg.restarts * variables <= optimal_system.EDGE_CEILING
+            drawn.append(restart)
+            return start_point(sizes, cfg, restart)
+
+        monkeypatch.setattr(optimal_system, "_start_point", counted)
+        restarts = optimal_system.EDGE_CEILING // variables + 1
+        message = (
+            f"{restarts} restarts of {variables} variables would hold {restarts * variables}"
+            f" entries per array, ceiling is {optimal_system.EDGE_CEILING}"
+        )
+        with pytest.raises(CapExceeded, match=message) as refused:
+            maximize(obj, SolverConfig(restarts=restarts))
+        assert (refused.value.count, refused.value.cap) == (restarts * variables, 10**7)
+        monkeypatch.setattr(optimal_system, "EDGE_CEILING", 3 * variables)
+        with pytest.raises(CapExceeded):
+            maximize(obj, SolverConfig(restarts=4, max_iters=1))
+        assert drawn == []
+        _, _, traces = maximize(obj, SolverConfig(restarts=3, max_iters=1))
+        assert len(traces) == 3 and drawn == [0, 1, 2]
+
+    def test_default_restarts_fit_under_the_ceiling_on_every_recorded_trace(self):
+        """The default 16 restarts of every tests/data trace's free system
+        stay far under EDGE_CEILING, so none of them is refused."""
+        for path in sorted(DATA.glob("*.seq")):
+            theta = parse_sequence_file(str(path), tokens=path.name.startswith("tokens"))
+            variables = len(build_objective(theta, cap=0).variables)
+            assert SolverConfig().restarts * variables <= optimal_system.EDGE_CEILING // 100
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
