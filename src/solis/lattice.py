@@ -14,16 +14,18 @@ the same pass: the kernel makes max_j |w_j| row passes, not sum_j |w_j|.  A
 step with fewer positions than the current row carries its end column
 forward along a pass-through edge of weight 1.
 
-list_moves names every substring by an integer, its rank among the distinct
-ones (Karp, Miller & Rosenberg 1972; each target is encoded as a str whose
+One builder (_build) lists the moves and assembles every lattice.  It
+names every substring by an integer, its rank among the distinct ones
+(Karp, Miller & Rosenberg 1972; each target is encoded as a str whose
 order is word order), so one np.unique of the moves' (predecessor,
-substring) keys numbers their productions canonically.  The keys stay
-inside it: it hands out the distinct moves' Productions, the free system's,
-which are free_lattice's variables.  Every answer runs on that lattice.
-compile_lattice matches given productions to the listed ones by value, so
-its edges are the free lattice's edges over them, in the same order; only
-sequence_probability and enumerate_derivations, which are given a system,
-compile one.  lattice_probability scores a probability map on any lattice.
+substring) keys numbers their productions canonically; the keys never
+leave it.  free_lattice's variables are those productions, the free
+system's, and every answer runs on that lattice.  compile_lattice's are
+given: the builder matches the listed productions to them by value and
+drops the moves that match none, so its edges are the free lattice's edges
+over them, in the same order; only sequence_probability and
+enumerate_derivations, which are given a system, compile one.
+lattice_probability scores a probability map on any lattice.
 
 Every pass over the rows is one sweep (StepLattice.sweep): gathers,
 multiplies and scatters that move a table row by row, forward from the
@@ -222,23 +224,19 @@ class StepLattice(NamedTuple):
 def compile_lattice(theta: Sequence, variables: Iterable[Production]) -> StepLattice:
     """Compile every step of theta over the given productions.
 
-    Lists the moves of every position over the substrings of the variables'
-    successor lengths, matches each listed production to a variable by
-    value, not by list_moves' private keys, and keeps the moves of those
-    that match: the lattice holds exactly the free lattice's edges whose
-    production is a variable, in the same order.  Productions that fit no
-    step contribute no edges; a step that no combination of them can
-    perform gets a zero sum.  Raises ValueError if a production is listed
-    twice, and CapExceeded, before the edge arrays are assembled, when the
-    lattice would hold more than EDGE_CEILING edges.
+    The lattice holds exactly the free lattice's edges whose production is
+    a variable, in the same order: the builder (_build) lists the moves of
+    the variables' successor lengths and keeps those whose production
+    matches a variable by value.  Productions that fit no step contribute
+    no edges; a step that no combination of them can perform gets a zero
+    sum.  Raises ValueError, before listing any move, if a production is
+    listed twice, and CapExceeded, before the edge arrays are assembled,
+    when the lattice would hold more than EDGE_CEILING edges.
     """
     variables = tuple(variables)
-    index = {p: i for i, p in enumerate(variables)}
-    if len(index) < len(variables):
+    if len(set(variables)) < len(variables):
         raise ValueError("a production is listed twice among the variables")
-    moves, listed, owner = list_moves(theta, {len(p.successor) for p in variables})
-    lookup = np.array([index.get(p, -1) for p in listed], np.int64)
-    return _assemble(moves, variables, lookup[owner])
+    return _build(theta, variables)
 
 
 def free_lattice(theta: Sequence) -> StepLattice:
@@ -254,7 +252,7 @@ def free_lattice(theta: Sequence) -> StepLattice:
         if y and not x:
             message = f"step {index} is impossible: empty word cannot derive a non-empty word"
             raise IncompatibleSequence(message, step=index)
-    return _assemble(*list_moves(theta, None))
+    return _build(theta, None)
 
 
 def check_edge_count(edges: int) -> None:
@@ -327,39 +325,32 @@ def _free_edges(theta: Sequence) -> int:
     return edges
 
 
-class Moves(NamedTuple):
-    """Every move of every position of a trace, grouped.
+def _build(theta: Sequence, variables: tuple[Production, ...] | None) -> StepLattice:
+    """The lattice of theta over variables or, if None, over the distinct
+    productions of its moves in canonical order, the free system's.
 
-    A group is the moves of one step that some positions share: positions
-    of the same class with the same predecessor share one.  Moves are
-    stored group after group, each group sorted by (successor length, src
-    column), and sizes holds each group's move count.  groups[r, j] is the
-    group of row r of step j, or, for a step with no row r, len(sizes) + j:
-    the group of its pass-through move.  src and dst end with those
-    pass-through moves, one per step, from its end column to itself.
-    """
-
-    starts: np.ndarray
-    ends: np.ndarray
-    sizes: np.ndarray
-    groups: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
-
-
-def list_moves(
-    theta: Sequence, lengths: set[int] | None
-) -> tuple[Moves, tuple[Production, ...], np.ndarray]:
-    """Every move of every position of theta whose successor length is in
-    lengths (any length if None), the distinct productions of those moves in
-    canonical order, and owner: move k's index among them.
+    Variables given, only moves of their successor lengths are listed, each
+    listed production is matched to a variable by value, and the moves that
+    match none are dropped.  A group is the moves of one step that some
+    positions share: positions of the same class with the same predecessor
+    share one, and each step with fewer positions than the longest source
+    gets one more group, its pass-through move from its end column to
+    itself.  Moves are listed group after group, each group sorted by
+    (successor length, src column), and the pass-through moves come last.
+    groups[r, j] is the group of row r of step j, so gathering the groups'
+    moves in its row-major order sorts the edges by (row, step), then in
+    move order.
 
     One pass slices every listed substring of every target and ranks the
     distinct ones; each group takes its moves from its step's (position
-    count, target length) layout, made once, and the groups' tables are
-    concatenated once; one np.unique of the moves' keys, which never leave
-    this function, numbers the productions.
+    count, target length) layout, made once, and one np.unique of the
+    moves' keys numbers the productions.  The listing's tables are freed
+    before the keys are sorted, its substrings once the productions are
+    decoded, and the moves' int64 owners once their variable ids are made,
+    so that none of them adds to the peak.  Raises CapExceeded, before any
+    per-edge array is allocated, when the edges pass EDGE_CEILING.
     """
+    lengths = None if variables is None else {len(p.successor) for p in variables}
     steps = list(theta.steps())
     symbols = sorted(theta.symbols())
     letters = None if all(len(a) == 1 for a in symbols) else {
@@ -400,21 +391,16 @@ def list_moves(
     span, begin, end = np.concatenate([np.zeros((3, 0), _INDEX), *tables], axis=1)
     sizes = np.array([table.shape[1] for table in tables], np.int64)
     listing, column, code = np.repeat(np.array(anchors, np.int64).reshape(-1, 3).T, sizes, axis=1)
-    ends = np.array(ends, _INDEX)
+    starts, ends = np.array(starts, _INDEX), np.array(ends, _INDEX)
     width = max(len(x) for x, _ in steps)
     groups = [row + [len(tables) + j] * (width - len(row)) for j, row in enumerate(per_step)]
-    moves = Moves(
-        starts=np.array(starts, _INDEX),
-        ends=ends,
-        sizes=sizes,
-        groups=np.array(groups, np.int64).T,
-        src=np.concatenate((begin + column, ends)).astype(_INDEX),
-        dst=np.concatenate((end + column, ends)).astype(_INDEX),
-    )
+    groups = np.array(groups, np.int64).T
+    src = np.concatenate((begin + column, ends)).astype(_INDEX)
+    dst = np.concatenate((end + column, ends)).astype(_INDEX)
     code *= len(substrings)
     code += sub_of[span + listing]
-    # freed first, so that sorting the keys and decoding them add no peak
-    del listed, rank, sub_of, span, begin, end, listing, column
+    del listed, rank, sub_of, span, begin, end, listing, column, tables, anchors, layouts
+    del spans, classes
     keys, owner = np.unique(code, return_inverse=True)
     del code
     heads, subs = np.divmod(keys, len(substrings))
@@ -424,46 +410,37 @@ def list_moves(
     else:
         successors = (tuple(symbols[ord(c)] for c in word) for word in words)
     productions = tuple(map(Production, map(symbols.__getitem__, heads.tolist()), successors))
-    return moves, productions, owner
-
-
-def _assemble(moves: Moves, variables: tuple[Production, ...], var: np.ndarray) -> StepLattice:
-    """The lattice of the moves whose variable index var is not negative:
-    their edges sorted by (row, step) and then in move order, a pass-through
-    edge's var being len(variables).  Raises CapExceeded, before any
-    per-edge array is allocated, when the edges pass EDGE_CEILING."""
-    steps = len(moves.starts)
-    var = np.concatenate((var, np.full(steps, len(variables))), dtype=_INDEX)
-    sizes = np.concatenate((moves.sizes, np.ones(steps, moves.sizes.dtype)))
-    src, dst = moves.src, moves.dst
+    del substrings, keys, heads, subs, words, successors, per_step
+    if variables is None:
+        variables = productions
+    else:
+        index = {p: i for i, p in enumerate(variables)}
+        owner = np.array([index.get(p, -1) for p in productions], np.int64)[owner]
+    var = np.concatenate((owner, np.full(len(steps), len(variables))), dtype=_INDEX)
+    del owner
+    sizes = np.concatenate((sizes, np.ones(len(steps), sizes.dtype)))
     if var.min() < 0:
         keep = var >= 0
         sizes = np.bincount(np.repeat(np.arange(sizes.size), sizes)[keep], minlength=sizes.size)
         var, src, dst = var[keep], src[keep], dst[keep]
-    per_segment = sizes[moves.groups]
+    per_segment = sizes[groups]
     per_row = per_segment.sum(axis=1)
     check_edge_count(int(per_row.sum()))
-    edge = _ranges((np.cumsum(sizes) - sizes)[moves.groups].ravel(), per_segment.ravel())
+    # the edges of each (row, step) segment are a range of its group's moves
+    segment = per_segment.ravel()
+    first = (np.cumsum(sizes) - sizes)[groups].ravel() - np.cumsum(segment) + segment
+    edge = np.repeat(first.astype(_INDEX), segment)
+    edge += np.arange(edge.size, dtype=_INDEX)
     return StepLattice(
         variables=variables,
-        columns=int(moves.ends[-1]) + 1,
-        starts=moves.starts,
-        ends=moves.ends,
+        columns=int(ends[-1]) + 1,
+        starts=starts,
+        ends=ends,
         bounds=tuple(np.concatenate(([0], np.cumsum(per_row))).tolist()),
         src=src[edge],
         dst=dst[edge],
         var=var[edge],
     )
-
-
-def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The concatenation of arange(start, start + size) for each start and
-    its size, as int32: every caller indexes moves or edges, both under
-    EDGE_CEILING."""
-    ends = np.cumsum(sizes, dtype=np.int64)
-    out = np.repeat((starts - ends + sizes).astype(_INDEX), sizes)
-    out += np.arange(out.size, dtype=_INDEX)
-    return out
 
 
 def sequence_probability(g: S0LSystem, theta: Sequence) -> LogLinear:

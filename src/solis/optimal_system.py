@@ -332,8 +332,6 @@ def _ascend(
         done = np.abs(log_p[active] - previous) <= cfg.rel_tol
         converged[active[done]] = True
         active = active[~done]
-        if not active.size:
-            break
     return x, tuple(
         RestartTrace(r, logs, stopped)
         for r, (logs, stopped) in enumerate(zip(history, converged.tolist()))

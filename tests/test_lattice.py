@@ -5,6 +5,7 @@ single-row calls for batched ones, and Euler's identity for homogeneous
 polynomials for the gradient.
 """
 
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -31,8 +32,11 @@ from solis import (
     enumerate_derivations,
     occurrence_counts,
     parse_sequence_file,
+    parse_system_file,
     sequence_probability,
 )
+from solis.cli import main
+from solis.formats import production_text
 from solis.lattice import _free_edges, compile_lattice, free_lattice, lattice_probability
 
 WORDS = st.lists(st.sampled_from("AB"), min_size=1, max_size=4).map(tuple)
@@ -328,19 +332,41 @@ def test_assembled_system_scores_bitwise_on_the_free_lattice(theta, seed, prune_
         pytest.param(
             "aa-aba.seq", lambda theta: list(enumerate_derivations(None, theta)), id="enumerate"
         ),
+        pytest.param("aa-aba.seq", build_free_system, id="free"),
+        pytest.param("example2.seq", lambda theta: sequence_probability(_g2(), theta), id="prob"),
+        pytest.param(
+            "example2.seq",
+            lambda theta: list(enumerate_derivations(_g2().base, theta)),
+            id="enumerate-with-system",
+        ),
+        pytest.param("aa-aba.seq", lambda theta: _infer_system() == 0, id="cli-infer-system"),
+        pytest.param(
+            "aa-aba.seq",
+            lambda theta: _infer_system("--show-objective") == 0,
+            id="cli-infer-system-show-objective",
+        ),
     ],
 )
 def test_each_theorem_1_answer_lists_the_moves_once(monkeypatch, name, answer):
     """The multiset tables, and the enumeration under the free system, run on
     the free lattice the answer already built, not on a second lattice
-    compiled over the free productions."""
+    compiled over the free productions.  An answer under a given system
+    builds only the lattice over its productions, and the CLI none of its
+    own."""
     calls = []
-    list_moves = solis.lattice.list_moves
-    monkeypatch.setattr(
-        solis.lattice, "list_moves", lambda *args: calls.append(args) or list_moves(*args)
-    )
+    build = solis.lattice._build
+    monkeypatch.setattr(solis.lattice, "_build", lambda *args: calls.append(args) or build(*args))
     assert answer(parse_sequence_file(str(DATA / name)))
     assert len(calls) == 1
+
+
+def _g2():
+    return parse_system_file(str(DATA / "g2.sys"))
+
+
+def _infer_system(*options):
+    """solis infer-system on aa-aba.seq, in this process; its exit code."""
+    return main(["infer-system", str(DATA / "aa-aba.seq"), "--restarts", "2", *options])
 
 
 def test_a_one_token_successor_is_not_read_as_its_letters():
@@ -362,3 +388,50 @@ def test_a_successor_symbol_absent_from_the_trace_adds_no_edges():
     assert 1 not in lattice.var.tolist()
     assert np.array_equal(lattice.var, compile_lattice(theta, [fits]).var)
     assert lattice.values(np.array([[0.5, 0.5]])).tolist() == [[0.5]]
+
+
+#: each recorded lattice's sha256 and its name, one per line
+LATTICE_DIGESTS = DATA / "lattices.sha256"
+#: traces compiled over the productions of a system file
+COMPILED = {
+    "long-seed0": "long.sys",
+    "example1": "g1.sys",
+    "example2": "g2.sys",
+    "tokens": "tokens.sys",
+}
+
+
+def _lattice_digest(lattice):
+    """sha256 of every field: each array's dtype, shape and bytes, then the
+    columns, the bounds and each variable as written."""
+    digest = hashlib.sha256()
+    for array in (lattice.starts, lattice.ends, lattice.src, lattice.dst, lattice.var):
+        digest.update(f"{array.dtype.name} {array.shape}\n".encode())
+        digest.update(array.tobytes())
+    digest.update(f"{lattice.columns} {lattice.bounds}\n".encode())
+    for p in lattice.variables:
+        digest.update(f"{production_text(p, True)}\n".encode())
+    return digest.hexdigest()
+
+
+def _recorded_lattices():
+    """Every data trace's free lattice, the same compiled over every other
+    free production, and the traces compiled over their system files."""
+    for path in sorted(DATA.glob("*.seq")):
+        tokens = path.stem == "tokens"
+        theta = parse_sequence_file(str(path), tokens=tokens)
+        free = free_lattice(theta)
+        yield f"{path.stem} free", free
+        yield f"{path.stem} every other", compile_lattice(theta, free.variables[::2])
+        if path.stem in COMPILED:
+            system = parse_system_file(str(DATA / COMPILED[path.stem]), tokens=tokens)
+            lattice = compile_lattice(theta, system.base.productions)
+            yield f"{path.stem} {COMPILED[path.stem]}", lattice
+
+
+def test_lattices_equal_the_recorded_digests():
+    """Pins every lattice field, the edge order included, on the data
+    traces: a rewrite of the builder must leave these bytes unchanged."""
+    lines = LATTICE_DIGESTS.read_text().splitlines()
+    recorded = dict(line.split(maxsplit=1)[::-1] for line in lines)
+    assert {name: _lattice_digest(lattice) for name, lattice in _recorded_lattices()} == recorded

@@ -6,6 +6,7 @@ variables, and dominance over large batches of random feasible points.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -373,6 +374,26 @@ class TestMaximize:
         _, _, batch = maximize(obj, SolverConfig(restarts=16))
         assert np.array(alone[0].values).tobytes() == np.array(batch[0].values).tobytes()
         assert alone[0] == batch[0]
+
+    def test_a_start_where_p_is_zero_stops_at_once(self):
+        """All of A's mass on A -> A cannot derive AA => ABA, so p(theta) is 0
+        there: that row stops before its first update, not converged and
+        with no warning, and a uniform row beside it gets, bitwise, the
+        trace and point it gets alone."""
+        obj = build_objective(Sequence.from_strings("AA", "ABA"), cap=0)
+        cfg = SolverConfig()
+        uniform = optimal_system._start_point([len(b) for b in obj.blocks.values()], cfg, 0)
+        dead = np.array([float(p == Production("A", ("A",))) for p in obj.variables])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, traces = optimal_system._ascend(obj, np.array([dead, uniform]), cfg)
+            x_alone, (alone,) = optimal_system._ascend(obj, uniform[None].copy(), cfg)
+        assert traces[0] == RestartTrace(0, [-math.inf], False)
+        assert x[0].tobytes() == dead.tobytes()
+        assert alone.converged
+        assert np.array(traces[1].values).tobytes() == np.array(alone.values).tobytes()
+        assert traces[1] == alone._replace(restart=1)
+        assert x[1].tobytes() == x_alone[0].tobytes()
 
     def test_block_count_invariant_is_checked(self, theta2):
         class Skewed:
