@@ -20,7 +20,6 @@ _EXPORTS = {
     "DEFAULT_DERIVATION_CAP": "derivations",
     "DEFAULT_EXPANSION_CAP": "optimal_system",
     "Derivation": "derivations",
-    "EMPTY_WORD": "model",
     "FormatError": "errors",
     "IncompatibleSequence": "errors",
     "LogLinear": "model",
@@ -48,7 +47,6 @@ _EXPORTS = {
     "count_productions": "derivations",
     "derivation_bound": "optimal_derivation",
     "derivation_probability": "derivations",
-    "derive_step": "sampler",
     "enumerate_derivations": "derivations",
     "file_digest": "formats",
     "format_real": "formats",

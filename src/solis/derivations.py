@@ -27,6 +27,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import CapExceeded, IncompatibleSequence
+from .formats import needs_tokens, serialize_word
 from .lattice import StepLattice, compile_lattice, free_lattice
 from .model import Partial0LSystem, Production, S0LSystem, Sequence, Word, _checked
 
@@ -90,8 +91,9 @@ def enumerate_derivations(
     earlier steps most significant, each step's assignments in
     lexicographic order of their cuts (the ends of the parts in the
     target): for x=AA, y=ABA the parts are (eps,ABA), (A,BA), (AB,A),
-    (ABA,eps).  Raises IncompatibleSequence if some step admits no valid
-    assignment (1-based step index in the error) and CapExceeded if the
+    (ABA,eps).  Raises IncompatibleSequence, with step None, if theta does
+    not start at the system's axiom, or if some step admits no valid
+    assignment (1-based step index in the error), and CapExceeded if the
     derivation count exceeds cap; a step with more than cap + 1
     assignments counts as cap + 1, and the count carried by CapExceeded is
     then a lower bound ("at least" in the message).  Both checks run on
@@ -99,6 +101,11 @@ def enumerate_derivations(
     """
     if system is None:
         lattice = free_lattice(theta)
+    elif system.axiom != theta.axiom:
+        tokens = needs_tokens(system.axiom + theta.axiom)
+        start, axiom = (serialize_word(w, tokens) for w in (theta.axiom, system.axiom))
+        message = f"the trace starts at {start}, not at the system's axiom {axiom}"
+        raise IncompatibleSequence(message)
     else:
         lattice = compile_lattice(theta, system.productions)
     steps = _assignment_rows(lattice, theta, cap, merge=False)

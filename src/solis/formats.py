@@ -95,7 +95,8 @@ def parse_system_file(path: str, tokens: bool = False) -> S0LSystem:
                 text[len("rule:") :], tokens, source, number
             )
             if production in prob:
-                raise FormatError(f"duplicate rule {production}", source, number)
+                rule = production_text(production, tokens)
+                raise FormatError(f"duplicate rule {rule}", source, number)
             prob[production] = value
             if is_default:
                 defaults.add(production)

@@ -448,8 +448,11 @@ def sequence_probability(g: S0LSystem, theta: Sequence) -> LogLinear:
 
     Computed per step on the lattice of theta over g's productions and
     combined in log space, so the log survives underflow of the linear
-    value.  Incompatible sequences give (-inf, 0.0).
+    value.  A trace that does not start at g's axiom, or that g cannot
+    derive, gives (-inf, 0.0).
     """
+    if theta.axiom != g.base.axiom:
+        return LogLinear(float("-inf"), 0.0)
     return lattice_probability(compile_lattice(theta, g.base.productions), g.prob)
 
 

@@ -25,8 +25,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 Symbol = str
 Word = tuple[Symbol, ...]
 
-EMPTY_WORD: Word = ()
-
 #: Absolute tolerance for the per-predecessor "probabilities sum to 1" check.
 SIMPLEX_TOL = 1e-9
 
@@ -135,9 +133,6 @@ class Partial0LSystem(_Partial0LSystemFields):
                 s = next(s for s in p.successor if s not in alphabet)
                 raise ValueError(f"successor symbol {s!r} of {p} not in alphabet")
         return super().__new__(cls, alphabet, axiom, canonical)
-
-    def productions_for(self, symbol: Symbol) -> tuple[Production, ...]:
-        return tuple(p for p in self.productions if p.predecessor == symbol)
 
 
 def system_over(theta: Sequence, productions: Iterable[Production]) -> Partial0LSystem:

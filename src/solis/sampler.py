@@ -9,7 +9,8 @@ stream on every platform, so sampled corpora are reproducible bit for bit.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate, chain
+from itertools import accumulate, chain, groupby
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -31,36 +32,40 @@ class SampleRecord(NamedTuple):
     seed: int
 
 
-def derive_step(
-    g: S0LSystem, w: Word, rng: np.random.Generator
-) -> tuple[Word, StepAssignment]:
-    """Rewrite every position of w once, drawing rules from g.
-
-    Raises MissingProduction if some symbol of w has no rule at all, and
-    WordLengthExceeded, before the new word is built, if it would pass
-    MAX_WORD_LENGTH.
-    """
-    tables = _cumulative_tables(g)
-    return _derive_step(tables, w, rng)
-
-
 def sample_sequence(g: S0LSystem, steps: int, seed: int) -> SampleRecord:
     """Sample a (steps+1)-word trace from g's axiom, reproducibly per seed.
 
-    Raises WordLengthExceeded and MissingProduction as derive_step does.
+    Each step draws one rule for every position of the word, in order.
+    Raises MissingProduction if a word holds a symbol with no rule at all,
+    and WordLengthExceeded, before the new word is built, if it would pass
+    MAX_WORD_LENGTH.
     """
     if steps < 1:
         raise ValueError("steps must be a positive integer")
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
     rng = np.random.default_rng(seed)
-    tables = _cumulative_tables(g)
+    # canonical order lists each predecessor's rules together
+    tables: dict[Symbol, tuple[tuple[Word, ...], list[float]]] = {}
+    for symbol, rules in groupby(g.base.productions, attrgetter("predecessor")):
+        successors, probabilities = zip(*((rule.successor, g.prob[rule]) for rule in rules))
+        tables[symbol] = (successors, list(accumulate(probabilities)))
     words: list[Word] = [g.base.axiom]
     assignments: list[StepAssignment] = []
     for _ in range(steps):
-        word, assignment = _derive_step(tables, words[-1], rng)
-        words.append(word)
-        assignments.append(assignment)
+        source, parts = words[-1], []
+        for symbol in source:
+            try:
+                successors, cumulative = tables[symbol]
+            except KeyError:
+                raise MissingProduction(symbol) from None
+            index = bisect_right(cumulative, rng.random())
+            parts.append(successors[min(index, len(successors) - 1)])
+        length = sum(map(len, parts))
+        if length > MAX_WORD_LENGTH:
+            raise WordLengthExceeded(length, MAX_WORD_LENGTH)
+        words.append(tuple(chain.from_iterable(parts)))
+        assignments.append(StepAssignment(source=source, target=words[-1], parts=tuple(parts)))
     derivation = Derivation(steps=tuple(assignments))
     return SampleRecord(
         sequence=Sequence(words=tuple(words)),
@@ -68,37 +73,3 @@ def sample_sequence(g: S0LSystem, steps: int, seed: int) -> SampleRecord:
         probability=derivation_probability(g, derivation),
         seed=seed,
     )
-
-
-_Tables = dict[Symbol, tuple[tuple[Word, ...], list[float]]]
-
-
-def _cumulative_tables(g: S0LSystem) -> _Tables:
-    tables: _Tables = {}
-    for symbol in sorted(g.base.alphabet):
-        rules = g.base.productions_for(symbol)
-        if not rules:
-            continue
-        successors = tuple(rule.successor for rule in rules)
-        cumulative = list(accumulate(g.prob[rule] for rule in rules))
-        tables[symbol] = (successors, cumulative)
-    return tables
-
-
-def _derive_step(
-    tables: _Tables, w: Word, rng: np.random.Generator
-) -> tuple[Word, StepAssignment]:
-    parts: list[Word] = []
-    for symbol in w:
-        try:
-            successors, cumulative = tables[symbol]
-        except KeyError:
-            raise MissingProduction(symbol) from None
-        draw = rng.random()
-        index = min(bisect_right(cumulative, draw), len(successors) - 1)
-        parts.append(successors[index])
-    length = sum(map(len, parts))
-    if length > MAX_WORD_LENGTH:
-        raise WordLengthExceeded(length, MAX_WORD_LENGTH)
-    target = tuple(chain.from_iterable(parts))
-    return target, StepAssignment(source=w, target=target, parts=tuple(parts))

@@ -83,6 +83,13 @@ class TestProb:
         assert "p(theta) = 0" in out.splitlines()
         assert "log p(theta) = -inf" in out.splitlines()
 
+    def test_trace_from_another_axiom_is_probability_zero(self, capsys, tmp_path):
+        trace = tmp_path / "trace.seq"
+        trace.write_text("B\nB\n")
+        code, out, _ = run(capsys, "prob", str(trace), "--system", str(DATA / "g1.sys"))
+        assert code == 0
+        assert out.splitlines()[-2:] == ["p(theta) = 0", "log p(theta) = -inf"]
+
     def test_recorded_output_of_a_long_trace(self, capsys):
         """120 steps of ten symbols under their generator, long.sys; the
         recorded stdout was written when p(theta) was computed in the
@@ -135,6 +142,17 @@ class TestEnumerate:
         )
         assert code == 2
         assert "error: IncompatibleSequence" in err
+
+    def test_trace_from_another_axiom_exits_2(self, capsys, tmp_path):
+        trace = tmp_path / "trace.seq"
+        trace.write_text("B\nB\n")
+        code, out, err = run(capsys, "enumerate", str(trace), "--system", str(DATA / "g1.sys"))
+        assert code == 2
+        assert out == ""
+        assert (
+            "error: IncompatibleSequence: the trace starts at B, not at the system's axiom AAA"
+            in err.splitlines()
+        )
 
     def test_cap_exits_3(self, capsys):
         code, _, err = run(
@@ -427,6 +445,13 @@ class TestSample:
         )
         assert code == 3
         assert "error: WordLengthExceeded" in err
+
+    def test_recorded_output(self, capsys):
+        code, out, _ = run(
+            capsys, "sample", "--system", str(DATA / "long.sys"), "--steps", "5", "--seed", "3"
+        )
+        assert code == 0
+        assert_recorded(out, "long", "sample")
 
 
 class TestExtremeInput:

@@ -81,6 +81,13 @@ class TestEnumeration:
             list(enumerate_derivations(g1.base, theta))
         assert info.value.step == 2
 
+    def test_trace_from_another_axiom_is_incompatible(self, g1):
+        """g1's axiom is AAA, so no derivation of g1 starts at B."""
+        with pytest.raises(IncompatibleSequence) as info:
+            enumerate_derivations(g1.base, Sequence.from_strings("B", "B"))
+        assert info.value.step is None
+        assert str(info.value) == "the trace starts at B, not at the system's axiom AAA"
+
     def test_cap_reports_exact_count_when_known(self, theta2):
         free = build_free_system(theta2)
         with pytest.raises(CapExceeded) as info:
@@ -342,6 +349,10 @@ class TestSequenceProbability:
         value = sequence_probability(g1, theta)
         assert value.linear == 0.0
         assert value.log == float("-inf")
+
+    def test_trace_from_another_axiom_is_zero(self, g1):
+        """B -> B is one of g1's rules, but g1's axiom is AAA."""
+        assert sequence_probability(g1, Sequence.from_strings("B", "B")) == (float("-inf"), 0.0)
 
     def test_fast_route_matches_enumeration_on_random_instances(self):
         rng = np.random.default_rng(42)

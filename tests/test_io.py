@@ -176,6 +176,18 @@ class TestSystemFiles:
         with pytest.raises(FormatError, match="duplicate"):
             parse_system_file(path)
 
+    @pytest.mark.parametrize(
+        "tokens, axiom, rule", [(False, "A", "A -> AB"), (True, "Ab", "Ab -> c Ab")]
+    )
+    def test_duplicate_rule_is_named_as_written(self, tmp_path, tokens, axiom, rule):
+        """In token mode the successor's tokens stay apart: Ab -> cAb would
+        be another rule, whose successor is the one token cAb."""
+        path = tmp_path / "sys.sys"
+        path.write_text(f"axiom: {axiom}\nrule: {rule} p=1/2\nrule: {rule} p=1/2\n")
+        with pytest.raises(FormatError) as info:
+            parse_system_file(path, tokens=tokens)
+        assert str(info.value) == f"{path}:3: duplicate rule {rule}"
+
     def test_duplicate_axiom_rejected(self, tmp_path):
         path = tmp_path / "sys.sys"
         path.write_text("axiom: A\naxiom: B\nrule: A -> A p=1\n")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import make_system, random_sequence, word
 from solis import (
-    EMPTY_WORD,
     Partial0LSystem,
     Production,
     S0LSystem,
@@ -42,7 +41,7 @@ class TestSequence:
             Sequence(words=(("A",),))
 
     def test_empty_words_allowed(self):
-        theta = Sequence(words=(("A",), EMPTY_WORD))
+        theta = Sequence(words=(("A",), ()))
         assert theta.step_count == 1
 
 
@@ -51,7 +50,7 @@ class TestProduction:
         assert str(Production("A", ("A", "B"))) == "A -> AB"
 
     def test_str_renders_empty_successor(self):
-        assert str(Production("A", EMPTY_WORD)) == "A -> <eps>"
+        assert str(Production("A", ())) == "A -> <eps>"
 
     def test_ordering_is_predecessor_then_successor(self):
         a = Production("A", ())
@@ -109,15 +108,6 @@ class TestPartial0LSystem:
             alphabet=frozenset("ABC"), axiom=("A",), productions=tuple(productions)
         )
         assert system.productions == tuple(sorted(set(productions)))
-
-    def test_productions_for_filters_by_predecessor(self):
-        system = Partial0LSystem(
-            alphabet=frozenset("AB"),
-            axiom=("A",),
-            productions=(Production("A", ("B",)), Production("B", ("B",))),
-        )
-        assert system.productions_for("A") == (Production("A", ("B",)),)
-        assert system.productions_for("C") == ()
 
     def test_axiom_symbol_outside_alphabet_rejected(self):
         with pytest.raises(ValueError, match="axiom"):
@@ -196,4 +186,4 @@ class TestOccurrences:
 
     def test_word_helper(self):
         assert word("ABA") == ("A", "B", "A")
-        assert word("") == EMPTY_WORD
+        assert word("") == ()

@@ -24,7 +24,6 @@ PUBLIC = [
     "DEFAULT_DERIVATION_CAP",
     "DEFAULT_EXPANSION_CAP",
     "Derivation",
-    "EMPTY_WORD",
     "FormatError",
     "IncompatibleSequence",
     "LogLinear",
@@ -52,7 +51,6 @@ PUBLIC = [
     "count_productions",
     "derivation_bound",
     "derivation_probability",
-    "derive_step",
     "enumerate_derivations",
     "file_digest",
     "format_real",
@@ -99,7 +97,7 @@ def readme_example() -> str:
 
 def test_exports_are_pinned():
     assert solis.__all__ == PUBLIC
-    assert len(PUBLIC) == 48
+    assert len(PUBLIC) == 46
     for name in PUBLIC:
         assert getattr(solis, name) is not None
 

@@ -1,49 +1,50 @@
 """Forward sampling: reproducibility, recorded derivations, and frequencies."""
 
+import hashlib
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import solis.sampler
-from conftest import make_system, random_generator
+from conftest import DATA, make_system, random_generator
 from solis import (
     MissingProduction,
     WordLengthExceeded,
     derivation_probability,
-    derive_step,
+    parse_system_file,
     sample_sequence,
     sequence_probability,
+    serialize_word,
 )
 
 
 class TestDeriveStep:
+    """One derivation step, sampled from a system whose axiom is the word
+    under test."""
+
     def test_deterministic_rules_rewrite_in_place(self):
         g = make_system("AA", {("A", "B"): 1.0, ("B", "B"): 1.0})
-        rng = np.random.default_rng(0)
-        target, assignment = derive_step(g, ("A", "A"), rng)
-        assert target == ("B", "B")
-        assert assignment.parts == (("B",), ("B",))
+        record = sample_sequence(g, steps=1, seed=0)
+        assert record.sequence.words[1] == ("B", "B")
+        assert record.derivation.steps[0].parts == (("B",), ("B",))
 
     def test_erasing_rules_shrink_the_word(self):
         g = make_system("AAA", {("A", ""): 1.0})
-        rng = np.random.default_rng(0)
-        target, _ = derive_step(g, ("A", "A", "A"), rng)
-        assert target == ()
+        assert sample_sequence(g, steps=1, seed=0).sequence.words[1] == ()
 
     def test_missing_production_raises(self):
-        g = make_system("AB", {("A", "A"): 1.0, ("B", "B"): 1.0})
-        rng = np.random.default_rng(0)
+        g = make_system("ACB", {("A", "A"): 1.0, ("B", "B"): 1.0})
         with pytest.raises(MissingProduction) as info:
-            derive_step(g, ("A", "C", "B"), rng)
+            sample_sequence(g, steps=1, seed=0)
         assert info.value.symbol == "C"
 
     def test_empty_word_stays_empty(self):
-        g = make_system("A", {("A", "A"): 1.0})
-        rng = np.random.default_rng(0)
-        target, assignment = derive_step(g, (), rng)
-        assert target == ()
-        assert assignment.parts == ()
+        g = make_system("", {("A", "A"): 1.0})
+        record = sample_sequence(g, steps=1, seed=0)
+        assert record.sequence.words == ((), ())
+        assert record.derivation.steps[0].parts == ()
 
 
 class TestSampleSequence:
@@ -122,24 +123,21 @@ class TestFrequencies:
     """Rule draws must follow the configured probabilities, not just any stream."""
 
     def test_single_step_outcome_frequencies(self, g1):
-        rng = np.random.default_rng(42)
+        """g1's axiom is AAA; each seed draws one step from it."""
         n = 20000
         hits = 0
-        for _ in range(n):
-            target, _ = derive_step(g1, ("A", "A", "A"), rng)
-            if target == tuple("ABABAC"):
+        for seed in range(n):
+            if sample_sequence(g1, steps=1, seed=seed).sequence.words[1] == tuple("ABABAC"):
                 hits += 1
         p = 1 / 27
         sigma = (p * (1 - p) / n) ** 0.5
         assert abs(hits / n - p) < 4 * sigma
 
     def test_per_rule_frequencies(self, g2):
-        rng = np.random.default_rng(42)
+        """From n A's, one step draws a rule for each position independently."""
         n = 30000
-        counts = {}
-        for _ in range(n):
-            _, assignment = derive_step(g2, ("A",), rng)
-            counts[assignment.parts[0]] = counts.get(assignment.parts[0], 0) + 1
+        g = g2._replace(base=g2.base._replace(axiom=("A",) * n))
+        counts = Counter(sample_sequence(g, steps=1, seed=42).derivation.steps[0].parts)
         sigma = (1 / 3 * 2 / 3 / n) ** 0.5
         for part in (("A",), ("A", "B"), ("B", "A")):
             assert abs(counts[part] / n - 1 / 3) < 4 * sigma
@@ -180,3 +178,36 @@ class TestRoundTrip:
         record = sample_sequence(g, steps=3, seed=0)
         assert record.sequence.words == (("A", "B"),) * 4
         assert record.probability == 1.0
+
+
+#: each recorded sample's sha256 and its name, one per line
+SAMPLE_DIGESTS = DATA / "samples.sha256"
+
+
+def _sample_digest(record):
+    """sha256 of each word, each step's parts and the probability's repr,
+    every word written in token form."""
+    lines = [serialize_word(w, tokens=True) for w in record.sequence.words]
+    for step in record.derivation.steps:
+        lines.append(" | ".join(serialize_word(part, tokens=True) for part in step.parts))
+    lines.append(repr(record.probability))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _recorded_samples():
+    """Seeds 0-19 at 1, 3 and 5 steps from each data system, and long.sys at
+    120 steps, the shape of the benchmark's long traces, from seeds 0-2."""
+    shapes = [(name, steps, seed) for name in ("g1", "g2", "long", "tokens")
+              for steps in (1, 3, 5) for seed in range(20)]
+    shapes += [("long", 120, seed) for seed in range(3)]
+    for name, steps, seed in shapes:
+        system = parse_system_file(str(DATA / f"{name}.sys"), tokens=name == "tokens")
+        yield f"{name}.sys steps={steps} seed={seed}", sample_sequence(system, steps, seed)
+
+
+def test_samples_equal_the_recorded_digests():
+    """Pins the draw stream, from which every benchmark trace is sampled: a
+    rewrite of the sampler must leave every record unchanged."""
+    lines = SAMPLE_DIGESTS.read_text().splitlines()
+    recorded = dict(line.split(maxsplit=1)[::-1] for line in lines)
+    assert {name: _sample_digest(record) for name, record in _recorded_samples()} == recorded
