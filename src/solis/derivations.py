@@ -317,22 +317,19 @@ def _assignment_rows(
     prefix = np.zeros((len(column), 0), np.min_scalar_type(len(lattice.variables)))
     multiplicity = np.ones(len(column), dtype)
     key = np.promote_types(np.min_scalar_type(lattice.columns), prefix.dtype)
-    # every row's edges by src column, in one stable sort that keeps
-    # successor length ascending
-    row_of_edge = np.repeat(np.arange(len(spans)), np.diff(lattice.bounds))
-    order = np.lexsort((lattice.src, row_of_edge))
     for lo, hi in spans:
         src, dst = lattice.src[lo:hi], lattice.dst[lo:hi]
-        by_src = order[lo:hi] - lo
-        degree = np.bincount(src, minlength=lattice.columns)
+        # the row's live edges by src column, in a stable sort that keeps
+        # successor length ascending
+        by_src = np.flatnonzero(live[lo:hi])
+        by_src = by_src[np.argsort(src[by_src], kind="stable")]
+        degree = np.bincount(src[by_src], minlength=lattice.columns)
         first = np.cumsum(degree) - degree  # each column's first edge in by_src
         out = degree[column]
         parent = np.repeat(np.arange(len(column)), out)
-        # the k-th edge out of each state's column, k = 0 .. out - 1
+        # the k-th live edge out of each state's column, k = 0 .. out - 1
         shift = np.repeat(first[column] - (np.cumsum(out) - out), out)
         edge = by_src[shift + np.arange(len(parent))]
-        alive = live[lo:hi][edge]
-        parent, edge = parent[alive], edge[alive]
         column = dst[edge].astype(np.int64)
         multiplicity = multiplicity[parent]
         if merge:

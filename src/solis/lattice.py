@@ -44,15 +44,18 @@ integer weights.  Float sums add their terms in the order of the textbook
 recurrences (rows ascending, then successor length, then column), so the
 results do not depend on how many rows are batched.
 
-expected_counts runs in two arrays of a pass (StepLattice._pass) beside
-the lattice: the edges' variable ids as intp, the index type of np.take and
+expected_counts answers in log p(theta), one per weight row, the log of
+the product of its step sums, which survives underflow of the product; the
+solver decides on nothing else.  It runs in two arrays beside the lattice:
+the edges' variable ids as intp, the index type of np.take and
 np.bincount, which the int32 lattice would otherwise convert row by row,
 and the tails (R, edges) that it keeps from its forward sweep and turns
 into masses in its backward one.  The solver's ascent hands every kernel
-call one buffers list: its first call makes those arrays and every later
-call, of no more rows, runs in prefixes of them, so after its first call
-the ascent's kernel allocates nothing of the lattice's size, only arrays of
-one row of edges, of the columns or of the variables.
+call one buffers list: its first call makes the ids and the tails, and
+every later call, of no more rows, runs in the ids and a prefix of the
+tails, so after its first call the ascent's kernel allocates nothing of the
+lattice's size, only arrays of one row of edges, of the columns or of the
+variables.
 """
 
 from __future__ import annotations
@@ -120,37 +123,44 @@ class StepLattice(NamedTuple):
         return self.sweep(1.0, weights).take(self.ends, axis=1)
 
     def expected_counts(self, weights: np.ndarray, buffers=None) -> tuple[np.ndarray, np.ndarray]:
-        """Per-step sums and x_p * d log p(theta) / d x_p for every variable.
+        """log p(theta) per row and x_p * d log p(theta) / d x_p for every
+        variable.
 
-        The second array is the expected number of times each production
-        fires in a derivation drawn in proportion to its weight.  The
-        forward sweep copies each edge's tail into the pass's tails; the
-        backward sweep starts each step's end column at 1 / S_j and
-        multiplies each tail by its edge's head in place, so an edge's mass
-        is its share of its step sum and one scatter gives the counts.  A
-        step sum below the smallest normal double, where 1 / S_j would
-        overflow, starts at 1 instead, and its edges' masses are divided by
-        S_j afterwards.  In a row with a zero step sum, every variable with
-        an edge in that step gets a non-finite count.
+        The first array is, per row, np.log(values).sum(axis=1) of the
+        row's step sums, -inf where a step sum is 0.  The second is the
+        expected number of times each production fires in a derivation
+        drawn in proportion to its weight.  The forward sweep copies each
+        edge's tail into the tails; the backward sweep starts each step's
+        end column at 1 / S_j and multiplies each tail by its edge's head in
+        place, so an edge's mass is its share of its step sum and one
+        scatter gives the counts.  A step sum below the smallest normal
+        double, where 1 / S_j would overflow, starts at 1 instead, and its
+        edges' masses are divided by S_j afterwards.  In a row with a zero
+        step sum, every variable with an edge in that step gets a
+        non-finite count.
 
         Rows run in chunks of at most EDGE_CEILING / edges, whose results
         are concatenated.  Rows do not interact, each row's counts are one
-        np.bincount in edge order, and the step sums come back
-        C-contiguous, so that np.log(values).sum(axis=1) adds a row's steps
-        in one order: a row's results do not depend on the rows beside it.
+        np.bincount in edge order, and each row's log p adds the logs of its
+        C-contiguous step sums in one order: a row's results do not depend
+        on the rows beside it.
 
         buffers, a list that the calls of one solve on this lattice share,
-        keeps the pass arrays (_pass) of its first call, and a later call of
-        no more rows runs in prefixes of them: only the first call allocates
-        arrays of the lattice's size.  The arrays returned are new, never
-        views of the pass arrays.
+        keeps the arrays that its first call makes: the edges' variable ids
+        as intp, converted once, and the tails (R, edges).  A later call of
+        no more rows runs in the ids and a prefix of the tails, so only the
+        first call allocates arrays of the lattice's size.  The arrays
+        returned are new, never views of the buffers.
         """
         chunk = max(1, EDGE_CEILING // max(self.bounds[-1], 1))
         if len(weights) > chunk:
             rows = range(0, len(weights), chunk)
             parts = [self.expected_counts(weights[lo : lo + chunk], buffers) for lo in rows]
-            return np.concatenate([v for v, _ in parts]), np.concatenate([c for _, c in parts])
-        work = index, tails, sums = self._pass(weights, float, [] if buffers is None else buffers)
+            return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+        buffers = [] if buffers is None else buffers
+        if not buffers or len(buffers[1]) < len(weights):
+            buffers[:] = self.var.astype(np.intp), np.empty((len(weights), self.bounds[-1]))
+        index, tails = buffers[0], buffers[1][: len(weights)]
 
         def keep(lo: int, hi: int, tail: np.ndarray) -> None:
             tails[:, lo:hi] = tail
@@ -158,33 +168,18 @@ class StepLattice(NamedTuple):
         def times_head(lo: int, hi: int, head: np.ndarray) -> None:
             np.multiply(tails[:, lo:hi], head, out=tails[:, lo:hi])
 
-        values = self.sweep(1.0, weights, keep, work=work).take(self.ends, axis=1)
+        values = self.sweep(1.0, weights, keep, index=index).take(self.ends, axis=1)
         small = values < np.finfo(float).tiny
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.sweep(1.0 / np.where(small, 1.0, values), weights, times_head, True, work)
+            self.sweep(1.0 / np.where(small, 1.0, values), weights, times_head, True, index)
             if small.any():
                 # the edges of step j are those with dst in [starts[j], ends[j]]
                 tails /= np.where(small, values, 1.0)[:, np.searchsorted(self.ends, self.dst)]
-            _scatter(index, tails, sums)  # over the padded weights, which are spent
-            return values, weights * sums[:, :-1]
+            sums = np.empty((len(weights), len(self.variables) + 1))
+            _scatter(index, tails, sums)
+            return np.log(values).sum(axis=1), weights * sums[:, :-1]
 
-    def _pass(self, weights: np.ndarray, dtype, kept=None) -> tuple:
-        """The arrays that a pass over the R rows of weights (R, V) runs in:
-        the edges' variable ids, the float64 tails (R, edges) that
-        expected_counts keeps, and the weights padded with the pass-through
-        column of 1, (R, V + 1) in dtype.  A sweep's own pass (kept None)
-        keeps no tails and reads the int32 ids, converted row by row.  Given
-        a list kept whose arrays have room for R rows, the ids are its intp
-        copy, converted once, and the tails a prefix of its (R, edges)
-        array; otherwise these are allocated and put in kept."""
-        padded = np.concatenate((weights, np.ones((len(weights), 1), dtype)), axis=1)
-        if kept is None:
-            return self.var, None, padded
-        if not kept or len(kept[1]) < len(weights):
-            kept[:] = self.var.astype(np.intp), np.empty((len(weights), self.bounds[-1]))
-        return kept[0], kept[1][: len(weights)], padded
-
-    def sweep(self, start, weights, visit=None, backward=False, work=None) -> np.ndarray:
+    def sweep(self, start, weights, visit=None, backward=False, index=None) -> np.ndarray:
         """Move a table of shape (R, columns), in the dtype of weights and
         start, over the rows of edges and return it.
 
@@ -198,14 +193,15 @@ class StepLattice(NamedTuple):
         gathered at its edges' near ends, to keep or change in place.  What
         arrives at each column is summed by np.bincount in a float table and
         exactly, by np.add.at, in an integer or object one, and overwrites
-        the table.  The sweep reads its padded weights and the edges'
-        variable ids from work, the arrays of a pass (_pass), or makes its
-        own.  Per-row arrays stay contiguous (numpy multiplies strided 2-D
-        slices several times slower), and edge weights are gathered from
-        the small (R, V + 1) matrix rather than copied to (R, edges).
+        the table.  Edge weights are gathered by index, the edges' variable
+        ids, or, when index is None, by var, converted row by row.  Per-row
+        arrays stay contiguous (numpy multiplies strided 2-D slices several
+        times slower), and edge weights are gathered from the small
+        (R, V + 1) matrix rather than copied to (R, edges).
         """
         dtype = np.result_type(weights.dtype, np.asarray(start).dtype)
-        index, _, padded = work or self._pass(weights, dtype)
+        padded = np.concatenate((weights, np.ones((len(weights), 1), dtype)), axis=1)
+        index = self.var if index is None else index
         scatter = _scatter if dtype.kind == "f" else _add_at
         table = np.zeros((len(weights), self.columns), dtype)
         table[:, self.ends if backward else self.starts] = start

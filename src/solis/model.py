@@ -99,8 +99,15 @@ class Production(NamedTuple):
     successor: Word
 
     def __str__(self) -> str:
-        succ = "".join(self.successor) if self.successor else "<eps>"
-        return f"{self.predecessor} -> {succ}"
+        return _rule_text(self, ())
+
+
+def _rule_text(p: Production, alphabet: Iterable[Symbol]) -> str:
+    """p as a rule file writes it, space-joined in token mode, which some
+    symbol of the alphabet or of p may need."""
+    from .formats import needs_tokens, production_text  # formats imports model
+
+    return production_text(p, needs_tokens([*alphabet, p.predecessor, *p.successor]))
 
 
 class _Partial0LSystemFields(NamedTuple):
@@ -131,7 +138,8 @@ class Partial0LSystem(_Partial0LSystemFields):
                 raise ValueError(f"predecessor {p.predecessor!r} not in alphabet")
             if not alphabet.issuperset(p.successor):
                 s = next(s for s in p.successor if s not in alphabet)
-                raise ValueError(f"successor symbol {s!r} of {p} not in alphabet")
+                rule = _rule_text(p, alphabet)
+                raise ValueError(f"successor symbol {s!r} of {rule} not in alphabet")
         return super().__new__(cls, alphabet, axiom, canonical)
 
 
@@ -180,7 +188,8 @@ class S0LSystem(_S0LSystemFields):
         sums: dict[Symbol, float] = {}
         for p, v in prob.items():
             if not v > 0.0:
-                raise ValueError(f"probability of {p} must be strictly positive, got {v}")
+                rule = _rule_text(p, base.alphabet)
+                raise ValueError(f"probability of {rule} must be strictly positive, got {v}")
             sums[p.predecessor] = sums.get(p.predecessor, 0.0) + v
         for a, s in sums.items():
             if abs(s - 1.0) > SIMPLEX_TOL:

@@ -288,16 +288,15 @@ def _ascend(
     block_counts = np.array([occurrences[symbol] for symbol in symbols], dtype=float)
     variable_counts = np.repeat(block_counts, sizes)
     block_starts = np.cumsum([0] + sizes[:-1])
-    buffers: list[np.ndarray] = []  # the kernel's pass arrays, made once for every call
-    values, counts = obj.lattice.expected_counts(x, buffers)
-    log_p = _log_p(values)
+    buffers: list[np.ndarray] = []  # the kernel's ids and tails, made once for every call
+    log_p, counts = obj.lattice.expected_counts(x, buffers)
     history = [[v] for v in log_p.tolist()]
     converged = np.zeros(len(x), bool)
     eta = np.ones(len(x))
     active = np.arange(len(x))
     for iteration in range(1, cfg.max_iters + 1):
         # where p(theta) is 0 the expected counts are undefined
-        active = active[(values[active] > 0.0).all(axis=1)]
+        active = active[log_p[active] > -np.inf]
         if not active.size:
             break
         totals = np.add.reduceat(counts[active], block_starts, axis=1)
@@ -315,16 +314,14 @@ def _ascend(
         step[bold] = _overrelax(
             x[active][bold], em[bold], eta[active][bold], block_starts, sizes
         )
-        step_values, step_counts = obj.lattice.expected_counts(step, buffers)
-        step_log_p = _log_p(step_values)
+        step_log_p, step_counts = obj.lattice.expected_counts(step, buffers)
         # an over-relaxed step that lowers log p (or is not finite) gives way to EM
         lost = bold & ~(step_log_p >= log_p[active])
         if lost.any():
             step[lost] = em[lost]
-            step_values[lost], step_counts[lost] = obj.lattice.expected_counts(em[lost], buffers)
-            step_log_p[lost] = _log_p(step_values[lost])
+            step_log_p[lost], step_counts[lost] = obj.lattice.expected_counts(em[lost], buffers)
         eta[active] = np.where(lost, 1.0, eta[active] * OVERRELAX_GROWTH)
-        x[active], values[active], counts[active] = step, step_values, step_counts
+        x[active], counts[active] = step, step_counts
         previous = log_p[active]
         log_p[active] = step_log_p
         for r, value in zip(active.tolist(), log_p[active].tolist()):
@@ -351,9 +348,3 @@ def _overrelax(
     peak = np.maximum.reduceat(log_step, block_starts, axis=1)
     step = np.exp(log_step - np.repeat(peak, sizes, axis=1))
     return step / np.repeat(np.add.reduceat(step, block_starts, axis=1), sizes, axis=1)
-
-
-def _log_p(values: np.ndarray) -> np.ndarray:
-    """log p(theta) per row of step values; -inf where some step is 0."""
-    with np.errstate(divide="ignore"):
-        return np.log(values).sum(axis=1)

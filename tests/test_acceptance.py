@@ -204,7 +204,9 @@ class TestAcceptance:
             # dp/dx_p = p * d log p/dx_p, and x_p * d log p/dx_p is p's expected count
             lattice = compile_lattice(theta, g.base.productions)
             x = np.array([[g.prob[p] for p in lattice.variables]])
-            values, counts = lattice.expected_counts(x)
+            log_p, counts = lattice.expected_counts(x)
+            values = lattice.values(x)
+            assert log_p.tobytes() == np.log(values).sum(axis=1).tobytes()
             grad = math.prod(values[0].tolist()) * counts[0] / x[0]
             for k, (production, analytic) in enumerate(zip(lattice.variables, grad.tolist())):
                 if g.prob[production] <= 2 * h:

@@ -581,3 +581,12 @@ class TestTokenMode:
         )
         assert code == 0
         assert_recorded(out, "tokens", "sample")
+
+    def test_a_rejected_rule_is_named_as_written(self, capsys, tmp_path):
+        system = tmp_path / "f.sys"
+        system.write_text("axiom: Ab\nrule: Ab -> c Ab p=0\n")
+        code, _, err = run(
+            capsys, "sample", "--tokens", "--system", str(system), "--steps", "2"
+        )
+        assert code == 1
+        assert "probability of Ab -> c Ab must be strictly positive, got 0.0" in err

@@ -387,7 +387,9 @@ def gradient(g, theta):
     expected count of p over x_p.  Needs p(theta) > 0."""
     lattice = compile_lattice(theta, g.base.productions)
     x = weight_row(lattice, g.prob)
-    values, counts = lattice.expected_counts(x)
+    log_p, counts = lattice.expected_counts(x)
+    values = lattice.values(x)
+    assert log_p.tobytes() == np.log(values).sum(axis=1).tobytes()
     linear = math.prod(values[0].tolist())
     return dict(zip(lattice.variables, (linear * counts[0] / x[0]).tolist()))
 
@@ -416,8 +418,11 @@ class TestStepValues:
     def test_hand_expanded_gradient(self, theta2):
         """x_p * dS/dx_p / S, with dS/dx_p read off the expansion above."""
         lattice = compile_lattice(theta2, HAND_WEIGHTS)
-        values, counts = lattice.expected_counts(weight_row(lattice, HAND_WEIGHTS))
+        x = weight_row(lattice, HAND_WEIGHTS)
+        log_p, counts = lattice.expected_counts(x)
+        values = lattice.values(x)
         assert values.tolist() == [[80.0]]
+        assert log_p.tobytes() == np.log(values).sum(axis=1).tobytes()
         assert dict(zip(lattice.variables, counts[0].tolist())) == pytest.approx(
             {
                 Production("A", ()): 2.0 * 22.0 / 80.0,

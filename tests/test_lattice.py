@@ -90,9 +90,9 @@ def test_sweep_starts_by_direction_and_adds_by_dtype(theta, seed, rows):
 
 def test_chunked_counts_are_c_contiguous_and_equal_one_pass(monkeypatch):
     """expected_counts runs its rows in chunks of EDGE_CEILING / edges and
-    returns C-contiguous step sums, so np.log(values).sum(axis=1) adds a
-    row's steps in one order at any R; chunked, a call is bitwise the
-    unchunked one."""
+    sums the logs of C-contiguous step sums, so a row's log p adds its
+    steps in one order at any R; chunked, a call is bitwise the unchunked
+    one."""
     lattice = free_lattice(parse_sequence_file(str(DATA / "long-seed0.seq")))
     weights = np.random.default_rng(0).exponential(size=(16, len(lattice.variables)))
     assert lattice.values(weights).flags.c_contiguous
@@ -153,8 +153,9 @@ def test_zero_step_sums_give_non_finite_counts_without_warning():
     for shared in (None, buffers):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values, counts = lattice.expected_counts(weights, shared)
-        assert values.min() == 0.0
+            log_p, counts = lattice.expected_counts(weights, shared)
+        assert lattice.values(weights).min() == 0.0
+        assert log_p.tolist() == [-math.inf]
         assert not np.isfinite(counts).any()
 
 
@@ -170,8 +171,10 @@ def test_subnormal_step_sums_give_exact_counts(n, total):
     for shared in (None, buffers):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values, counts = lattice.expected_counts(np.array([[0.5]]), shared)
+            log_p, counts = lattice.expected_counts(np.array([[0.5]]), shared)
+        values = lattice.values(np.array([[0.5]]))
         assert values[0, 0] == 0.5**n
+        assert log_p.tolist() == [np.log(0.5**n)]
         assert math.isclose(values[0, 0], total, rel_tol=1e-2)
         assert counts.tolist() == [[float(n)]]
 
@@ -180,8 +183,9 @@ def test_subnormal_step_sums_give_exact_counts(n, total):
 def test_shared_pass_buffers_never_leak_into_results(name):
     """Calls sharing pass buffers the way the ascent's do, over 16 rows,
     then 3 of them (the lost rows), then 1, then none, give each row the
-    step sums and counts, bytes, dtype and C order, of a fresh one-row
-    call; the arrays an earlier call returned do not change."""
+    log p and counts, bytes, dtype and C order, of a fresh one-row call,
+    and a log p whose bytes are the summed logs of its step sums; the
+    arrays an earlier call returned do not change."""
     lattice = free_lattice(parse_sequence_file(str(DATA / f"{name}.seq")))
     weights = np.random.default_rng(0).exponential(size=(16, len(lattice.variables)))
     buffers, returned = [], []
@@ -193,6 +197,8 @@ def test_shared_pass_buffers_never_leak_into_results(name):
         for r, row in enumerate(rows):
             alone = lattice.expected_counts(weights[row : row + 1])
             assert [a[r].tobytes() for a in results] == [a[0].tobytes() for a in alone]
+            log_p = np.log(lattice.values(weights[row : row + 1])).sum(axis=1)
+            assert results[0][r].tobytes() == log_p[0].tobytes()
         returned.append((results, [a.copy() for a in results]))
     for results, copies in returned:
         assert [a.tobytes() for a in results] == [a.tobytes() for a in copies]
@@ -201,8 +207,8 @@ def test_shared_pass_buffers_never_leak_into_results(name):
 def test_a_repeated_call_allocates_no_pass_arrays():
     """A second call made as the ascent makes it, over the first call's
     buffers, allocates less than one (R, edges) float64 array at its peak
-    on long-seed0 at R = 2: its tails, intp edge variables and padded
-    weights are the first call's."""
+    on long-seed0 at R = 2: its tails and intp edge variables are the
+    first call's."""
     lattice = free_lattice(parse_sequence_file(str(DATA / "long-seed0.seq")))
     weights = np.random.default_rng(0).exponential(size=(2, len(lattice.variables)))
     buffers = []

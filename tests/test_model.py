@@ -47,7 +47,11 @@ class TestSequence:
 
 class TestProduction:
     def test_str_spells_out_the_arrow(self):
+        """As a rule file writes it, space-joined if one of the rule's own
+        symbols is a token."""
         assert str(Production("A", ("A", "B"))) == "A -> AB"
+        assert str(Production("Ab", ("c", "Ab"))) == "Ab -> c Ab"
+        assert str(Production("c", ("c", "c"))) == "c -> cc"
 
     def test_str_renders_empty_successor(self):
         assert str(Production("A", ())) == "A -> <eps>"

@@ -406,8 +406,8 @@ class TestMaximize:
                 return getattr(self.lattice, name)
 
             def expected_counts(self, weights, buffers=None):
-                values, counts = self.lattice.expected_counts(weights, buffers)
-                return values, counts * (1 + 1e-6)
+                log_p, counts = self.lattice.expected_counts(weights, buffers)
+                return log_p, counts * (1 + 1e-6)
 
         obj = build_objective(theta2, cap=0)
         skewed = obj._replace(lattice=Skewed(obj.lattice))

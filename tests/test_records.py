@@ -29,6 +29,12 @@ A_A = Production("A", ("A",))
 A_AB = Production("A", ("A", "B"))
 B_B = Production("B", ("B",))
 BASE = Partial0LSystem(alphabet=frozenset("A"), axiom=("A",), productions=(A_A,))
+# token mode: a rule is named space-joined once some symbol of the alphabet
+# has more than one character, also when the rule's own symbols have one
+AB_CAB = Production("Ab", ("c", "Ab"))
+AB_CZZ = Production("Ab", ("c", "Zz"))
+C_CC = Production("c", ("c", "c"))
+TOKENS = Partial0LSystem(frozenset({"Ab", "c"}), ("Ab",), (AB_CAB, C_CC))
 GROW = StepAssignment(("A",), ("A", "B"), (("A", "B"),))
 KEEP = StepAssignment(("A", "B"), ("A", "B"), (("A",), ("B",)))
 
@@ -82,6 +88,11 @@ INVALID = [
         "successor symbol 'B' of A -> AB not in alphabet",
     ),
     (
+        Partial0LSystem,
+        {"alphabet": frozenset({"Ab", "c"}), "axiom": ("Ab",), "productions": (AB_CZZ,)},
+        "successor symbol 'Zz' of Ab -> c Zz not in alphabet",
+    ),
+    (
         S0LSystem,
         {"base": BASE, "prob": {}},
         "probability map must cover exactly the system's productions",
@@ -110,6 +121,16 @@ INVALID = [
         S0LSystem,
         {"base": BASE, "prob": {A_A: 0.5}},
         "probabilities for predecessor 'A' sum to 0.5, not 1",
+    ),
+    (
+        S0LSystem,
+        {"base": TOKENS, "prob": {AB_CAB: 0.0, C_CC: 1.0}, "defaults": frozenset()},
+        "probability of Ab -> c Ab must be strictly positive, got 0.0",
+    ),
+    (
+        S0LSystem,
+        {"base": TOKENS, "prob": {AB_CAB: 1.0, C_CC: 0.0}, "defaults": frozenset()},
+        "probability of c -> c c must be strictly positive, got 0.0",
     ),
     (
         Derivation,
