@@ -288,9 +288,9 @@ def _assignment_rows(
     dtype = np.int64 if limit * max(widest, 1) < 2**63 else object
     live = np.empty(lattice.bounds[-1], bool)
 
-    def saturate(lo: int, hi: int, finishing: np.ndarray) -> None:
+    def saturate(block: slice, finishing: np.ndarray) -> None:
         np.minimum(finishing, limit, out=finishing)
-        live[lo:hi] = finishing[0] > 0
+        live[block] = finishing > 0
 
     unit = np.ones((1, len(lattice.variables)), dtype)
     table = lattice.sweep(1, unit, saturate, backward=True)

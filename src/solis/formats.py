@@ -13,6 +13,7 @@ scientific notation, and exact fractions like `2/9`.
 
 from __future__ import annotations
 
+import math
 import sys
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -217,13 +218,15 @@ def _parse_rule(
 
 
 def _parse_probability(text: str, source: str, line: int) -> float:
-    """An exact fraction a/b, or a decimal; float rounds decimals as
+    """An exact fraction a/b, or a finite decimal; float rounds decimals as
     Fraction would, without building the huge integers that an exponent
     like 1e-100000000 takes as a Fraction.  For ASCII digits a and b,
     int(a) / int(b) is the correctly rounded quotient, the float that
     Fraction gives, and raises as it does; fractions is imported only for
     other fraction syntax (signs, spaces, underscores), so a system file of
-    decimals and plain fractions does not load it."""
+    decimals and plain fractions does not load it.  A fraction is finite or
+    raises; a decimal that float reads as nan or inf is refused here, at its
+    line."""
     try:
         if "/" in text:
             numerator, _, denominator = text.partition("/")
@@ -233,6 +236,9 @@ def _parse_probability(text: str, source: str, line: int) -> float:
             from fractions import Fraction
 
             return float(Fraction(text))
-        return float(text)
+        value = float(text)
     except (ValueError, ZeroDivisionError, OverflowError):
         raise FormatError(f"bad probability {text!r}", source, line) from None
+    if not math.isfinite(value):
+        raise FormatError(f"bad probability {text!r}", source, line)
+    return value

@@ -30,32 +30,42 @@ lattice_probability scores a probability map on any lattice.
 Every pass over the rows is one sweep (StepLattice.sweep): gathers,
 multiplies and scatters that move a table row by row, forward from the
 steps' start columns or backward from their end columns, under an (R, V)
-weight matrix whose rows are the solver's R restarts.  The direction fixes
-the start columns and the table's dtype fixes the adder: np.bincount rows
-for floats, exact np.add.at for int64 and Python ints.  So its instances
-differ only in their start values and weights and in what they do with the
-entries gathered at each row (the semiring view of Goodman 1999).  values
-is a forward sweep.  expected_counts multiplies the forward sweep's entries
-at each edge's src column by those a backward sweep, started at 1 / S_j
-(Rabiner 1989), gathers at its dst column: the product is the edge's share
-of its step sum, and one scatter of the shares gives the expected counts.
-derivations counts assignments with a saturating backward sweep over unit
-integer weights.  Float sums add their terms in the order of the textbook
+weight matrix whose rows are the solver's R restarts.  The R rows of the
+table are one flat array of R * columns entries, and the sweep reads a
+schedule (_schedule) of every edge's src and dst column and variable id as
+intp, offset by r * columns and r * (V + 1) for restart r, stored row of
+edges by row of edges, each row's restarts one after the other.  So a row
+of edges moves every restart at once: one 1-D np.take of the table at its
+near ends, one of the flat weights, a multiply and one scatter, np.bincount
+for floats and exact np.add.at for int64 and Python ints.  A column
+receives only its own restart's entries, in edge order, so its sum is that
+of its row alone.  The direction fixes the start columns and the table's
+dtype fixes the adder, so the sweep's instances differ only in their start
+values and weights and in what they do with the entries gathered at each
+row (the semiring view of Goodman 1999).  values is a forward sweep.
+expected_counts multiplies the forward sweep's entries at each edge's src
+column by those a backward sweep, started at 1 / S_j (Rabiner 1989),
+gathers at its dst column: the product is the edge's share of its step
+sum, and one scatter of the shares gives the expected counts.  derivations
+counts assignments with a saturating backward sweep over unit integer
+weights.  Float sums add their terms in the order of the textbook
 recurrences (rows ascending, then successor length, then column), so the
 results do not depend on how many rows are batched.
 
 expected_counts answers in log p(theta), one per weight row, the log of
 the product of its step sums, which survives underflow of the product; the
-solver decides on nothing else.  It runs in two arrays beside the lattice:
-the edges' variable ids as intp, the index type of np.take and
-np.bincount, which the int32 lattice would otherwise convert row by row,
-and the tails (R, edges) that it keeps from its forward sweep and turns
-into masses in its backward one.  The solver's ascent hands every kernel
-call one buffers list: its first call makes the ids and the tails, and
-every later call, of no more rows, runs in the ids and a prefix of the
-tails, so after its first call the ascent's kernel allocates nothing of the
-lattice's size, only arrays of one row of edges, of the columns or of the
-variables.
+solver decides on nothing else.  It runs in two arrays beside the lattice,
+in the schedule's layout: the schedule itself, and the tails, which the
+forward sweep gathers straight into and the backward one turns into
+masses; one np.bincount of the tails over the schedule's variable ids gives
+every row's counts.  Weight rows run in passes of at most
+max(1, PASS_ENTRIES // edges), which bounds both arrays: 6 restarts a pass
+on a lattice of 20,774 edges, 1 on one of 66,000.  The solver's ascent
+hands every kernel call one buffers list: its first call makes the schedule
+and the tails for its rows, up to a pass, and every later call of no more
+rows reads a prefix of each row's block, so after its first call the
+ascent's kernel allocates nothing of the lattice's size, only arrays of one
+row of edges, of the columns or of the variables.
 """
 
 from __future__ import annotations
@@ -69,34 +79,21 @@ from .errors import CapExceeded, IncompatibleSequence
 from .model import LogLinear, Production, S0LSystem, Sequence, Symbol
 
 #: compile_lattice refuses traces with more edges than this.  A lattice
-#: stores 12 bytes of indices per edge, and the tails of a pass of
-#: expected_counts hold one float64 per edge and weight row, so it runs at
-#: most EDGE_CEILING / edges rows per pass: 10^7 edges take 120 MB to store,
-#: and each buffer of a pass (the tails, and the edges' intp variable ids)
-#: holds at most 10^7 entries for any number of rows.  maximize refuses more
-#: restarts times variables than this, the size of the ascent's own arrays.
+#: stores 12 bytes of indices per edge, so 10^7 edges take 120 MB.  maximize
+#: refuses more restarts times variables than this, the size of the ascent's
+#: own arrays.
 EDGE_CEILING = 10**7
+
+#: the sweeps run at most max(1, PASS_ENTRIES // edges) weight rows per
+#: pass, so each array of a pass (the schedule's three intp index arrays and
+#: expected_counts' float64 tails) holds at most max(PASS_ENTRIES, edges)
+#: entries: 2 MB in all below PASS_ENTRIES edges, one row of edges above it
+#: (320 MB beside the lattice's 120 MB at EDGE_CEILING)
+PASS_ENTRIES = 2**17
 
 #: index arrays, the bulk of a lattice's memory, are stored narrow: moves
 #: and edges stay under EDGE_CEILING, so every index fits
 _INDEX = np.int32
-
-
-def _scatter(index: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
-    """Bincount per row into out: out[r, c] becomes the sum of values[r, e]
-    over the edges e with index[e] == c, added in edge order from 0.0."""
-    index = index.astype(np.intp, copy=False)  # once, not once per np.bincount call
-    for r, row in enumerate(values):
-        out[r] = np.bincount(index, row, minlength=out.shape[1])
-
-
-def _add_at(index: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
-    """out[r, c] becomes the sum of values[r, e] over the edges e with
-    index[e] == c, exactly in any integer dtype (np.bincount sums in
-    float64, which rounds past 2**53)."""
-    out[...] = 0
-    for r, row in enumerate(values):
-        np.add.at(out[r], index, row)
 
 
 class StepLattice(NamedTuple):
@@ -120,7 +117,8 @@ class StepLattice(NamedTuple):
 
     def values(self, weights: np.ndarray) -> np.ndarray:
         """Per-step sums, shape (R, steps), for weights of shape (R, V)."""
-        return self.sweep(1.0, weights).take(self.ends, axis=1)
+        sums = [self.sweep(1.0, part).take(self.ends, axis=1) for part in self._passes(weights)]
+        return np.concatenate(sums)
 
     def expected_counts(self, weights: np.ndarray, buffers=None) -> tuple[np.ndarray, np.ndarray]:
         """log p(theta) per row and x_p * d log p(theta) / d x_p for every
@@ -129,57 +127,66 @@ class StepLattice(NamedTuple):
         The first array is, per row, np.log(values).sum(axis=1) of the
         row's step sums, -inf where a step sum is 0.  The second is the
         expected number of times each production fires in a derivation
-        drawn in proportion to its weight.  The forward sweep copies each
-        edge's tail into the tails; the backward sweep starts each step's
-        end column at 1 / S_j and multiplies each tail by its edge's head in
-        place, so an edge's mass is its share of its step sum and one
-        scatter gives the counts.  A step sum below the smallest normal
+        drawn in proportion to its weight.  The forward sweep gathers each
+        edge's tail straight into the tails; the backward sweep starts each
+        step's end column at 1 / S_j and multiplies each tail by its edge's
+        head in place, so an edge's mass is its share of its step sum, and
+        one np.bincount of the flat tails over the schedule's variable ids
+        gives every row's counts.  A step sum below the smallest normal
         double, where 1 / S_j would overflow, starts at 1 instead, and its
         edges' masses are divided by S_j afterwards.  In a row with a zero
         step sum, every variable with an edge in that step gets a
         non-finite count.
 
-        Rows run in chunks of at most EDGE_CEILING / edges, whose results
-        are concatenated.  Rows do not interact, each row's counts are one
-        np.bincount in edge order, and each row's log p adds the logs of its
-        C-contiguous step sums in one order: a row's results do not depend
-        on the rows beside it.
+        Rows run in passes of at most max(1, PASS_ENTRIES // edges), whose
+        results are concatenated.  Rows do not interact, each row's counts
+        add its masses in edge order, and each row's log p adds the logs of
+        its C-contiguous step sums in one order: a row's results do not
+        depend on the rows beside it.
 
         buffers, a list that the calls of one solve on this lattice share,
-        keeps the arrays that its first call makes: the edges' variable ids
-        as intp, converted once, and the tails (R, edges).  A later call of
-        no more rows runs in the ids and a prefix of the tails, so only the
-        first call allocates arrays of the lattice's size.  The arrays
-        returned are new, never views of the buffers.
+        keeps the arrays that its first call makes: the schedule
+        (_schedule) for that call's rows, at most one pass of them, and the
+        tails in the schedule's layout.  A later call runs in them, each
+        row of edges in a prefix of its block, and only a call of more rows
+        than the schedule holds makes them again, for its own rows.  The
+        arrays returned are new, never views of the buffers.
         """
-        chunk = max(1, EDGE_CEILING // max(self.bounds[-1], 1))
-        if len(weights) > chunk:
-            rows = range(0, len(weights), chunk)
-            parts = [self.expected_counts(weights[lo : lo + chunk], buffers) for lo in rows]
-            return tuple(np.concatenate(arrays) for arrays in zip(*parts))
         buffers = [] if buffers is None else buffers
-        if not buffers or len(buffers[1]) < len(weights):
-            buffers[:] = self.var.astype(np.intp), np.empty((len(weights), self.bounds[-1]))
-        index, tails = buffers[0], buffers[1][: len(weights)]
+        passes = self._passes(weights)
+        if len(passes) > 1:
+            parts = [self.expected_counts(part, buffers) for part in passes]
+            return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+        rows, edges = len(weights), self.bounds[-1]
+        if not buffers or len(buffers[1]) < rows * edges:
+            buffers[:] = self._schedule(rows), np.zeros(rows * edges)
+        schedule, tails = buffers
 
-        def keep(lo: int, hi: int, tail: np.ndarray) -> None:
-            tails[:, lo:hi] = tail
+        def times_head(block: slice, head: np.ndarray) -> None:
+            masses = tails[block]
+            np.multiply(masses, head, out=masses)
 
-        def times_head(lo: int, hi: int, head: np.ndarray) -> None:
-            np.multiply(tails[:, lo:hi], head, out=tails[:, lo:hi])
-
-        values = self.sweep(1.0, weights, keep, index=index).take(self.ends, axis=1)
+        values = self.sweep(1.0, weights, schedule=schedule, tails=tails).take(self.ends, axis=1)
         small = values < np.finfo(float).tiny
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.sweep(1.0 / np.where(small, 1.0, values), weights, times_head, True, index)
+            self.sweep(1.0 / np.where(small, 1.0, values), weights, times_head, True, schedule)
+            # the rows past this call's in a wider schedule go to sums' rows
+            # past its own, which are dropped
+            width = max(len(tails) // max(edges, 1), rows)
             if small.any():
-                # the edges of step j are those with dst in [starts[j], ends[j]]
-                tails /= np.where(small, values, 1.0)[:, np.searchsorted(self.ends, self.dst)]
-            sums = np.empty((len(weights), len(self.variables) + 1))
-            _scatter(index, tails, sums)
-            return np.log(values).sum(axis=1), weights * sums[:, :-1]
+                # column c of a step's lattice belongs to the step whose end
+                # column is the first at or after c
+                scale = np.ones((width, self.columns))
+                step = np.searchsorted(self.ends, np.arange(self.columns))
+                scale[:rows] = np.where(small, values, 1.0)[:, step]
+                tails /= scale.ravel().take(schedule[1])
+            stride = len(self.variables) + 1
+            sums = np.bincount(schedule[2], tails, minlength=width * stride)[: rows * stride]
+            return np.log(values).sum(axis=1), weights * sums.reshape(rows, stride)[:, :-1]
 
-    def sweep(self, start, weights, visit=None, backward=False, index=None) -> np.ndarray:
+    def sweep(
+        self, start, weights, visit=None, backward=False, schedule=None, tails=None
+    ) -> np.ndarray:
         """Move a table of shape (R, columns), in the dtype of weights and
         start, over the rows of edges and return it.
 
@@ -189,32 +196,73 @@ class StepLattice(NamedTuple):
         table[src] * weight to dst, rows ascending, so table[r, c] becomes
         the weight of the prefixes that end at column c; backward, they carry
         table[dst] * weight to src, rows descending, for the suffixes that
-        start at c.  Before a row moves, visit(lo, hi, near) sees the entries
-        gathered at its edges' near ends, to keep or change in place.  What
-        arrives at each column is summed by np.bincount in a float table and
-        exactly, by np.add.at, in an integer or object one, and overwrites
-        the table.  Edge weights are gathered by index, the edges' variable
-        ids, or, when index is None, by var, converted row by row.  Per-row
-        arrays stay contiguous (numpy multiplies strided 2-D slices several
-        times slower), and edge weights are gathered from the small
-        (R, V + 1) matrix rather than copied to (R, edges).
+        start at c.
+
+        The R rows move as one flat table of R * columns entries, over a
+        schedule (_schedule) of at least R restarts; each row of edges reads
+        the first R * (hi - lo) entries of its block.  Without a schedule,
+        one row reads the lattice's int32 ids, which np.take converts row by
+        row at no more cost than converting them first, and more rows get a
+        schedule of their own.  A row of edges gathers the table at its
+        edges' near ends, into its block of tails (the schedule's layout)
+        when given, and visit(block, entries) sees the entries, to keep or
+        change in place; for one restart, block is the row's edge range.
+        Then it gathers its edges' weights from the flat padded weights,
+        multiplies, and adds what arrives at each flat column in one call
+        for every restart: np.bincount in a float table, exactly np.add.at
+        in an integer or object one.  What arrives overwrites the table.
         """
+        rows = len(weights)
         dtype = np.result_type(weights.dtype, np.asarray(start).dtype)
-        padded = np.concatenate((weights, np.ones((len(weights), 1), dtype)), axis=1)
-        index = self.var if index is None else index
-        scatter = _scatter if dtype.kind == "f" else _add_at
-        table = np.zeros((len(weights), self.columns), dtype)
+        padded = np.concatenate((weights, np.ones((rows, 1), dtype)), axis=1).ravel()
+        if schedule is None:
+            schedule = (self.src, self.dst, self.var) if rows == 1 else self._schedule(rows)
+        width = len(schedule[0]) // max(self.bounds[-1], 1)
+        size = rows * self.columns
+        table = np.zeros((rows, self.columns), dtype)
         table[:, self.ends if backward else self.starts] = start
-        near, far = (self.dst, self.src) if backward else (self.src, self.dst)
-        rows = list(zip(self.bounds, self.bounds[1:]))
-        for lo, hi in reversed(rows) if backward else rows:
-            gathered = table.take(near[lo:hi], axis=1)
+        table = table.ravel()
+        src, dst, var = schedule
+        near, far = (dst, src) if backward else (src, dst)
+        spans = list(zip(self.bounds, self.bounds[1:]))
+        for lo, hi in reversed(spans) if backward else spans:
+            block = slice(width * lo, width * lo + rows * (hi - lo))
+            # the indices are in range: wrap skips take's bounds checks
+            out = None if tails is None else tails[block]
+            gathered = table.take(near[block], out=out, mode="wrap")
             if visit is not None:
-                visit(lo, hi, gathered)
-            moved = padded.take(index[lo:hi], axis=1)
+                visit(block, gathered)
+            moved = padded.take(var[block], mode="wrap")
             moved *= gathered
-            scatter(far[lo:hi], moved, table)
-        return table
+            if dtype.kind == "f" and moved.size:
+                table = np.bincount(far[block], moved, minlength=size)
+            else:  # exact, and np.bincount of nothing gives int64
+                table = np.zeros(size, dtype)
+                np.add.at(table, far[block], moved)
+        return table.reshape(rows, self.columns)
+
+    def _passes(self, weights: np.ndarray) -> list[np.ndarray]:
+        """The weight rows in passes of at most max(1, PASS_ENTRIES // edges)
+        rows; no rows make one empty pass."""
+        rows = max(1, PASS_ENTRIES // max(self.bounds[-1], 1))
+        return [weights[lo : lo + rows] for lo in range(0, len(weights), rows)] or [weights]
+
+    def _schedule(self, restarts: int) -> np.ndarray:
+        """The sweep's intp indices for a flat table of restarts rows: a
+        (3, restarts * edges) array of the edges' src and dst columns, offset
+        by r * columns, and variable ids, offset by r * (V + 1), for restart
+        r.  Row i of edges takes the block [restarts * lo, restarts * hi) of
+        each, restart after restart, so every restart's edges of a row sit
+        together, and a sweep of fewer restarts reads a prefix of each
+        block."""
+        schedule = np.empty((3, restarts * self.bounds[-1]), np.intp)
+        strides = np.array([self.columns, self.columns, len(self.variables) + 1], np.intp)
+        shifts = strides[:, None, None] * np.arange(restarts)[:, None]
+        for lo, hi in zip(self.bounds, self.bounds[1:]):
+            block = schedule[:, restarts * lo : restarts * hi].reshape(3, restarts, hi - lo)
+            for ids, array, shift in zip(block, (self.src, self.dst, self.var), shifts):
+                np.add(array[lo:hi], shift, out=ids)
+        return schedule
 
 
 def compile_lattice(theta: Sequence, variables: Iterable[Production]) -> StepLattice:

@@ -288,7 +288,7 @@ def _ascend(
     block_counts = np.array([occurrences[symbol] for symbol in symbols], dtype=float)
     variable_counts = np.repeat(block_counts, sizes)
     block_starts = np.cumsum([0] + sizes[:-1])
-    buffers: list[np.ndarray] = []  # the kernel's ids and tails, made once for every call
+    buffers: list[np.ndarray] = []  # the kernel's schedule and tails, kept across its calls
     log_p, counts = obj.lattice.expected_counts(x, buffers)
     history = [[v] for v in log_p.tolist()]
     converged = np.zeros(len(x), bool)

@@ -492,10 +492,13 @@ class TestUsageAndErrors:
         assert code == 1
         assert "error: FormatError" in err
 
-    @pytest.mark.parametrize("text", ["1e400", "1e-10000000", "1e-100000000"])
+    @pytest.mark.parametrize(
+        "text", ["1e400", "1e-10000000", "1e-100000000", "nan", "inf", "-inf"]
+    )
     def test_out_of_range_probability_exits_1(self, capsys, tmp_path, text):
         """Exponents past a double's range are format errors, and are read
-        without building an integer with as many digits."""
+        without building an integer with as many digits; a value that is
+        not finite is refused at its line."""
         system = tmp_path / "g.sys"
         system.write_text(f"axiom: A\nrule: A -> AB p={text}\n")
         start = time.perf_counter()
@@ -503,6 +506,8 @@ class TestUsageAndErrors:
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert "error: FormatError" in err
+        if not math.isfinite(float(text)):
+            assert f"error: FormatError: {system}:2: bad probability {text!r}" in err
 
     @pytest.mark.parametrize("command", ["enumerate", "infer-derivation"])
     def test_zero_derivation_cap_exits_1(self, capsys, command):

@@ -28,8 +28,10 @@ from solis import (
     assemble_system,
     best_derivation,
     build_free_system,
+    SolverConfig,
     build_objective,
     enumerate_derivations,
+    maximize,
     occurrence_counts,
     parse_sequence_file,
     parse_system_file,
@@ -89,18 +91,22 @@ def test_sweep_starts_by_direction_and_adds_by_dtype(theta, seed, rows):
 
 
 def test_chunked_counts_are_c_contiguous_and_equal_one_pass(monkeypatch):
-    """expected_counts runs its rows in chunks of EDGE_CEILING / edges and
-    sums the logs of C-contiguous step sums, so a row's log p adds its
-    steps in one order at any R; chunked, a call is bitwise the unchunked
-    one."""
+    """values and expected_counts run their rows in passes of
+    PASS_ENTRIES / edges, and expected_counts sums the logs of C-contiguous
+    step sums, so a row's log p adds its steps in one order at any R;
+    chunked, a call is bitwise the unchunked one."""
     lattice = free_lattice(parse_sequence_file(str(DATA / "long-seed0.seq")))
     weights = np.random.default_rng(0).exponential(size=(16, len(lattice.variables)))
-    assert lattice.values(weights).flags.c_contiguous
+    monkeypatch.setattr(solis.lattice, "PASS_ENTRIES", 16 * lattice.bounds[-1])
+    values = lattice.values(weights)
+    assert values.flags.c_contiguous
     whole = lattice.expected_counts(weights)
     assert all(array.flags.c_contiguous for array in whole)
-    monkeypatch.setattr(solis.lattice, "EDGE_CEILING", lattice.bounds[-1])
-    chunked = lattice.expected_counts(weights)
-    assert [array.tobytes() for array in chunked] == [array.tobytes() for array in whole]
+    for rows in (1, 3):
+        monkeypatch.setattr(solis.lattice, "PASS_ENTRIES", rows * lattice.bounds[-1])
+        chunked = lattice.expected_counts(weights)
+        assert [array.tobytes() for array in chunked] == [array.tobytes() for array in whole]
+        assert lattice.values(weights).tobytes() == values.tobytes()
 
 
 def test_index_arrays_are_int32():
@@ -179,18 +185,44 @@ def test_subnormal_step_sums_give_exact_counts(n, total):
         assert counts.tolist() == [[float(n)]]
 
 
-@pytest.mark.parametrize("name", ["growth-seed0", "long-seed0"])
-def test_shared_pass_buffers_never_leak_into_results(name):
-    """Calls sharing pass buffers the way the ascent's do, over 16 rows,
-    then 3 of them (the lost rows), then 1, then none, give each row the
+#: per sequence: the weight rows of successive calls sharing buffers, and
+#: the rows per pass (None: as PASS_ENTRIES sets them)
+SHARED_CALLS = {
+    "ascent": ((list(range(16)), [3, 7, 11], [5], []), None),
+    "growing": (([5], [3, 7], list(range(16)), [9]), 16),
+    "chunk-crossing": (([0, 1, 2], [4, 9], [6, 8, 10, 12, 14], [1]), 2),
+}
+
+
+@pytest.mark.parametrize(
+    "name, calls",
+    [
+        pytest.param(name, calls, id=name if calls == "ascent" else f"{name}-{calls}")
+        for calls in SHARED_CALLS
+        for name in ("growth-seed0", "long-seed0")
+    ],
+)
+def test_shared_pass_buffers_never_leak_into_results(monkeypatch, name, calls):
+    """Calls sharing pass buffers the way the ascent's do give each row the
     log p and counts, bytes, dtype and C order, of a fresh one-row call,
     and a log p whose bytes are the summed logs of its step sums; the
-    arrays an earlier call returned do not change."""
+    arrays an earlier call returned do not change.  The sequences: the
+    ascent's (16 rows, then 3 of them, the lost rows, then 1, then none),
+    one that grows the kept schedule from 1 row to 2, then 16, and one
+    whose calls cross passes of 2 rows.  Only a call of more rows than the
+    kept schedule holds, up to a pass, makes it again."""
+    sequence, per_pass = SHARED_CALLS[calls]
     lattice = free_lattice(parse_sequence_file(str(DATA / f"{name}.seq")))
+    edges = lattice.bounds[-1]
+    if per_pass is not None:
+        monkeypatch.setattr(solis.lattice, "PASS_ENTRIES", per_pass * edges)
+    per_pass = max(1, solis.lattice.PASS_ENTRIES // edges)
     weights = np.random.default_rng(0).exponential(size=(16, len(lattice.variables)))
-    buffers, returned = [], []
-    for rows in (list(range(16)), [3, 7, 11], [5], []):
+    buffers, returned, held = [], [], 0
+    for rows in sequence:
         results = lattice.expected_counts(weights[rows], buffers)
+        held = max(held, min(len(rows), per_pass))
+        assert len(buffers[1]) == held * edges
         for array in results:
             assert array.flags.c_contiguous and array.dtype == np.float64
             assert len(array) == len(rows)
@@ -441,3 +473,43 @@ def test_lattices_equal_the_recorded_digests():
     lines = LATTICE_DIGESTS.read_text().splitlines()
     recorded = dict(line.split(maxsplit=1)[::-1] for line in lines)
     assert {name: _lattice_digest(lattice) for name, lattice in _recorded_lattices()} == recorded
+
+
+#: each recorded kernel result's sha256 and its name, one per line
+KERNEL_DIGESTS = DATA / "kernel.sha256"
+
+
+def _array_digest(*arrays):
+    """sha256 of each array's dtype, shape and bytes, in turn."""
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(f"{array.dtype.name} {array.shape}\n".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def _recorded_kernel_results():
+    """On every data trace's free lattice: values and both arrays of
+    expected_counts at R = 1, 2, 3 and 16 under seeded exponential
+    weights, and maximize's point, winner and traces at 2 restarts."""
+    for path in sorted(DATA.glob("*.seq")):
+        theta = parse_sequence_file(str(path), tokens=path.stem == "tokens")
+        obj = build_objective(theta, cap=0)
+        for rows in (1, 2, 3, 16):
+            weights = np.random.default_rng(0).exponential(size=(rows, len(obj.variables)))
+            arrays = (obj.lattice.values(weights), *obj.lattice.expected_counts(weights))
+            yield f"{path.stem} R={rows}", _array_digest(*arrays)
+        point, best, restarts = maximize(obj, SolverConfig(restarts=2, max_iters=20, seed=0))
+        arrays = [np.array([point[p] for p in obj.variables]), np.array([best])]
+        for trace in restarts:
+            arrays += [np.array([trace.restart, trace.converged]), np.array(trace.values)]
+        yield f"{path.stem} maximize", _array_digest(*arrays)
+
+
+def test_kernel_results_equal_the_recorded_digests():
+    """Pins the kernel's float results bit for bit on the data traces: a
+    change to the sweep's layout must not change the order in which any
+    sum adds its terms."""
+    lines = KERNEL_DIGESTS.read_text().splitlines()
+    recorded = dict(line.split(maxsplit=1)[::-1] for line in lines)
+    assert dict(_recorded_kernel_results()) == recorded

@@ -346,8 +346,8 @@ class TestMaximize:
 
     @pytest.mark.parametrize("chunk", [1, 3])
     def test_chunked_restarts_give_the_same_results(self, monkeypatch, chunk):
-        """expected_counts runs its rows in chunks of EDGE_CEILING / edges;
-        the points, values and traces are bitwise those of one batch, on a
+        """expected_counts runs its rows in passes of PASS_ENTRIES / edges;
+        the points, values and traces are bitwise those of one pass, on a
         sampled trace and on long-seed0."""
         generator = make_system(
             "AB", {("A", "AB"): 0.6, ("A", "B"): 0.4, ("B", "A"): 0.7, ("B", "BA"): 0.3}
@@ -356,9 +356,11 @@ class TestMaximize:
         cfg = SolverConfig(restarts=4, max_iters=30)
         for theta in (sampled, parse_sequence_file(str(DATA / "long-seed0.seq"))):
             obj = build_objective(theta, cap=0)
-            batched = maximize(obj, cfg)
             with monkeypatch.context() as patch:
-                patch.setattr(solis.lattice, "EDGE_CEILING", chunk * obj.lattice.bounds[-1])
+                edges = obj.lattice.bounds[-1]
+                patch.setattr(solis.lattice, "PASS_ENTRIES", cfg.restarts * edges)
+                batched = maximize(obj, cfg)
+                patch.setattr(solis.lattice, "PASS_ENTRIES", chunk * edges)
                 chunked = maximize(obj, cfg)
             assert chunked[0] == batched[0]
             assert chunked[1] == batched[1]
