@@ -25,10 +25,10 @@ from solis import (
     Production,
     S0LSystem,
     Sequence,
+    SolverConfig,
     assemble_system,
     best_derivation,
     build_free_system,
-    SolverConfig,
     build_objective,
     enumerate_derivations,
     maximize,
