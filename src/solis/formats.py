@@ -61,8 +61,11 @@ def serialize_word(word: Word, tokens: bool = False) -> str:
 
 def needs_tokens(symbols: Iterable[Symbol]) -> bool:
     """Whether words of these symbols must be written space-joined, to be
-    read back in token mode: some symbol has more than one character."""
-    return any(len(symbol) != 1 for symbol in symbols)
+    read back in token mode: some symbol has more than one character, or
+    the symbols hold every character of <eps>, so that a word could spell
+    it and read back as the empty word."""
+    symbols = set(symbols)
+    return any(len(symbol) != 1 for symbol in symbols) or set(EPSILON_TOKEN) <= symbols
 
 
 def production_text(production: Production, tokens: bool) -> str:
@@ -121,7 +124,8 @@ def serialize_system(g: S0LSystem) -> str:
     """Canonical text for a stochastic system; reparses to the same text.
 
     Words are space-joined exactly when some alphabet symbol has more than
-    one character, in which case the file must be parsed in token mode.
+    one character or the alphabet holds every character of <eps>
+    (needs_tokens), in which case the file must be parsed in token mode.
     """
     tokens = needs_tokens(g.base.alphabet)
     lines = [f"axiom: {serialize_word(g.base.axiom, tokens)}"]

@@ -54,11 +54,13 @@ results do not depend on how many rows are batched.
 
 expected_counts answers in log p(theta), one per weight row, the log of
 the product of its step sums, which survives underflow of the product; the
-solver decides on nothing else.  It runs in two arrays beside the lattice,
-in the schedule's layout: the schedule itself, and the tails, which the
-forward sweep gathers straight into and the backward one turns into
-masses; one np.bincount of the tails over the schedule's variable ids gives
-every row's counts.  Weight rows run in passes of at most
+solver decides on nothing else.  One function (_log_p) forms it from the
+step sums, for the kernel and for lattice_probability, so every log
+p(theta) that solis prints is the one the solver decided on.  The kernel
+runs in two arrays beside the lattice, in the schedule's layout: the
+schedule itself, and the tails, which the forward sweep gathers straight
+into and the backward one turns into masses; one np.bincount of the tails
+over the schedule's variable ids gives every row's counts.  Weight rows run in passes of at most
 max(1, PASS_ENTRIES // edges), which bounds both arrays: 6 restarts a pass
 on a lattice of 20,774 edges, 1 on one of 66,000.  The solver's ascent
 hands every kernel call one buffers list: its first call makes the schedule
@@ -182,7 +184,7 @@ class StepLattice(NamedTuple):
                 tails /= scale.ravel().take(schedule[1])
             stride = len(self.variables) + 1
             sums = np.bincount(schedule[2], tails, minlength=width * stride)[: rows * stride]
-            return np.log(values).sum(axis=1), weights * sums.reshape(rows, stride)[:, :-1]
+            return _log_p(values), weights * sums.reshape(rows, stride)[:, :-1]
 
     def sweep(
         self, start, weights, visit=None, backward=False, schedule=None, tails=None
@@ -503,17 +505,13 @@ def sequence_probability(g: S0LSystem, theta: Sequence) -> LogLinear:
 def lattice_probability(lattice: StepLattice, prob: Mapping[Production, float]) -> LogLinear:
     """p(theta) on the lattice under the weights prob gives its variables,
     0 for a variable absent from prob, as (log value, linear value)."""
-    weights = np.array([[prob.get(p, 0.0) for p in lattice.variables]])
-    return log_linear(lattice.values(weights)[0].tolist())
+    sums = lattice.values(np.array([[prob.get(p, 0.0) for p in lattice.variables]]))
+    return LogLinear(float(_log_p(sums)[0]), math.prod(sums[0].tolist()))
 
 
-def log_linear(values: list[float]) -> LogLinear:
-    """The product of per-step sums, as (log value, linear value); the log
-    is summed step by step, so it survives underflow of the product.  A
-    zero step gives (-inf, 0.0)."""
-    log = 0.0
-    for value in values:
-        if value <= 0.0:
-            return LogLinear(float("-inf"), 0.0)
-        log += math.log(value)
-    return LogLinear(log, math.prod(values))
+def _log_p(sums: np.ndarray) -> np.ndarray:
+    """log p(theta) per row of step sums, the one place it is formed: the
+    logs of the row's sums added by numpy's pairwise sum, so it survives
+    underflow of the product; a zero sum gives -inf and a NaN gives NaN."""
+    with np.errstate(divide="ignore"):
+        return np.log(sums).sum(axis=1)

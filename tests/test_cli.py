@@ -10,7 +10,8 @@ import solis.optimal_system
 import solis.sampler
 from conftest import DATA
 from solis.cli import main
-from solis.formats import format_real
+from solis.formats import format_real, parse_sequence_file, parse_system_file, serialize_system
+from solis.lattice import sequence_probability
 
 
 def run(capsys, *argv):
@@ -42,7 +43,7 @@ class TestFree:
         _, second, _ = run(capsys, "free", str(DATA / "aa-aba.seq"))
         assert first == second
 
-    @pytest.mark.parametrize("name", ["aa-aba", "example2"])
+    @pytest.mark.parametrize("name", ["aa-aba", "example2", "eps-letters"])
     def test_recorded_output(self, capsys, name):
         code, out, _ = run(capsys, "free", str(DATA / f"{name}.seq"))
         assert code == 0
@@ -578,6 +579,26 @@ class TestTokenMode:
         code, out, _ = run(capsys, "prob", "--tokens", str(trace), "--system", str(system))
         assert code == 0
         assert f"log p(theta) = {inferred[len('log value = '):]}\n" in out
+
+    def test_an_inferred_system_whose_words_spell_eps_reads_back_in_token_mode(
+        self, capsys, tmp_path
+    ):
+        """Symbols that hold every character of <eps> print in token mode, so
+        a successor that spells it reads back as those symbols, not as the
+        empty word: the printed system reparses to itself and scores the
+        values infer-system printed."""
+        trace = DATA / "eps-letters.seq"
+        code, out, _ = run(capsys, "infer-system", str(trace), "--restarts", "1")
+        assert code == 0
+        lines = out.splitlines()
+        rules = "".join(f"{line}\n" for line in lines if line.startswith(("axiom:", "rule:")))
+        path = tmp_path / "eps.sys"
+        path.write_text(rules)
+        system = parse_system_file(path, tokens=True)
+        assert serialize_system(system) == rules
+        value = sequence_probability(system, parse_sequence_file(trace))
+        assert f"value = {format_real(value.linear)}" in lines
+        assert f"log value = {format_real(value.log)}" in lines
 
     def test_recorded_sample(self, capsys):
         code, out, _ = run(

@@ -361,6 +361,24 @@ class TestSerialization:
         path.write_text(serialize_system(g))
         assert parse_system_file(path, tokens=True) == g
 
+    def test_a_successor_that_spells_eps_round_trips(self, tmp_path):
+        """With every character of <eps> among the symbols, words print in
+        token mode, so the successor < e p s > and the empty successor of
+        the same symbol read back as two rules."""
+        prob = {Production("<", ()): 0.5, Production("<", tuple("<eps>")): 0.5}
+        for symbol in "eps>":
+            prob[Production(symbol, (symbol,))] = 1.0
+        base = Partial0LSystem(frozenset("<eps>"), ("<",), tuple(prob))
+        g = S0LSystem(base=base, prob=prob)
+        text = serialize_system(g)
+        assert "rule: < -> < e p s > p=0.5" in text.splitlines()
+        path = tmp_path / "sys.sys"
+        path.write_text(text)
+        assert parse_system_file(path, tokens=True) == g
+        theta = Sequence.from_strings("<", "<eps>")
+        derivation, _, _ = best_derivation(theta)
+        assert serialize_derivation(derivation) == "step 1: < e p s >\n"
+
     def test_derivation_text(self, theta2):
         derivation, _, _ = best_derivation(theta2)
         assert serialize_derivation(derivation) == "step 1: <eps> | ABA\n"

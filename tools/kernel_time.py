@@ -3,11 +3,13 @@
 For the free lattices of tests/data/growth-seed0.seq and long-seed0.seq,
 print the median wall time of one StepLattice.expected_counts call at
 R = 1, 2 and 16 weight rows, the calls sharing one buffers list as the
-solver's ascent shares it, and of one values call at R = 1.  Weights are
-seeded exponentials, and every median is over 101 calls after 5 untimed
-ones.  To compare two checkouts, run each in turn, several times over, and
-compare the medians; one process's timings vary with what it allocated
-before, so compare runs, not lines within one run.
+solver's ascent shares it, of one values call at R = 1, and of one
+lattice_probability call, the path of every printed p(theta), under uniform
+weights per predecessor block.  The other weights are seeded exponentials,
+and every median is over 101 calls after 5 untimed ones.  To compare two
+checkouts, run each in turn, several times over, and compare the medians;
+one process's timings vary with what it allocated before, so compare runs,
+not lines within one run.
 
 Usage: python3 tools/kernel_time.py [SOURCE]   (default: this checkout's src)
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 import statistics
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,7 +45,7 @@ def main(argv: list[str]) -> int:
     import numpy as np
 
     from solis import parse_sequence_file
-    from solis.lattice import free_lattice
+    from solis.lattice import free_lattice, lattice_probability
 
     print(f"solis from {Path(sys.modules['solis'].__file__).parent}")
     for name in TRACES:
@@ -55,6 +58,10 @@ def main(argv: list[str]) -> int:
             print(f"  expected_counts R={rows:<2} {ms:8.3f} ms")
         weights = np.random.default_rng(0).exponential(size=(1, len(lattice.variables)))
         print(f"  values          R=1  {median_ms(lambda: lattice.values(weights)):8.3f} ms")
+        blocks = Counter(p.predecessor for p in lattice.variables)
+        prob = {p: 1 / blocks[p.predecessor] for p in lattice.variables}
+        ms = median_ms(lambda: lattice_probability(lattice, prob))
+        print(f"  probability     R=1  {ms:8.3f} ms")
     return 0
 
 
