@@ -5,7 +5,8 @@ Standard output is deterministic given identical inputs and seeds (it starts
 with sha256 digests of the input files); timing and diagnostics go to
 standard error.  Exit codes: 0 success, 1 usage or input errors (and a
 failure to write standard output or standard error), 2 sequence incompatible
-with the system at hand, 3 a cap or length guard tripped.
+with the system at hand, 3 a cap or length guard tripped, or p(theta)
+left a double's range in the solver.
 """
 
 from __future__ import annotations
@@ -118,8 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("sequence")
     sub.add_argument("--restarts", type=int)
     sub.add_argument("--max-iters", type=int)
-    sub.add_argument("--tol", type=float, dest="rel_tol", metavar="TOL")
-    sub.add_argument("--prune-eps", type=float)
     sub.add_argument("--seed", type=int)
     sub.add_argument(
         "--show-objective",
@@ -163,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
         code = _fail(1, exc)
     except (IncompatibleSequence, MissingProduction) as exc:
         code = _fail(2, exc)
-    except (CapExceeded, WordLengthExceeded) as exc:
+    except (CapExceeded, WordLengthExceeded, ArithmeticError) as exc:
         code = _fail(3, exc)
     elapsed = (time.perf_counter() - start) * 1000.0
     # the answer first, so that a failure to write stderr cannot lose it;
@@ -307,11 +306,11 @@ def _cmd_infer_system(args: argparse.Namespace) -> list[str]:
     from .optimal_system import DEFAULT_EXPANSION_CAP, SolverConfig
 
     theta = parse_sequence_file(args.sequence, args.tokens)
-    cfg = SolverConfig(**_given(args, "restarts", "max_iters", "rel_tol", "prune_eps", "seed"))
+    cfg = SolverConfig(**_given(args, "restarts", "max_iters", "seed"))
     cap = DEFAULT_EXPANSION_CAP if args.show_objective else 0
     obj = build_objective(theta, cap=cap)
     x_star, best, traces = maximize(obj, cfg)
-    system = assemble_system(obj, x_star, cfg.prune_eps)
+    system = assemble_system(obj, x_star)
     value = lattice_probability(obj.lattice, system.prob)
     lines = _header("infer-system", [args.sequence])
     lines.append(f"restarts: {cfg.restarts}")

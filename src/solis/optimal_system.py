@@ -53,6 +53,16 @@ DEFAULT_EXPANSION_CAP = 10_000
 #: relative tolerance of the check that each block's expected counts sum to n_a
 BLOCK_COUNT_TOL = 1e-9
 
+#: a restart stops once an update moves log p(theta) by at most this many
+#: nats, and restarts whose final log p lie within it of the highest tie;
+#: doubles near log p = -700 lie 1.1e-13 apart, so rounding neither keeps a
+#: restart at its optimum from stopping nor picks the winner among equal optima
+REL_TOL = 1e-10
+
+#: assemble_system drops solver weights below this: EM shrinks a production
+#: that the optimum leaves out geometrically, but never to 0
+PRUNE_EPS = 1e-9
+
 #: factor by which a restart's over-relaxation exponent grows after each
 #: update; on 40 sampled 120-step traces of A -> A|B, B -> A|B (1/2 each),
 #: two restarts pass the generator's log p within 13 updates this way,
@@ -93,8 +103,6 @@ class PosynomialObjective(NamedTuple):
 class _SolverConfigFields(NamedTuple):
     restarts: int
     max_iters: int
-    rel_tol: float
-    prune_eps: float
     seed: int
 
 
@@ -102,31 +110,20 @@ class SolverConfig(_SolverConfigFields):
     __slots__ = ()
     _make = classmethod(_checked)
 
-    def __new__(
-        cls,
-        restarts: int = 16,
-        max_iters: int = 5000,
-        rel_tol: float = 1e-10,
-        prune_eps: float = 1e-9,
-        seed: int = 0,
-    ) -> "SolverConfig":
+    def __new__(cls, restarts: int = 16, max_iters: int = 5000, seed: int = 0) -> "SolverConfig":
         if restarts < 1:
             raise ValueError("restarts must be positive")
         if max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if not 0.0 < rel_tol < 1.0:
-            raise ValueError("rel_tol must lie in (0, 1)")
-        if not 0.0 < prune_eps < 1.0:
-            raise ValueError("prune_eps must lie in (0, 1)")
         if seed < 0:
             raise ValueError("seed must be non-negative")
-        return super().__new__(cls, restarts, max_iters, rel_tol, prune_eps, seed)
+        return super().__new__(cls, restarts, max_iters, seed)
 
 
 class RestartTrace(NamedTuple):
     """log p(theta) at the start and after each update of one restart.
 
-    `converged` is set when the restart stopped on |delta log p| <= rel_tol;
+    `converged` is set when the restart stopped on |delta log p| <= REL_TOL;
     a restart that hit max_iters, or reached a point where p(theta) is 0,
     stops with it unset.  values is a list, so a trace is not hashable.
     """
@@ -179,10 +176,10 @@ def maximize(
     points drawn via normalized exponentials with per-restart seeds derived
     from cfg.seed.  All restarts advance together in one ascent, whose
     kernel calls take every active restart at once; each restart stops on
-    its own once |delta log p| <= cfg.rel_tol, and cfg.max_iters bounds the
+    its own once |delta log p| <= REL_TOL, and cfg.max_iters bounds the
     updates.
     Within a restart the objective never decreases; across restarts the
-    earliest restart whose final log p is within cfg.rel_tol of the highest
+    earliest restart whose final log p is within REL_TOL of the highest
     wins, so float noise between restarts that reach the same optimum does
     not pick the winner.  Returns the winning point, the winner's index
     into the traces, and one trace per restart; traces[best].values[-1] is
@@ -193,6 +190,11 @@ def maximize(
     there and stops converged, after no update.  The ascent holds several
     (restarts, variables) arrays, so more restarts times variables than
     EDGE_CEILING raise CapExceeded before any start point is drawn.
+
+    Every start point is interior, where the free system derives the trace
+    and p(theta) > 0, so a final log p of -inf at every restart means that
+    p(theta) underflowed a double: that raises ArithmeticError, as does a
+    block whose expected counts miss its occurrences.
     """
     cfg = cfg or SolverConfig()
     if not obj.variables:
@@ -207,7 +209,9 @@ def maximize(
     sizes = [len(block) for block in obj.blocks.values()]
     start = np.array([_start_point(sizes, cfg, restart) for restart in range(cfg.restarts)])
     x, traces = _ascend(obj, start, cfg)
-    floor = max(trace.values[-1] for trace in traces) - cfg.rel_tol
+    floor = max(trace.values[-1] for trace in traces) - REL_TOL
+    if floor == -np.inf:
+        raise ArithmeticError("p(theta) underflows a double at every start")
     best = next(r for r, trace in enumerate(traces) if trace.values[-1] >= floor)
     return dict(zip(obj.variables, x[best].tolist())), best, traces
 
@@ -219,27 +223,27 @@ def infer_optimal_system(
 
     Runs the solver on the factored objective, assembles the surviving
     productions into a system, and reports p(theta) under that system.
+    Raises maximize's ArithmeticError where p(theta) leaves a double's
+    range.
     """
     cfg = cfg or SolverConfig()
     obj = build_objective(theta, cap=0)
     x_star, _, _ = maximize(obj, cfg)
-    system = assemble_system(obj, x_star, cfg.prune_eps)
+    system = assemble_system(obj, x_star)
     return system, lattice_probability(obj.lattice, system.prob)
 
 
-def assemble_system(
-    obj: PosynomialObjective, x_star: Mapping[Production, float], prune_eps: float
-) -> S0LSystem:
+def assemble_system(obj: PosynomialObjective, x_star: Mapping[Production, float]) -> S0LSystem:
     """Turn a solver point into a stochastic system for obj's trace.
 
-    Drops productions below prune_eps, renormalizes each block, and gives
+    Drops productions below PRUNE_EPS, renormalizes each block, and gives
     symbols that occur only in the last word (hence are never rewritten) the
     identity rule a -> a, marked as a default.  Every block keeps at least
     its largest entry, so renormalization is always well defined.
     """
     prob: dict[Production, float] = {}
     for block in obj.blocks.values():
-        survivors = [p for p in block if x_star[p] >= prune_eps]
+        survivors = [p for p in block if x_star[p] >= PRUNE_EPS]
         if not survivors:
             survivors = [max(block, key=lambda p: x_star[p])]
         total = sum(x_star[p] for p in survivors)
@@ -326,7 +330,7 @@ def _ascend(
         log_p[active] = step_log_p
         for r, value in zip(active.tolist(), log_p[active].tolist()):
             history[r].append(value)
-        done = np.abs(log_p[active] - previous) <= cfg.rel_tol
+        done = np.abs(log_p[active] - previous) <= REL_TOL
         converged[active[done]] = True
         active = active[~done]
     return x, tuple(

@@ -376,13 +376,24 @@ class TestInferSystem:
             "4",
             "--max-iters",
             "500",
-            "--tol",
-            "1e-9",
-            "--prune-eps",
-            "1e-8",
+            "--seed",
+            "3",
         )
         assert code == 0
         assert "restarts: 4" in out
+        for flag, value in (("--tol", "1e-9"), ("--prune-eps", "1e-8")):
+            code, out, err = run(capsys, "infer-system", str(DATA / "aa-aba.seq"), flag, value)
+            assert (code, out) == (1, "")
+            assert "error: usage:" in err
+
+    def test_a_trace_whose_p_underflows_at_every_start_exits_3(self, capsys):
+        """One step between two random 120-symbol AB words: p(theta) is below
+        a double's range at both starts, so no restart can ascend."""
+        code, out, err = run(capsys, "infer-system", str(DATA / "step120.seq"), "--restarts", "2")
+        assert (code, out) == (3, "")
+        assert err.splitlines()[0] == (
+            "error: ArithmeticError: p(theta) underflows a double at every start"
+        )
 
     def test_bad_solver_flags_exit_1(self, capsys):
         code, _, err = run(

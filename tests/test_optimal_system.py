@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import DATA, SMALL_TRACES, make_system, random_sequence
+from conftest import DATA, SMALL_TRACES, data_traces, make_system, random_sequence
 from oracles import evaluate_monomials
 import solis.lattice
 from solis import optimal_system
@@ -280,11 +280,11 @@ class TestMaximize:
         obj = build_objective(theta2, cap=0)
         cfg = SolverConfig()
         _, best, traces = maximize(obj, cfg)
-        floor = max(trace.values[-1] for trace in traces) - cfg.rel_tol
+        floor = max(trace.values[-1] for trace in traces) - optimal_system.REL_TOL
         assert best == next(r for r, trace in enumerate(traces) if trace.values[-1] >= floor)
 
     def test_restarts_within_the_tolerance_tie(self, theta2, monkeypatch):
-        """A later restart 5e-11 nats higher (under rel_tol = 1e-10) loses to
+        """A later restart 5e-11 nats higher (under REL_TOL = 1e-10) loses to
         restart 0; one 1e-9 nats higher wins."""
         obj = build_objective(theta2, cap=0)
         cfg = SolverConfig(restarts=2)
@@ -325,11 +325,12 @@ class TestMaximize:
         obj = build_objective(theta, cap=0)
         cfg = SolverConfig(restarts=2)
         x_star, best, traces = maximize(obj, cfg)
-        assert traces[best].values[-1] >= max(trace.values[-1] for trace in traces) - cfg.rel_tol
+        top = max(trace.values[-1] for trace in traces)
+        assert traces[best].values[-1] >= top - optimal_system.REL_TOL
         assert traces[best].values[-1] >= generator.log
         for trace in traces:
             assert trace.converged and trace.iterations > 1
-        inferred = sequence_probability(assemble_system(obj, x_star, cfg.prune_eps), theta)
+        inferred = sequence_probability(assemble_system(obj, x_star), theta)
         assert inferred.log >= generator.log
 
     def test_overrelaxation_passes_the_generator_where_plain_em_does_not(self, monkeypatch):
@@ -459,7 +460,7 @@ class TestMaximize:
     def test_default_restarts_fit_under_the_ceiling_on_every_recorded_trace(self):
         """The default 16 restarts of every tests/data trace's free system
         stay far under EDGE_CEILING, so none of them is refused."""
-        for path in sorted(DATA.glob("*.seq")):
+        for path in data_traces():
             theta = parse_sequence_file(str(path), tokens=path.name.startswith("tokens"))
             variables = len(build_objective(theta, cap=0).variables)
             assert SolverConfig().restarts * variables <= optimal_system.EDGE_CEILING // 100
@@ -469,10 +470,10 @@ class TestMaximize:
             SolverConfig(restarts=0)
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            SolverConfig(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(prune_eps=1.5)
+        with pytest.raises(TypeError):
+            SolverConfig(rel_tol=1e-9)
+        with pytest.raises(TypeError):
+            SolverConfig(prune_eps=1e-8)
         with pytest.raises(ValueError, match="seed"):
             SolverConfig(seed=-1)
 
@@ -509,9 +510,14 @@ class TestInferOptimalSystem:
             theta = random_sequence(rng)
             obj = build_objective(theta, cap=0)
             x_star, best, traces = maximize(obj, cfg)
-            system = assemble_system(obj, x_star, cfg.prune_eps)
+            system = assemble_system(obj, x_star)
             final = sequence_probability(system, theta).linear
             assert abs(final - best_value(traces, best)) < 1e-6
+
+    def test_a_trace_whose_p_underflows_at_every_start_raises(self):
+        theta = parse_sequence_file(str(DATA / "step120.seq"))
+        with pytest.raises(ArithmeticError, match="underflows a double at every start"):
+            infer_optimal_system(theta, SolverConfig(restarts=2))
 
     def test_result_is_a_valid_stochastic_system(self):
         rng = np.random.default_rng(7)

@@ -70,6 +70,16 @@ def test_process_matches_main(argv, code, tmp_path, capsys, monkeypatch):
     assert untimed(done.stderr) == untimed(captured.err)
 
 
+def test_a_solver_arithmetic_error_exits_3_without_a_traceback():
+    """One step between two random 110-symbol AB words at the default
+    config: the first update's expected counts miss a block's occurrences."""
+    done = spawn(["-m", "solis.cli", "infer-system", "tests/data/step110.seq"], subprocess.PIPE)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert "Traceback" not in done.stderr
+    (line,) = untimed(done.stderr)
+    assert line.startswith("error: ArithmeticError: iteration 1, restart ")
+
+
 def _closed_pipe():
     read, write = os.pipe()
     os.close(read)

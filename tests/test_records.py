@@ -14,6 +14,7 @@ import re
 
 import pytest
 
+from solis import optimal_system
 from solis import (
     Derivation,
     Partial0LSystem,
@@ -59,8 +60,8 @@ VALID = [
     ),
     (
         SolverConfig,
-        {"restarts": 2, "max_iters": 7, "rel_tol": 1e-6, "prune_eps": 1e-3, "seed": 5},
-        "SolverConfig(restarts=2, max_iters=7, rel_tol=1e-06, prune_eps=0.001, seed=5)",
+        {"restarts": 2, "max_iters": 7, "seed": 5},
+        "SolverConfig(restarts=2, max_iters=7, seed=5)",
     ),
 ]
 
@@ -138,11 +139,9 @@ INVALID = [
         "steps do not chain: ('A', 'B') != ('A',)",
     ),
     (SolverConfig, {"restarts": 0}, "restarts must be positive"),
+    (SolverConfig, {"restarts": -1}, "restarts must be positive"),
     (SolverConfig, {"max_iters": 0}, "max_iters must be positive"),
-    (SolverConfig, {"rel_tol": 0.0}, "rel_tol must lie in (0, 1)"),
-    (SolverConfig, {"rel_tol": 1.0}, "rel_tol must lie in (0, 1)"),
-    (SolverConfig, {"prune_eps": 0.0}, "prune_eps must lie in (0, 1)"),
-    (SolverConfig, {"prune_eps": 1.0}, "prune_eps must lie in (0, 1)"),
+    (SolverConfig, {"max_iters": -1}, "max_iters must be positive"),
     (SolverConfig, {"seed": -1}, "seed must be non-negative"),
 ]
 
@@ -215,7 +214,8 @@ def test_unequal_values_compare_unequal():
 
 
 def test_solver_config_defaults():
-    assert SolverConfig() == SolverConfig(16, 5000, 1e-10, 1e-9, 0)
+    assert SolverConfig() == SolverConfig(16, 5000, 0)
+    assert (optimal_system.REL_TOL, optimal_system.PRUNE_EPS) == (1e-10, 1e-9)
 
 
 @valid
