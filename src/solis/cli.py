@@ -105,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("enumerate", "list the derivations of a sequence")
     sub.add_argument("sequence")
     sub.add_argument("--system", help="restrict to this system and report probabilities")
-    sub.add_argument("--max-derivations", type=int, dest="cap", metavar="MAX_DERIVATIONS")
 
     sub = add("prob", "probability that a system generates a sequence")
     sub.add_argument("sequence")
@@ -113,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = add("infer-derivation", "most probable single derivation and its system")
     sub.add_argument("sequence")
-    sub.add_argument("--max-derivations", type=int, dest="cap", metavar="MAX_DERIVATIONS")
 
     sub = add("infer-system", "system maximizing the sequence probability")
     sub.add_argument("sequence")
@@ -254,7 +252,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> list[str]:
         system = parse_system_file(args.system, args.tokens)
         paths.append(args.system)
         base = system.base
-    derivations = list(enumerate_derivations(base, theta, **_given(args, "cap")))
+    derivations = list(enumerate_derivations(base, theta))
     tokens = needs_tokens(theta.symbols())
     lines = _header("enumerate", paths)
     lines.append(f"derivations: {len(derivations)}")
@@ -292,7 +290,7 @@ def _cmd_prob(args: argparse.Namespace) -> list[str]:
 
 def _cmd_infer_derivation(args: argparse.Namespace) -> list[str]:
     theta = parse_sequence_file(args.sequence, args.tokens)
-    derivation, system, value = best_derivation(theta, **_given(args, "cap"))
+    derivation, system, value = best_derivation(theta)
     lines = _header("infer-derivation", [args.sequence])
     lines.append(f"value = {format_real(value.linear)}")
     lines.append(f"log value = {format_real(value.log)}")

@@ -31,7 +31,7 @@ from .formats import needs_tokens, serialize_word
 from .lattice import StepLattice, compile_lattice, free_lattice
 from .model import Partial0LSystem, Production, S0LSystem, Sequence, Word, _checked
 
-#: refuse to stream a derivation space larger than this unless told otherwise
+#: refuse to list or score a derivation space larger than this
 DEFAULT_DERIVATION_CAP = 10**7
 
 #: count_multisets with near_best keeps every multiset whose score lies
@@ -79,11 +79,7 @@ class Derivation(_DerivationFields):
         return super().__new__(cls, steps)
 
 
-def enumerate_derivations(
-    system: Partial0LSystem | None,
-    theta: Sequence,
-    cap: int = DEFAULT_DERIVATION_CAP,
-) -> Iterator[Derivation]:
+def enumerate_derivations(system: Partial0LSystem | None, theta: Sequence) -> Iterator[Derivation]:
     """Yield every derivation of theta whose productions all lie in system,
     or, if system is None, in the free system (run on the free lattice).
 
@@ -94,10 +90,11 @@ def enumerate_derivations(
     (ABA,eps).  Raises IncompatibleSequence, with step None, if theta does
     not start at the system's axiom, or if some step admits no valid
     assignment (1-based step index in the error), and CapExceeded if the
-    derivation count exceeds cap; a step with more than cap + 1
-    assignments counts as cap + 1, and the count carried by CapExceeded is
-    then a lower bound ("at least" in the message).  Both checks run on
-    counts taken from the step lattice, before any assignment is listed.
+    derivation count exceeds DEFAULT_DERIVATION_CAP; a step with more than
+    DEFAULT_DERIVATION_CAP + 1 assignments counts as that many, and the
+    count carried by CapExceeded is then a lower bound ("at least" in the
+    message).  Both checks run on counts taken from the step lattice, before
+    any assignment is listed.
     """
     if system is None:
         lattice = free_lattice(theta)
@@ -108,7 +105,7 @@ def enumerate_derivations(
         raise IncompatibleSequence(message)
     else:
         lattice = compile_lattice(theta, system.productions)
-    steps = _assignment_rows(lattice, theta, cap, merge=False)
+    steps = _assignment_rows(lattice, theta, DEFAULT_DERIVATION_CAP, merge=False)
     per_step = [_assignments(x, y, cuts) for (x, y), (cuts, _, _) in zip(theta.steps(), steps)]
     return (Derivation(steps=combo) for combo in product(*per_step))
 
@@ -167,7 +164,7 @@ def count_multisets(
     next step, and the pairs are deduplicated.  Each step's distinct
     multisets come from one pass over the step lattice; no derivation, and
     no assignment beyond each multiset's earliest, is materialized.  Raises
-    as enumerate_derivations does.
+    as enumerate_derivations does, with cap in place of its constant.
 
     With near_best, the pairing is a branch and bound (Land & Doig 1960) on
     the score sum(count * log count): the table keeps every multiset whose
@@ -269,17 +266,17 @@ def _assignment_rows(
     step's assignments, saturating at cap + 2, in int64 or, where a row's
     sum could pass 2**63, in Python ints; it marks the edges whose dst
     column can still finish the step.  The checks of enumerate_derivations
-    run on these counts, before anything is listed.  Then a forward pass
-    extends every state (column, cut path, sorted production prefix) by the
-    row's marked edges out of its column, shortest successor first, so
-    states stay in cut-lexicographic order.  With merge, states that share
+    run on these counts, before anything is listed, with cap (at least 1)
+    in place of DEFAULT_DERIVATION_CAP: that constant for enumeration and
+    best_derivation, build_objective's expansion cap for its expansion.
+    Then a forward pass extends every state (column, cut path, sorted
+    production prefix) by the row's marked edges out of its column,
+    shortest successor first, so states stay in cut-lexicographic order.  With merge, states that share
     (column, prefix) collapse into the first, which holds the earliest cut
     path; every completion of a later one is matched by an earlier
     completion of the first, so each final row keeps its earliest
     assignment.
     """
-    if cap < 1:
-        raise ValueError("cap must be a positive integer")
     spans = list(zip(lattice.bounds, lattice.bounds[1:]))
     # a step with more than cap + 1 assignments reports cap + 1 of them, as
     # many as listing until the cap is passed finds

@@ -54,9 +54,7 @@ def derivation_bound(theta: Sequence, counts: ProductionCounts) -> LogLinear:
     return LogLinear(log, numerator / denominator)
 
 
-def best_derivation(
-    theta: Sequence, cap: int = DEFAULT_DERIVATION_CAP
-) -> tuple[Derivation, S0LSystem, LogLinear]:
+def best_derivation(theta: Sequence) -> tuple[Derivation, S0LSystem, LogLinear]:
     """The derivation of theta with the highest achievable probability.
 
     Scores the distinct count multisets of the free system's derivations
@@ -68,11 +66,13 @@ def best_derivation(
     steps).  Among the exact maxima, the one whose earliest derivation
     comes first in enumerate_derivations order wins, and that derivation is
     returned.  The returned system puts probability count / occurrences on
-    each used production, which attains the bound.
+    each used production, which attains the bound.  Raises CapExceeded, as
+    enumerate_derivations does, if theta has more than
+    DEFAULT_DERIVATION_CAP derivations.
     """
     lattice = free_lattice(theta)
     occurrences = occurrence_counts(theta)
-    table = count_multisets(lattice, theta, cap, near_best=True)
+    table = count_multisets(lattice, theta, DEFAULT_DERIVATION_CAP, near_best=True)
     scores = table.scores()
     near_top = np.flatnonzero(scores >= scores.max() * (1.0 - SCORE_WINDOW)).tolist()
     # max keeps the first of equal numerators, i.e. the earliest derivation

@@ -14,27 +14,20 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterator, Mapping
 
-from solis.derivations import (
-    DEFAULT_DERIVATION_CAP,
-    StepAssignment,
-    derivation_probability,
-    enumerate_derivations,
-)
+from solis.derivations import StepAssignment, derivation_probability, enumerate_derivations
 from solis.errors import IncompatibleSequence
 from solis.model import Production, S0LSystem, Sequence, Word
 from solis.optimal_system import PosynomialObjective
 
 
-def sequence_probability_naive(
-    g: S0LSystem, theta: Sequence, cap: int = DEFAULT_DERIVATION_CAP
-) -> float:
+def sequence_probability_naive(g: S0LSystem, theta: Sequence) -> float:
     """Sum of derivation_probability over every derivation, by enumeration.
 
     Oracle for sequence_probability.  Returns 0.0 when theta is incompatible
     with g.  CapExceeded propagates.
     """
     try:
-        stream = enumerate_derivations(g.base, theta, cap)
+        stream = enumerate_derivations(g.base, theta)
         return math.fsum(derivation_probability(g, d) for d in stream)
     except IncompatibleSequence:
         return 0.0

@@ -149,7 +149,7 @@ class TestAcceptance:
         while pairs < 200:
             theta = random_sequence(rng, alphabet="AB", total_cap=10)
             g = random_system_for(theta, rng)
-            for d in enumerate_derivations(g.base, theta, cap=5_000):
+            for d in enumerate_derivations(g.base, theta):
                 bound = derivation_bound(theta, count_productions(d))
                 p = derivation_probability(g, d)
                 if p > bound.linear + 1e-12:

@@ -156,14 +156,10 @@ class TestEnumerate:
         )
 
     def test_cap_exits_3(self, capsys):
-        code, _, err = run(
-            capsys,
-            "enumerate",
-            str(DATA / "aa-aba.seq"),
-            "--max-derivations",
-            "3",
-        )
+        """Words of 1 to 34 symbols: far more derivations than the cap."""
+        code, out, err = run(capsys, "enumerate", str(DATA / "growth-seed0.seq"))
         assert code == 3
+        assert out == ""
         assert "error: CapExceeded" in err
 
     def test_recorded_output_under_the_free_system(self, capsys):
@@ -522,11 +518,12 @@ class TestUsageAndErrors:
             assert f"error: FormatError: {system}:2: bad probability {text!r}" in err
 
     @pytest.mark.parametrize("command", ["enumerate", "infer-derivation"])
-    def test_zero_derivation_cap_exits_1(self, capsys, command):
-        code, out, err = run(capsys, command, str(DATA / "aa-aba.seq"), "--max-derivations", "0")
+    def test_max_derivations_is_a_usage_error(self, capsys, command):
+        """The derivation cap is a constant, not an option."""
+        code, out, err = run(capsys, command, str(DATA / "aa-aba.seq"), "--max-derivations", "3")
         assert code == 1
         assert out == ""
-        assert "error: ValueError: cap must be a positive integer" in err
+        assert "error: usage: unrecognized arguments: --max-derivations 3" in err
 
     def test_unknown_command_exits_1(self, capsys):
         code, _, _ = run(capsys, "frobnicate")

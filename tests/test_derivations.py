@@ -8,12 +8,14 @@ gradient must agree with central finite differences of the factored form.
 import math
 from collections import Counter
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import solis.derivations
 from conftest import (
     DATA,
     SMALL_TRACES,
@@ -41,6 +43,12 @@ from solis import (
 )
 from solis.derivations import SCORE_WINDOW, _bounds, count_multisets
 from solis.lattice import compile_lattice, free_lattice, lattice_probability
+
+
+def capped(cap):
+    """A context in which enumerate_derivations refuses more than cap
+    derivations."""
+    return mock.patch.object(solis.derivations, "DEFAULT_DERIVATION_CAP", cap)
 
 
 class TestEnumeration:
@@ -90,16 +98,16 @@ class TestEnumeration:
 
     def test_cap_reports_exact_count_when_known(self, theta2):
         free = build_free_system(theta2)
-        with pytest.raises(CapExceeded) as info:
-            enumerate_derivations(free, theta2, cap=3)
+        with capped(3), pytest.raises(CapExceeded) as info:
+            enumerate_derivations(free, theta2)
         assert info.value.count == 4
         assert info.value.cap == 3
 
     def test_cap_reports_lower_bound_when_a_step_overflows(self):
         theta = Sequence.from_strings("AAAA", "AAAAAAAA")
         free = build_free_system(theta)
-        with pytest.raises(CapExceeded) as info:
-            enumerate_derivations(free, theta, cap=10)
+        with capped(10), pytest.raises(CapExceeded) as info:
+            enumerate_derivations(free, theta)
         assert "at least" in str(info.value)
         assert info.value.count > 10
 
@@ -108,10 +116,11 @@ class TestEnumeration:
         theta = Sequence.from_strings("AAA", "AAAAA", "AAAAAAA")
         free = build_free_system(theta)
         expected = list(enumerate_derivations(free, theta))
-        assert list(enumerate_derivations(free, theta, cap=2**80)) == expected
         wide = Sequence.from_strings("A" * 20, "A" * 200)
-        with pytest.raises(CapExceeded) as info:
-            enumerate_derivations(build_free_system(wide), wide, cap=2**80)
+        with capped(2**80):
+            assert list(enumerate_derivations(free, theta)) == expected
+            with pytest.raises(CapExceeded) as info:
+                enumerate_derivations(build_free_system(wide), wide)
         assert info.value.count == 2**80 + 1
         assert "at least" in str(info.value)
 
@@ -129,7 +138,7 @@ class TestEnumeration:
             theta = random_sequence(rng)
             free = build_free_system(theta)
             occurrences = occurrence_counts(theta)
-            for d in enumerate_derivations(free, theta, cap=5_000):
+            for d in enumerate_derivations(free, theta):
                 by_symbol = {}
                 for production, count in count_productions(d).items():
                     key = production.predecessor
@@ -162,17 +171,18 @@ def test_count_check_matches_the_oracle(theta, data):
     system = Partial0LSystem(free.alphabet, free.axiom, subset)
     counts = [_assignments_within(x, y, set(subset)) for x, y in theta.steps()]
     total = math.prod(min(c, cap + 1) for c in counts)
-    if 0 in counts:
-        with pytest.raises(IncompatibleSequence) as refused:
-            enumerate_derivations(system, theta, cap)
-        assert refused.value.step == counts.index(0) + 1
-    elif total > cap:
-        with pytest.raises(CapExceeded) as refused:
-            enumerate_derivations(system, theta, cap)
-        assert refused.value.count == total
-        assert ("at least " in str(refused.value)) == (max(counts) > cap + 1)
-    else:
-        assert sum(1 for _ in enumerate_derivations(system, theta, cap)) == math.prod(counts)
+    with capped(cap):
+        if 0 in counts:
+            with pytest.raises(IncompatibleSequence) as refused:
+                enumerate_derivations(system, theta)
+            assert refused.value.step == counts.index(0) + 1
+        elif total > cap:
+            with pytest.raises(CapExceeded) as refused:
+                enumerate_derivations(system, theta)
+            assert refused.value.count == total
+            assert ("at least " in str(refused.value)) == (max(counts) > cap + 1)
+        else:
+            assert sum(1 for _ in enumerate_derivations(system, theta)) == math.prod(counts)
 
 
 @settings(max_examples=80, deadline=None)
@@ -370,7 +380,7 @@ class TestSequenceProbability:
             g = random_system_for(theta, rng)
             total = math.fsum(
                 derivation_probability(g, d)
-                for d in enumerate_derivations(g.base, theta, cap=100_000)
+                for d in enumerate_derivations(g.base, theta)
             )
             np.testing.assert_allclose(
                 sequence_probability(g, theta).linear, total, atol=1e-12

@@ -100,6 +100,6 @@ class TestFreeness:
             theta = random_sequence(rng)
             free = build_free_system(theta)
             allowed = set(free.productions)
-            for derivation in enumerate_derivations(free, theta, cap=10_000):
+            for derivation in enumerate_derivations(free, theta):
                 for step in derivation.steps:
                     assert set(step.productions()) <= allowed

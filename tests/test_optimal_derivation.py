@@ -39,7 +39,12 @@ def outcome(call):
         return type(exc), str(exc)
 
 
-def best_over_every_multiset(theta, cap):
+def capped(cap):
+    """A context in which best_derivation refuses more than cap derivations."""
+    return mock.patch.object(solis.optimal_derivation, "DEFAULT_DERIVATION_CAP", cap)
+
+
+def best_over_every_multiset(theta):
     """best_derivation scoring the unpruned table of count multisets."""
     full = solis.optimal_derivation.count_multisets
 
@@ -47,7 +52,7 @@ def best_over_every_multiset(theta, cap):
         return full(system, theta, cap)
 
     with mock.patch.object(solis.optimal_derivation, "count_multisets", unpruned):
-        return best_derivation(theta, cap)
+        return best_derivation(theta)
 
 
 def fraction_bound(theta, counts):
@@ -182,7 +187,7 @@ class TestDerivationBound:
         for _ in range(40):
             theta = random_sequence(rng)
             free = build_free_system(theta)
-            for d in enumerate_derivations(free, theta, cap=2_000):
+            for d in enumerate_derivations(free, theta):
                 counts = count_productions(d)
                 if not counts:
                     continue
@@ -206,7 +211,7 @@ class TestDerivationBound:
         for _ in range(60):
             theta = random_sequence(rng)
             g = random_system_for(theta, rng)
-            for d in enumerate_derivations(g.base, theta, cap=2_000):
+            for d in enumerate_derivations(g.base, theta):
                 bound = derivation_bound(theta, count_productions(d))
                 assert derivation_probability(g, d) <= bound.linear + 1e-12
 
@@ -255,7 +260,7 @@ class TestBestDerivation:
             free = build_free_system(theta)
             exact = max(
                 fraction_bound(theta, count_productions(d))
-                for d in enumerate_derivations(free, theta, cap=10_000)
+                for d in enumerate_derivations(free, theta)
             )
             derivation, system, value = best_derivation(theta)
             assert value.linear == pytest.approx(float(exact), abs=1e-15)
@@ -303,10 +308,12 @@ class TestBestDerivation:
     def test_pruned_table_gives_the_same_answer(self, theta, cap):
         """Derivation, system and value, or the error raised, are those of
         the search over every count multiset."""
-        assert outcome(lambda: best_derivation(theta, cap)) == outcome(
-            lambda: best_over_every_multiset(theta, cap)
-        )
+        with capped(cap):
+            assert outcome(lambda: best_derivation(theta)) == outcome(
+                lambda: best_over_every_multiset(theta)
+            )
 
     def test_cap_propagates(self, theta2):
-        with pytest.raises(CapExceeded):
-            best_derivation(theta2, cap=3)
+        with capped(3), pytest.raises(CapExceeded) as info:
+            best_derivation(theta2)
+        assert (info.value.count, info.value.cap) == (4, 3)

@@ -55,7 +55,7 @@ def untimed(err: str) -> list[str]:
         (["prob", *LONG], 0),
         (["infer-system", "tests/data/long-seed0.seq", "--restarts", "0"], 1),
         (["enumerate", "tests/data/long-seed0.seq", "--system", "tests/data/g1.sys"], 2),
-        (["enumerate", "tests/data/example1.seq", "--max-derivations", "1"], 3),
+        (["enumerate", "tests/data/growth-seed0.seq"], 3),
     ],
     ids=["exit-0", "exit-1", "exit-2", "exit-3"],
 )

@@ -132,10 +132,11 @@ def test_commands_load_neither_dataclasses_nor_openssl(argv, numpy_modules):
     interpreter's own sha256, not hashlib, whose import loads OpenSSL.
     numpy before 2.0 imports numpy.random, and with it hashlib (through
     secrets and hmac), on import numpy; so solis must add no OpenSSL beyond
-    what a bare import of numpy loads."""
+    what a bare import of numpy loads.  Nor numpy.ma, which numpy 2 loads
+    on the first np.unique call without return_index or return_inverse."""
     modules = loaded(*argv)
     assert "dataclasses" not in modules
-    assert not (modules - numpy_modules) & {"hashlib", "_hashlib"}
+    assert not (modules - numpy_modules) & {"hashlib", "_hashlib", "numpy.ma"}
 
 
 @pytest.mark.parametrize(
@@ -146,13 +147,15 @@ def test_commands_load_neither_dataclasses_nor_openssl(argv, numpy_modules):
     ],
     ids=lambda argv: argv[0],
 )
-def test_random_commands_load_no_dataclasses(argv):
+def test_random_commands_load_no_dataclasses(argv, numpy_modules):
     """These commands draw from numpy.random.default_rng, and importing
     numpy.random imports hashlib (through secrets and hmac), so they load
-    OpenSSL whatever solis imports; dataclasses they need not load."""
+    OpenSSL whatever solis imports; dataclasses they need not load, nor
+    numpy.ma beyond what a bare import of numpy loads."""
     modules = loaded(*argv)
     assert "numpy.random" in modules
     assert "dataclasses" not in modules
+    assert "numpy.ma" not in modules - numpy_modules
 
 
 def test_importing_the_cli_loads_no_numpy():

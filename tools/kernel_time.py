@@ -3,7 +3,9 @@
 For the free lattices of tests/data/growth-seed0.seq and long-seed0.seq,
 print the median wall time of one StepLattice.expected_counts call at
 R = 1, 2 and 16 weight rows, the calls sharing one buffers list as the
-solver's ascent shares it, of one values call at R = 1, and of one
+solver's ascent shares it; of one call at R = 1 in a buffers list kept from
+a call at R = 6, as an ascent's calls are once some of its restarts have
+stopped; of one values call at R = 1, and of one
 lattice_probability call, the path of every printed p(theta), under uniform
 weights per predecessor block.  The other weights are seeded exponentials,
 and every median is over 101 calls after 5 untimed ones.  To compare two
@@ -25,6 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TRACES = ("growth-seed0", "long-seed0")
 ROWS = (1, 2, 16)
+KEPT = 6  # rows of the call whose buffers a 1-row call reuses
 CALLS, WARMUP = 101, 5
 
 
@@ -56,6 +59,12 @@ def main(argv: list[str]) -> int:
             buffers: list = []
             ms = median_ms(lambda: lattice.expected_counts(weights, buffers))
             print(f"  expected_counts R={rows:<2} {ms:8.3f} ms")
+            if rows == 1:
+                kept: list = []
+                wide = np.random.default_rng(0).exponential(size=(KEPT, len(lattice.variables)))
+                lattice.expected_counts(wide, kept)
+                ms = median_ms(lambda: lattice.expected_counts(weights, kept))
+                print(f"  expected_counts R=1  {ms:8.3f} ms  (buffers kept from R={KEPT})")
         weights = np.random.default_rng(0).exponential(size=(1, len(lattice.variables)))
         print(f"  values          R=1  {median_ms(lambda: lattice.values(weights)):8.3f} ms")
         blocks = Counter(p.predecessor for p in lattice.variables)
