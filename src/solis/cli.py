@@ -43,7 +43,6 @@ from .formats import (
 
 if TYPE_CHECKING:
     from .derivations import Derivation
-    from .optimal_system import PosynomialObjective
 
 
 class _Deferred:
@@ -118,11 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--restarts", type=int)
     sub.add_argument("--max-iters", type=int)
     sub.add_argument("--seed", type=int)
-    sub.add_argument(
-        "--show-objective",
-        action="store_true",
-        help="print the expanded objective when small enough",
-    )
 
     sub = add("sample", "sample a trace from a system")
     sub.add_argument("--system", required=True)
@@ -148,8 +142,6 @@ def main(argv: list[str] | None = None) -> int:
         "infer-system": (_cmd_infer_system, ("optimal_system",)),
         "sample": (_cmd_sample, ("sampler",)),
     }[args.command]
-    if getattr(args, "show_objective", False):
-        modules += ("derivations",)  # build_objective lists the multisets
     for module in modules:
         importlib.import_module(f".{module}", __package__)
     start = time.perf_counter()
@@ -301,12 +293,11 @@ def _cmd_infer_derivation(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_infer_system(args: argparse.Namespace) -> list[str]:
-    from .optimal_system import DEFAULT_EXPANSION_CAP, SolverConfig
+    from .optimal_system import SolverConfig
 
     theta = parse_sequence_file(args.sequence, args.tokens)
     cfg = SolverConfig(**_given(args, "restarts", "max_iters", "seed"))
-    cap = DEFAULT_EXPANSION_CAP if args.show_objective else 0
-    obj = build_objective(theta, cap=cap)
+    obj = build_objective(theta, cap=0)
     x_star, best, traces = maximize(obj, cfg)
     system = assemble_system(obj, x_star)
     value = lattice_probability(obj.lattice, system.prob)
@@ -315,29 +306,10 @@ def _cmd_infer_system(args: argparse.Namespace) -> list[str]:
     lines.append(f"best restart: {best}")
     lines.append(f"iterations: {traces[best].iterations}")
     lines.append(f"converged: {'yes' if traces[best].converged else 'no'}")
-    if args.show_objective:
-        lines.append(_objective_text(obj, needs_tokens(theta.symbols())))
     lines.append(f"value = {format_real(value.linear)}")
     lines.append(f"log value = {format_real(value.log)}")
     lines.extend(serialize_system(system).splitlines())
     return lines
-
-
-def _objective_text(obj: PosynomialObjective, tokens: bool) -> str:
-    if obj.monomials is None:
-        return "objective: not expanded (derivation space exceeds cap)"
-    terms = []
-    for monomial in obj.monomials:
-        factors = []
-        if monomial.coefficient != 1 or not monomial.exponents:
-            factors.append(str(monomial.coefficient))
-        for production, exponent in monomial.exponents:
-            factor = f"X[{production_text(production, tokens)}]"
-            if exponent > 1:
-                factor += f"^{exponent}"
-            factors.append(factor)
-        terms.append(" ".join(factors))
-    return "objective: " + " + ".join(terms)
 
 
 def _cmd_sample(args: argparse.Namespace) -> list[str]:

@@ -320,44 +320,18 @@ class TestInferSystem:
             " entries per array, ceiling is 10000000"
         ) in err
 
-    def test_show_objective(self, capsys):
-        code, out, _ = run(
-            capsys, "infer-system", str(DATA / "aa-aba.seq"), "--show-objective"
-        )
-        assert code == 0
-        assert (
-            "objective: 2 X[A -> <eps>] X[A -> ABA]"
-            " + X[A -> A] X[A -> AB]"
-            " + X[A -> A] X[A -> BA]" in out
-        )
-
-    def test_show_objective_past_the_expansion_cap(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "infer-system",
-            str(DATA / "enum-seed0.seq"),
-            "--show-objective",
-            "--restarts",
-            "1",
-            "--max-iters",
-            "1",
-        )
-        assert code == 0
-        assert "objective: not expanded (derivation space exceeds cap)" in out.splitlines()
-
     def test_trace_of_empty_words(self, capsys, tmp_path):
         """The empty system derives <eps>, <eps> with probability 1, as
-        infer-derivation answers; its objective is the constant 1."""
+        infer-derivation answers."""
         path = tmp_path / "empty.seq"
         path.write_text("<eps>\n<eps>\n")
-        code, out, _ = run(capsys, "infer-system", str(path), "--show-objective")
+        code, out, _ = run(capsys, "infer-system", str(path))
         assert code == 0
         assert out.splitlines()[2:] == [
             "restarts: 16",
             "best restart: 0",
             "iterations: 0",
             "converged: yes",
-            "objective: 1",
             "value = 1",
             "log value = 0",
             "axiom: <eps>",
@@ -525,6 +499,15 @@ class TestUsageAndErrors:
         assert out == ""
         assert "error: usage: unrecognized arguments: --max-derivations 3" in err
 
+    def test_show_objective_is_a_usage_error(self, capsys):
+        """infer-system prints no expanded objective: the library's
+        build_objective(theta).monomials lists it, and enumerate's counts
+        lines give it per derivation."""
+        code, out, err = run(capsys, "infer-system", str(DATA / "aa-aba.seq"), "--show-objective")
+        assert code == 1
+        assert out == ""
+        assert "error: usage: unrecognized arguments: --show-objective" in err
+
     def test_unknown_command_exits_1(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
@@ -561,7 +544,7 @@ class TestTokenMode:
             ("free", ()),
             ("enumerate", ()),
             ("infer-derivation", ()),
-            ("infer-system", ("--show-objective", "--restarts", "2", "--seed", "0")),
+            ("infer-system", ("--restarts", "2", "--seed", "0")),
         ],
     )
     def test_recorded_output(self, capsys, command, flags):

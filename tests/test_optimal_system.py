@@ -190,6 +190,16 @@ class TestObjective:
     def test_cap_zero_skips_expansion(self, theta2):
         assert build_objective(theta2, cap=0).monomials is None
 
+    def test_default_cap_skips_expansion_past_it(self):
+        """enum-seed0 has 173,264 derivations, past DEFAULT_EXPANSION_CAP."""
+        theta = parse_sequence_file(str(DATA / "enum-seed0.seq"))
+        assert build_objective(theta).monomials is None
+
+    def test_trace_of_empty_words_has_the_constant_objective(self):
+        """<eps>, <eps> has one derivation, which applies no production."""
+        theta = Sequence.from_strings("", "")
+        assert build_objective(theta).monomials == (Monomial(1, ()),)
+
 
 class TestMaximize:
     def test_two_word_example_reaches_one_half(self, theta2):
